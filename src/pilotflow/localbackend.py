@@ -330,12 +330,6 @@ class _LocalEngine:
         )
         self.tracker.on_terminal(record)
 
-    def _pipeline_failed(self, record: TaskRecord) -> bool:
-        for pipeline in self.tracker.pipelines:
-            if pipeline.id == record.pipeline_id:
-                return pipeline.state.value == "FAILED"
-        return False
-
     def _apply_result(self, result: _UnitResult) -> None:
         unit = self._units[result.uid]
         record = self._records_by_uid[result.uid]
@@ -409,7 +403,8 @@ class _LocalEngine:
                     for unit, _placement in self.scheduler.place_ready():
                         record = self._records_by_uid[unit.uid]
                         now = self._now()
-                        if self._pipeline_failed(record) or now > deadline:
+                        failed = self.tracker.pipeline_failed(record.task.id)
+                        if failed or now > deadline:
                             self._cancel_unit(unit, release=True)
                             continue
                         advance_task_state(

@@ -116,6 +116,10 @@ class WorkflowTracker:
     def record_for(self, task_id: str) -> TaskRecord:
         return self._by_task[task_id][2]
 
+    def pipeline_failed(self, task_id: str) -> bool:
+        """Whether the pipeline that owns ``task_id`` has failed."""
+        return self._by_task[task_id][0].state is PipelineState.FAILED
+
     def all_records(self) -> list[TaskRecord]:
         return [entry[2] for entry in self._by_task.values()]
 

@@ -4,10 +4,19 @@ The pilot owns a fixed range of cores. Units ask for a contiguous block;
 the scheduler places each at the lowest free offset that fits. Units that
 do not fit wait in FIFO order, and a unit that can never fit (wider than
 the pilot itself) is rejected outright.
+
+The core map keeps the live blocks sorted by offset, and the widths of the
+free runs between them sorted by width, updating both with ``bisect`` as
+blocks come and go, so the widest free run is always known. A waiting unit
+wider than that run is skipped with one integer comparison and no search;
+any other unit is certain to fit, so each placement costs exactly one
+first-fit scan, linear in the live blocks. When no core is free, the rest
+of the queue is left as it is.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,20 +41,28 @@ class CoreMap:
         if total_cores < 1:
             raise ValueError("total_cores must be >= 1")
         self.total_cores = total_cores
-        # uid -> (offset, width), kept sorted on demand for the fit scan.
-        self._allocated: dict[str, tuple[int, int]] = {}
+        # Start and end offsets of every live block, both sorted by offset.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._by_uid: dict[str, tuple[int, int]] = {}
+        # Widths of the non-empty free runs between blocks, sorted, so the
+        # widest is the last.
+        self._runs: list[int] = [total_cores]
 
     def used_cores(self) -> int:
-        return sum(width for _, width in self._allocated.values())
+        return self.total_cores - sum(self._runs)
+
+    def widest_free(self) -> int:
+        """Width of the widest run of contiguous free cores."""
+        return self._runs[-1] if self._runs else 0
 
     def find_offset(self, cores: int) -> int | None:
         """Lowest offset where ``cores`` contiguous cores are free."""
-        blocks = sorted(self._allocated.values())
         cursor = 0
-        for offset, width in blocks:
-            if offset - cursor >= cores:
+        for start, end in zip(self._starts, self._ends):
+            if start - cursor >= cores:
                 return cursor
-            cursor = max(cursor, offset + width)
+            cursor = end
         if self.total_cores - cursor >= cores:
             return cursor
         return None
@@ -54,11 +71,35 @@ class CoreMap:
         offset = self.find_offset(cores)
         if offset is None:
             raise RuntimeError(f"no contiguous block of {cores} cores free")
-        self._allocated[uid] = (offset, cores)
+        index = bisect_left(self._starts, offset)
+        # First fit puts the block at the start of a free run.
+        run = self._next_start(index) - offset
+        self._starts.insert(index, offset)
+        self._ends.insert(index, offset + cores)
+        self._by_uid[uid] = (offset, cores)
+        self._replace_runs((run,), run - cores)
         return offset
 
     def release(self, uid: str) -> None:
-        del self._allocated[uid]
+        offset, cores = self._by_uid.pop(uid)
+        index = bisect_left(self._starts, offset)
+        del self._starts[index]
+        del self._ends[index]
+        before = self._ends[index - 1] if index else 0
+        after = self._next_start(index)
+        self._replace_runs(
+            (offset - before, after - offset - cores), after - before
+        )
+
+    def _next_start(self, index: int) -> int:
+        return self._starts[index] if index < len(self._starts) else self.total_cores
+
+    def _replace_runs(self, old: tuple[int, ...], new: int) -> None:
+        for run in old:
+            if run:
+                del self._runs[bisect_left(self._runs, run)]
+        if new:
+            insort(self._runs, new)
 
 
 class FirstFitScheduler:
@@ -86,15 +127,19 @@ class FirstFitScheduler:
 
     def place_ready(self) -> list[tuple[UnitDescription, Placement]]:
         placed: list[tuple[UnitDescription, Placement]] = []
+        widest = self.cores.widest_free()
+        if not widest:
+            return placed
         still_waiting: deque[UnitDescription] = deque()
-        while self._waiting:
+        while self._waiting and widest:
             unit = self._waiting.popleft()
-            offset = self.cores.find_offset(unit.cores)
-            if offset is None:
+            if unit.cores > widest:
                 still_waiting.append(unit)
                 continue
-            self.cores.allocate(unit.uid, unit.cores)
+            offset = self.cores.allocate(unit.uid, unit.cores)
             placed.append((unit, Placement(unit.uid, offset, unit.cores)))
+            widest = self.cores.widest_free()
+        still_waiting.extend(self._waiting)
         self._waiting = still_waiting
         return placed
 

@@ -134,6 +134,8 @@ def test_failure_fails_stage_and_pipeline_only():
     assert pa.state is PipelineState.FAILED
     assert pa.stages[0].state is StageState.FAILED
     assert pb.state is PipelineState.ACTIVE
+    assert tracker.pipeline_failed("a2") and tracker.pipeline_failed("a3")
+    assert not tracker.pipeline_failed("b1")
 
 
 def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():

@@ -174,3 +174,126 @@ def test_placements_never_overlap(widths):
         assert not (block & occupied)
         assert max(block) < 24
         occupied |= block
+
+
+class ReferenceFifoScheduler:
+    """FIFO first fit over one byte per core: every waiting unit, in queue
+    order, takes the first run of free cores it fits in."""
+
+    def __init__(self, total_cores: int) -> None:
+        self.busy = bytearray(total_cores)
+        self.owner: dict[str, tuple[int, int]] = {}
+        self.waiting: list[tuple[str, int]] = []
+
+    def place_ready(self) -> list[tuple[str, int, int]]:
+        placed = []
+        still_waiting = []
+        for uid, cores in self.waiting:
+            offset = self.busy.find(bytes(cores))
+            if offset < 0:
+                still_waiting.append((uid, cores))
+                continue
+            self.busy[offset : offset + cores] = b"\1" * cores
+            self.owner[uid] = (offset, cores)
+            placed.append((uid, offset, cores))
+        self.waiting = still_waiting
+        return placed
+
+    def release(self, uid: str) -> None:
+        offset, cores = self.owner.pop(uid)
+        self.busy[offset : offset + cores] = bytes(cores)
+
+
+@st.composite
+def scheduler_scripts(draw):
+    total = draw(st.one_of(st.integers(1, 64), st.integers(65, 4096)))
+    width = st.one_of(st.integers(1, min(8, total)), st.integers(1, total))
+    step = st.one_of(
+        st.tuples(st.just("offer"), width),
+        st.tuples(st.just("release"), st.integers(0, 10_000)),
+        st.tuples(st.just("place"), st.just(0)),
+    )
+    return total, draw(st.lists(step, max_size=60))
+
+
+@given(scheduler_scripts())
+@settings(max_examples=200, deadline=None)
+def test_place_ready_matches_fifo_reference(script):
+    """Interleaved offers, releases and placements: the same units are placed
+    in the same order at the same offsets, and the same queue is left."""
+    total, steps = script
+    fast = FirstFitScheduler(total)
+    slow = ReferenceFifoScheduler(total)
+    live: list[str] = []
+    for i, (action, number) in enumerate(steps + [("place", 0)]):
+        if action == "offer":
+            fast.offer(make_unit(f"u{i}", number))
+            slow.waiting.append((f"u{i}", number))
+        elif action == "release":
+            if live:
+                uid = live.pop(number % len(live))
+                fast.release(uid)
+                slow.release(uid)
+        else:
+            placed = [
+                (unit.uid, placement.core_offset, placement.cores)
+                for unit, placement in fast.place_ready()
+            ]
+            assert placed == slow.place_ready()
+            assert fast.waiting_count() == len(slow.waiting)
+            live.extend(uid for uid, _, _ in placed)
+        assert fast.cores.used_cores() == sum(slow.busy)
+        assert fast.cores.widest_free() == max(
+            (len(run) for run in bytes(slow.busy).split(b"\1")), default=0
+        )
+    assert [u.uid for u in fast.drain_waiting()] == [uid for uid, _ in slow.waiting]
+
+
+@pytest.fixture
+def find_offset_calls(monkeypatch):
+    calls = []
+    search = CoreMap.find_offset
+
+    def counted(self, cores):
+        calls.append(cores)
+        return search(self, cores)
+
+    monkeypatch.setattr(CoreMap, "find_offset", counted)
+    return calls
+
+
+def test_full_pilot_and_too_wide_units_cost_no_fit_search(find_offset_calls):
+    scheduler = FirstFitScheduler(64)
+    scheduler.offer(make_unit("big", 61))
+    assert len(scheduler.place_ready()) == 1
+    assert len(find_offset_calls) == 1
+    # Three cores free: 1,000 units of four cores are each skipped by width.
+    for i in range(1000):
+        scheduler.offer(make_unit(f"w{i}", 4))
+    assert scheduler.place_ready() == []
+    assert len(find_offset_calls) == 1
+    scheduler.offer(make_unit("fill", 3))
+    assert [u.uid for u, _ in scheduler.place_ready()] == ["fill"]
+    assert len(find_offset_calls) == 2
+    # Pilot full: no search at all, and the queue is left as it is.
+    assert scheduler.place_ready() == []
+    assert len(find_offset_calls) == 2
+    assert [u.uid for u in scheduler.drain_waiting()] == [f"w{i}" for i in range(1000)]
+
+
+def test_each_placement_costs_exactly_one_fit_search(find_offset_calls):
+    scheduler = FirstFitScheduler(64)
+    scheduler.offer(make_unit("big", 64))
+    scheduler.place_ready()
+    widths = [(i % 8) + 1 for i in range(1000)]
+    for i, width in enumerate(widths):
+        scheduler.offer(make_unit(f"w{i}", width))
+    find_offset_calls.clear()
+    assert scheduler.place_ready() == []
+    assert find_offset_calls == []
+    scheduler.release("big")
+    placed = scheduler.place_ready()
+    # Widths 1..8 then 1..7 fill the 64 cores exactly: 36 + 28.
+    assert [u.uid for u, _ in placed] == [f"w{i}" for i in range(15)]
+    assert len(find_offset_calls) == len(placed)
+    assert scheduler.waiting_count() == 1000 - len(placed)

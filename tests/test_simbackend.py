@@ -14,6 +14,8 @@ independent of how many pipelines run.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from pilotflow.model import (
     TaskKind,
     TaskSpec,
     Workflow,
+    peak_core_demand,
 )
 from pilotflow.protocols import generate_esmacs
 from pilotflow.runtime import PilotRequestError
@@ -332,3 +335,31 @@ def test_randomized_runs_always_complete_and_balance(seed, replicas):
     for event in log.events:
         assert event.time >= last.get(event.entity, 0.0) or event.name == "submit"
         last[event.entity] = event.time
+
+
+# sha256 of the seeded under-provisioned run below. Units wait for cores
+# there, so any change to placement order, offsets or timing changes it.
+QUEUED_DIGEST = "02733580f867bc53cefe9710b20a0693a009b8658ae7b44c9d8a1eb817cedddd"
+
+
+def test_queued_run_is_byte_identical_to_recorded_digest():
+    """24 pipelines on peak/8 cores: units wait, and noise breaks lockstep."""
+    workflow = generate_esmacs(replicas=24)
+    cores = peak_core_demand(workflow) // 8
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(QUEUE),
+        pull_latency=LatencyModel.constant(PULL),
+        fs_latency=LatencyModel.constant(FS),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=11,
+    )
+    log = sim_run(workflow, ResourceRequest(cores=cores, walltime=1_000_000.0), config)
+    digest = hashlib.sha256()
+    for event in log.events:
+        digest.update(
+            f"{event.time!r},{event.entity},{event.name},"
+            f"{event.pipeline},{event.stage}\n".encode()
+        )
+    assert cores == 24
+    assert compute_report(log).done_tasks == 7 * 24
+    assert digest.hexdigest() == QUEUED_DIGEST
