@@ -101,7 +101,3 @@ class Sampler:
             draw = self._rng.gauss(model.mean, model.stddev)
             if draw >= 0:
                 return draw
-
-
-def make_sampler(model: LatencyModel, seed: int, stream: str) -> Sampler:
-    return Sampler(model, seed, stream)

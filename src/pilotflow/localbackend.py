@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .latency import LatencyModel, make_sampler
+from .latency import LatencyModel, Sampler
 from .model import (
     LifecycleEvent,
     ResourceRequest,
@@ -238,7 +238,7 @@ class _LocalEngine:
         self.request = request
         self.tracker = WorkflowTracker(workflow)
         self.sink = ProfileSink()
-        self.store = TaskStore(make_sampler(LatencyModel.constant(0.0), 0, "pull"))
+        self.store = TaskStore(Sampler(LatencyModel.constant(0.0), 0, "pull"))
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()
         self._units: dict[str, UnitDescription] = {}

@@ -32,7 +32,7 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .profiling import EventLog, ProfileEvent
+from .profiling import INTERVAL_STEMS, EventLog, ProfileEvent
 
 TERMINAL_EVENTS = ("done", "failed", "canceled")
 
@@ -93,24 +93,26 @@ class RunReport:
         }
 
 
-def _interval_sum(events: list[ProfileEvent], stem: str) -> float:
+# Interval event name -> (stem, side): side 0 holds begins, side 1 ends.
+_INTERVAL_SIDES = {
+    f"{stem}_{side}": (stem, index)
+    for stem in INTERVAL_STEMS
+    for index, side in enumerate(("begin", "end"))
+}
+
+# Entity -> (begin times, end times) of one interval kind, in log order.
+_Pairs = dict[str, tuple[list[float], list[float]]]
+
+
+def _interval_sum(stem: str, pairs: _Pairs) -> float:
     """Sum of end minus begin over all pairs of one interval kind.
 
-    Pairs are per entity; the sum is invariant to how same-entity pairs
-    interleave, so equal begin/end counts per entity are all that is
-    checked.
+    The sum is invariant to how same-entity pairs interleave, so equal
+    begin/end counts per entity are all that is checked.
     """
-    begins: dict[str, list[float]] = {}
-    ends: dict[str, list[float]] = {}
-    for event in events:
-        if event.name == f"{stem}_begin":
-            begins.setdefault(event.entity, []).append(event.time)
-        elif event.name == f"{stem}_end":
-            ends.setdefault(event.entity, []).append(event.time)
     total = 0.0
-    for entity in sorted(set(begins) | set(ends)):
-        opened = begins.get(entity, [])
-        closed = ends.get(entity, [])
+    for entity in sorted(pairs):
+        opened, closed = pairs[entity]
         if len(opened) != len(closed):
             raise MalformedProfileError(
                 f"entity {entity!r}: {len(opened)} {stem}_begin events "
@@ -120,59 +122,76 @@ def _interval_sum(events: list[ProfileEvent], stem: str) -> float:
     return total
 
 
-def _single_event_time(events: list[ProfileEvent], name: str) -> float:
-    matches = [e for e in events if e.name == name]
-    if not matches:
+def _first_time(first: dict[str, float], name: str) -> float:
+    if name not in first:
         raise MalformedProfileError(f"log has no {name!r} event")
-    return matches[0].time
+    return first[name]
 
 
 def compute_report(
     log: EventLog, trial_id: str = "", workload: str = ""
 ) -> RunReport:
-    """Reduce one event log to a run report."""
-    events = log.events
-    submit = _single_event_time(events, "submit")
-    active = _single_event_time(events, "pilot_active")
+    """Reduce one event log to a run report in one pass over its events.
+
+    The pass buckets interval times per stem and entity, collects terminal
+    events and stage windows, and notes the first ``submit`` and
+    ``pilot_active``; the checks then run in a fixed order, so a malformed
+    log always raises the same first error.
+    """
+    first: dict[str, float] = {}
+    terminal: list[ProfileEvent] = []
+    pairs: dict[str, _Pairs] = {stem: {} for stem in INTERVAL_STEMS}
+    # Stage windows: first staging start to last completion, per pipeline.
+    window_begin: dict[tuple[str, int], float] = {}
+    window_end: dict[tuple[str, int], float] = {}
+    for event in log.events:
+        name = event.name
+        side = _INTERVAL_SIDES.get(name)
+        if side is not None:
+            stem, index = side
+            by_entity = pairs[stem]
+            entry = by_entity.get(event.entity)
+            if entry is None:
+                entry = by_entity[event.entity] = ([], [])
+            entry[index].append(event.time)
+            if name == "stage_in_begin" and event.stage >= 0 and event.pipeline:
+                key = (event.pipeline, event.stage)
+                if key not in window_begin or event.time < window_begin[key]:
+                    window_begin[key] = event.time
+        elif name in TERMINAL_EVENTS:
+            terminal.append(event)
+            if name == "done" and event.stage >= 0 and event.pipeline:
+                key = (event.pipeline, event.stage)
+                if key not in window_end or event.time > window_end[key]:
+                    window_end[key] = event.time
+        elif (name == "submit" or name == "pilot_active") and name not in first:
+            first[name] = event.time
+
+    submit = _first_time(first, "submit")
+    active = _first_time(first, "pilot_active")
     if active < submit:
         raise MalformedProfileError("pilot_active precedes submit")
 
-    terminal = [e for e in events if e.name in TERMINAL_EVENTS]
     if not terminal:
         raise MalformedProfileError("log has no terminal task events")
-    by_entity: dict[str, ProfileEvent] = {}
+    seen: set[str] = set()
     for event in terminal:
-        if event.entity in by_entity:
+        if event.entity in seen:
             raise MalformedProfileError(
                 f"task {event.entity!r} has more than one terminal event"
             )
-        by_entity[event.entity] = event
+        seen.add(event.entity)
 
     tq = active - submit
     ttc = max(e.time for e in terminal) - submit
     ttx = ttc - tq
 
-    translate = _interval_sum(events, "translate")
-    pull = _interval_sum(events, "pull")
-    unit_io = _interval_sum(events, "unit_io")
-    # Interval kinds that must pair up even though no metric sums them.
-    _interval_sum(events, "stage_in")
-    _interval_sum(events, "exec")
-    _interval_sum(events, "stage_out")
+    # Every interval kind must pair up, including the ones no metric sums.
+    sums = {stem: _interval_sum(stem, pairs[stem]) for stem in INTERVAL_STEMS}
+    translate = sums["translate"]
+    pull = sums["pull"]
+    unit_io = sums["unit_io"]
 
-    # Stage windows: first staging start to last completion, per pipeline.
-    window_begin: dict[tuple[str, int], float] = {}
-    window_end: dict[tuple[str, int], float] = {}
-    for event in events:
-        if event.stage < 0 or not event.pipeline:
-            continue
-        key = (event.pipeline, event.stage)
-        if event.name == "stage_in_begin":
-            if key not in window_begin or event.time < window_begin[key]:
-                window_begin[key] = event.time
-        elif event.name == "done":
-            if key not in window_end or event.time > window_end[key]:
-                window_end[key] = event.time
     stage_windows: dict[int, list[float]] = {}
     for key, begin in window_begin.items():
         if key in window_end:

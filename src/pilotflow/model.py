@@ -12,10 +12,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .profiling import ProfileSink
+from .profiling import ProfileEvent, ProfileSink
 
 
 class TaskKind(str, Enum):
@@ -191,8 +189,6 @@ def advance_task_state(
             ) from None
     record.state = new_state
     if sink is not None:
-        from .profiling import ProfileEvent
-
         sink.append(
             ProfileEvent(
                 time=time,

@@ -22,9 +22,10 @@ All timestamps are seconds relative to pilot submission (time 0.0).
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 # Interval vocabulary: name stems that come in _begin/_end pairs.
 INTERVAL_STEMS = (
@@ -48,8 +49,7 @@ POINT_EVENTS = (
 )
 
 
-@dataclass(frozen=True)
-class ProfileEvent:
+class ProfileEvent(NamedTuple):
     """One timestamped occurrence attributed to an entity.
 
     ``pipeline`` and ``stage`` carry attribution for per-stage metrics; they
@@ -64,30 +64,29 @@ class ProfileEvent:
 
 
 class ProfileSink:
-    """Append-only, thread-safe event collector."""
+    """Append-only event collector.
+
+    It takes no lock: only the engine's own thread appends (the local
+    backend's workers hand their results back through a queue), and
+    ``list.append`` is atomic in any case.
+    """
 
     def __init__(self) -> None:
         self._events: list[ProfileEvent] = []
-        self._lock = threading.Lock()
 
     def append(self, event: ProfileEvent) -> None:
-        with self._lock:
-            self._events.append(event)
+        self._events.append(event)
 
     def extend(self, events: list[ProfileEvent]) -> None:
-        with self._lock:
-            self._events.extend(events)
+        self._events.extend(events)
 
     def events(self) -> list[ProfileEvent]:
-        """Events ordered by time, ties broken by append order."""
-        with self._lock:
-            indexed = list(enumerate(self._events))
-        indexed.sort(key=lambda pair: (pair[1].time, pair[0]))
-        return [event for _, event in indexed]
+        """Events ordered by time, ties broken by append order (the sort is
+        stable)."""
+        return sorted(self._events, key=attrgetter("time"))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
 
 @dataclass
@@ -116,5 +115,6 @@ class EventLog:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["time_s", "entity", "event"])
-            for event in self.events:
-                writer.writerow([repr(event.time), event.entity, event.name])
+            writer.writerows(
+                (repr(event.time), event.entity, event.name) for event in self.events
+            )

@@ -23,7 +23,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .latency import LatencyModel, Sampler, make_sampler
+from .latency import LatencyModel, Sampler
 from .model import (
     LifecycleEvent,
     ResourceRequest,
@@ -127,15 +127,11 @@ class _SimEngine:
         self.tracker = WorkflowTracker(workflow)
         self.pilot: Pilot = submit_pilot(request, self.sink, uid="pilot.0000")
         seed = config.seed
-        self.queue_wait: Sampler = make_sampler(config.queue_wait, seed, "queue")
-        self.pull_latency: Sampler = make_sampler(config.pull_latency, seed, "pull")
-        self.fs_latency: Sampler = make_sampler(config.fs_latency, seed, "fs")
-        self.translate_cost: Sampler = make_sampler(
-            config.translate_cost, seed, "translate"
-        )
-        self.duration_noise: Sampler = make_sampler(
-            config.duration_noise, seed, "noise"
-        )
+        self.queue_wait = Sampler(config.queue_wait, seed, "queue")
+        self.pull_latency = Sampler(config.pull_latency, seed, "pull")
+        self.fs_latency = Sampler(config.fs_latency, seed, "fs")
+        self.translate_cost = Sampler(config.translate_cost, seed, "translate")
+        self.duration_noise = Sampler(config.duration_noise, seed, "noise")
         self.store = TaskStore(self.pull_latency)
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()

@@ -6,54 +6,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow.latency import Distribution, LatencyModel, make_sampler
+from pilotflow.latency import Distribution, LatencyModel, Sampler
 
 
 def test_constant_reads_back_exactly():
-    sampler = make_sampler(LatencyModel.constant(0.25), seed=1, stream="queue")
+    sampler = Sampler(LatencyModel.constant(0.25), seed=1, stream="queue")
     assert [sampler.sample() for _ in range(5)] == [0.25] * 5
 
 
 def test_uniform_within_bounds():
-    sampler = make_sampler(LatencyModel.uniform(1.0, 3.0), seed=1, stream="queue")
+    sampler = Sampler(LatencyModel.uniform(1.0, 3.0), seed=1, stream="queue")
     draws = [sampler.sample() for _ in range(200)]
     assert all(1.0 <= d <= 3.0 for d in draws)
     assert len(set(draws)) > 1
 
 
 def test_truncated_normal_never_negative():
-    sampler = make_sampler(LatencyModel.normal(0.0, 1.0), seed=3, stream="fs")
+    sampler = Sampler(LatencyModel.normal(0.0, 1.0), seed=3, stream="fs")
     draws = [sampler.sample() for _ in range(500)]
     assert all(d >= 0.0 for d in draws)
 
 
 def test_same_seed_same_stream_reproduces():
-    a = make_sampler(LatencyModel.normal(1.0, 0.3), seed=9, stream="noise")
-    b = make_sampler(LatencyModel.normal(1.0, 0.3), seed=9, stream="noise")
+    a = Sampler(LatencyModel.normal(1.0, 0.3), seed=9, stream="noise")
+    b = Sampler(LatencyModel.normal(1.0, 0.3), seed=9, stream="noise")
     assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
 
 
 def test_streams_are_independent():
-    a = make_sampler(LatencyModel.uniform(0.0, 1.0), seed=9, stream="pull")
-    b = make_sampler(LatencyModel.uniform(0.0, 1.0), seed=9, stream="fs")
+    a = Sampler(LatencyModel.uniform(0.0, 1.0), seed=9, stream="pull")
+    b = Sampler(LatencyModel.uniform(0.0, 1.0), seed=9, stream="fs")
     assert [a.sample() for _ in range(10)] != [b.sample() for _ in range(10)]
 
 
 def test_seeds_change_the_draws():
-    a = make_sampler(LatencyModel.uniform(0.0, 1.0), seed=1, stream="pull")
-    b = make_sampler(LatencyModel.uniform(0.0, 1.0), seed=2, stream="pull")
+    a = Sampler(LatencyModel.uniform(0.0, 1.0), seed=1, stream="pull")
+    b = Sampler(LatencyModel.uniform(0.0, 1.0), seed=2, stream="pull")
     assert [a.sample() for _ in range(10)] != [b.sample() for _ in range(10)]
 
 
 def test_invalid_models_rejected():
     with pytest.raises(ValueError):
-        make_sampler(LatencyModel.constant(-1.0), seed=0, stream="x")
+        Sampler(LatencyModel.constant(-1.0), seed=0, stream="x")
     with pytest.raises(ValueError):
-        make_sampler(LatencyModel.uniform(2.0, 1.0), seed=0, stream="x")
+        Sampler(LatencyModel.uniform(2.0, 1.0), seed=0, stream="x")
     with pytest.raises(ValueError):
-        make_sampler(LatencyModel.uniform(-1.0, 1.0), seed=0, stream="x")
+        Sampler(LatencyModel.uniform(-1.0, 1.0), seed=0, stream="x")
     with pytest.raises(ValueError):
-        make_sampler(
+        Sampler(
             LatencyModel(distribution=Distribution.NORMAL_TRUNCATED, stddev=-0.1),
             seed=0,
             stream="x",
@@ -81,5 +81,5 @@ def test_dict_round_trip():
 )
 @settings(max_examples=60)
 def test_samples_always_nonnegative(model, seed):
-    sampler = make_sampler(model, seed=seed, stream="s")
+    sampler = Sampler(model, seed=seed, stream="s")
     assert all(sampler.sample() >= 0.0 for _ in range(50))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tarfile
+import threading
 
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
@@ -17,6 +18,7 @@ from pilotflow.model import (
     Workflow,
     peak_core_demand,
 )
+from pilotflow.profiling import ProfileSink
 from pilotflow.protocols import generate_esmacs
 
 
@@ -52,6 +54,22 @@ def test_null_ensemble_completes_with_zero_queue_time():
     assert report.status == "DONE"
     assert report.tq_s == 0.0
     assert report.ttx_s == report.ttc_s
+
+
+def test_only_the_engine_thread_appends_events(monkeypatch):
+    """The sink takes no lock: worker threads must hand results back instead."""
+    appenders: set[int] = set()
+    append = ProfileSink.append
+
+    def recording_append(self, event):
+        appenders.add(threading.get_ident())
+        append(self, event)
+
+    monkeypatch.setattr(ProfileSink, "append", recording_append)
+    wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
+    log = run_local(wf, cores=peak_core_demand(wf), max_workers=4)
+    assert compute_report(log).done_tasks == 14
+    assert appenders == {threading.get_ident()}
 
 
 def test_stages_execute_in_order_per_pipeline():

@@ -13,7 +13,12 @@ from pilotflow.metrics import (
     compute_report,
     reports_to_csv,
 )
-from pilotflow.profiling import EventLog, ProfileEvent, ProfileSink
+from pilotflow.profiling import (
+    INTERVAL_STEMS,
+    EventLog,
+    ProfileEvent,
+    ProfileSink,
+)
 
 
 def ev(time, entity, name, pipeline="", stage=-1):
@@ -97,12 +102,37 @@ def test_ttx_is_literally_ttc_minus_tq():
     assert report.ttx_s == report.ttc_s - report.tq_s
 
 
-def test_unmatched_interval_is_rejected():
-    events = [e for e in synthetic_events() if not (e.entity == "b" and e.name == "exec_end")]
+# The entity whose end event each test below drops, per interval stem.
+UNMATCHED = {
+    "translate": "b",
+    "pull": "pilot.0000",
+    "unit_io": "unit.000001",
+    "stage_in": "b",
+    "exec": "b",
+    "stage_out": "b",
+}
+
+
+@pytest.mark.parametrize("stem", INTERVAL_STEMS)
+def test_unmatched_interval_is_rejected(stem):
+    entity = UNMATCHED[stem]
+    dropped = f"{stem}_end"
+    events = [
+        e for e in synthetic_events() if not (e.entity == entity and e.name == dropped)
+    ]
     with pytest.raises(MalformedProfileError) as excinfo:
         compute_report(make_log(events))
     message = str(excinfo.value)
-    assert "'b'" in message and "exec" in message
+    assert f"{entity!r}" in message and dropped in message
+
+
+def test_first_unmatched_stem_in_vocabulary_order_is_reported():
+    """With every stem broken, the error names the first one checked."""
+    events = [e for e in synthetic_events() if not e.name.endswith("_end")]
+    with pytest.raises(MalformedProfileError) as excinfo:
+        compute_report(make_log(events))
+    assert "translate_end" in str(excinfo.value)
+    assert "'a'" in str(excinfo.value)
 
 
 def test_missing_submit_is_rejected():

@@ -14,6 +14,7 @@ independent of how many pipelines run.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotflow.latency import LatencyModel
-from pilotflow.metrics import compute_report
+from pilotflow.metrics import compute_report, reports_to_csv
 from pilotflow.model import (
     Pipeline,
     ResourceRequest,
@@ -342,8 +343,11 @@ def test_randomized_runs_always_complete_and_balance(seed, replicas):
 QUEUED_DIGEST = "02733580f867bc53cefe9710b20a0693a009b8658ae7b44c9d8a1eb817cedddd"
 
 
-def test_queued_run_is_byte_identical_to_recorded_digest():
-    """24 pipelines on peak/8 cores: units wait, and noise breaks lockstep."""
+def _queued_run(**latencies):
+    """24 pipelines on peak/8 cores: units wait, and noise breaks lockstep.
+
+    ``latencies`` replace the constant latency models.
+    """
     workflow = generate_esmacs(replicas=24)
     cores = peak_core_demand(workflow) // 8
     config = SimBackendConfig(
@@ -353,13 +357,61 @@ def test_queued_run_is_byte_identical_to_recorded_digest():
         duration_noise=LatencyModel.uniform(0.9, 1.1),
         seed=11,
     )
+    config = dataclasses.replace(config, **latencies)
     log = sim_run(workflow, ResourceRequest(cores=cores, walltime=1_000_000.0), config)
+    assert cores == 24
+    return log
+
+
+def test_queued_run_is_byte_identical_to_recorded_digest():
+    log = _queued_run()
     digest = hashlib.sha256()
     for event in log.events:
         digest.update(
             f"{event.time!r},{event.entity},{event.name},"
             f"{event.pipeline},{event.stage}\n".encode()
         )
-    assert cores == 24
     assert compute_report(log).done_tasks == 7 * 24
     assert digest.hexdigest() == QUEUED_DIGEST
+
+
+# sha256 of the event CSV and the trials CSV that the queued run writes.
+QUEUED_EVENTS_CSV_DIGEST = (
+    "a8a0956494962e75529ac70c118f10cd904ef48079d2c3f0712a415a6dd8872c"
+)
+QUEUED_TRIALS_CSV_DIGEST = (
+    "bb271b6f119639ba2d741ecb57827a9477fb2b55a606d02b11602d2d612627b2"
+)
+
+
+def test_queued_run_writers_are_byte_identical_to_recorded_digests(tmp_path):
+    log = _queued_run()
+    log.write_csv(tmp_path / "events.csv")
+    report = compute_report(log, trial_id="queued-0", workload="esmacs")
+    reports_to_csv([report], tmp_path / "trials.csv")
+
+    def sha256(name: str) -> str:
+        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+    assert sha256("events.csv") == QUEUED_EVENTS_CSV_DIGEST
+    assert sha256("trials.csv") == QUEUED_TRIALS_CSV_DIGEST
+
+
+# sha256 of the trials CSV of the queued run with every overhead drawn from
+# a uniform model. Its sums are not exact in binary, so this also pins the
+# order in which compute_report adds them.
+NOISY_TRIALS_CSV_DIGEST = (
+    "c51a8bab48f8fa050b716b86a0d71cc9c598a0541d7778ed38a53680c7ffac9b"
+)
+
+
+def test_noisy_overhead_report_is_byte_identical_to_recorded_digest(tmp_path):
+    log = _queued_run(
+        pull_latency=LatencyModel.uniform(0.2, 0.3),
+        fs_latency=LatencyModel.uniform(0.1, 0.15),
+        translate_cost=LatencyModel.uniform(0.01, 0.02),
+    )
+    report = compute_report(log, trial_id="noisy-0", workload="esmacs")
+    reports_to_csv([report], tmp_path / "trials.csv")
+    digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
+    assert digest == NOISY_TRIALS_CSV_DIGEST

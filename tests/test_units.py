@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pilotflow.latency import LatencyModel, make_sampler
+from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.model import StagingDirective, StagingMode, TaskKind, TaskSpec
 from pilotflow.units import (
     TaskStore,
@@ -57,7 +57,7 @@ def test_wire_round_trip_is_lossless():
 
 
 def zero_latency_store() -> TaskStore:
-    return TaskStore(make_sampler(LatencyModel.constant(0.0), 0, "pull"))
+    return TaskStore(Sampler(LatencyModel.constant(0.0), 0, "pull"))
 
 
 def filled_store(n: int) -> TaskStore:
@@ -86,7 +86,7 @@ def test_bulk_limit_respected():
 
 
 def test_one_latency_sample_per_pull():
-    store = TaskStore(make_sampler(LatencyModel.constant(0.5), 0, "pull"))
+    store = TaskStore(Sampler(LatencyModel.constant(0.5), 0, "pull"))
     allocator = UnitIdAllocator()
     for i in range(8):
         store.enqueue(translate_task(make_task(f"t{i}"), "p", 0, allocator))
