@@ -94,10 +94,6 @@ class ExperimentConfig:
         backend_kind = self.backend.get("backend", "sim")
         if backend_kind not in ("sim", "local"):
             raise ExperimentConfigError(f"unknown backend {backend_kind!r}")
-        if backend_kind == "local" and self.workload == "SIM":
-            # Allowed: the local runner substitutes a timed sleep. Nothing
-            # to reject here; NULL and LOCAL also run locally.
-            pass
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentConfig:

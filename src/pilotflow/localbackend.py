@@ -11,6 +11,11 @@ private sandbox directory.
 All timestamps come from one monotonic clock anchored at pilot submission,
 and every duration in the log is genuinely measured, which is what makes
 this backend useful for measuring engine overheads.
+
+The bookkeeping and the events of each step belong to
+:class:`~pilotflow.runtime.EngineCore`. This module owns only the
+execution: the clock, the thread pool, the sandboxes and staging, and the
+failure diagnostics.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ from .model import (
     Workflow,
     advance_task_state,
 )
-from .profiling import EventLog, ProfileEvent, ProfileSink
-from .runtime import PilotState, WorkflowTracker, submit_pilot
-from .scheduler import FirstFitScheduler
-from .units import TaskStore, UnitDescription, UnitIdAllocator, translate_task
+from .profiling import EventLog
+from .runtime import EngineCore
+from .units import UnitDescription, translate_task
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,10 @@ def _stage_one(
         target = sandbox / directive.target
         target.mkdir(parents=True, exist_ok=True)
         with tarfile.open(source) as archive:
-            try:
-                archive.extractall(target, filter="data")
-            except TypeError:
-                archive.extractall(target)
+            # An interpreter without extraction filters raises TypeError
+            # here, which fails the unit rather than extracting unchecked
+            # member paths.
+            archive.extractall(target, filter="data")
     elif mode is StagingMode.COPY_OUT:
         source = sandbox / directive.source
         if not source.exists():
@@ -236,13 +240,9 @@ class _LocalEngine:
     ) -> None:
         self.config = config
         self.request = request
-        self.tracker = WorkflowTracker(workflow)
-        self.sink = ProfileSink()
-        self.store = TaskStore(Sampler(LatencyModel.constant(0.0), 0, "pull"))
-        self.scheduler = FirstFitScheduler(request.cores)
-        self.allocator = UnitIdAllocator()
-        self._units: dict[str, UnitDescription] = {}
-        self._records_by_uid: dict[str, TaskRecord] = {}
+        self.core = EngineCore(
+            workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")
+        )
         self._results: queue.Queue[_UnitResult] = queue.Queue()
         self._diagnostics: dict[str, str] = {}
         self._epoch = 0.0
@@ -254,126 +254,44 @@ class _LocalEngine:
         for record in records:
             begin = self._now()
             unit = translate_task(
-                record.task, record.pipeline_id, record.stage_index, self.allocator
+                record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
             end = self._now()
-            self.sink.append(
-                ProfileEvent(
-                    time=begin,
-                    entity=record.task.id,
-                    name="translate_begin",
-                    pipeline=record.pipeline_id,
-                    stage=record.stage_index,
-                )
-            )
-            advance_task_state(
-                record, LifecycleEvent.TRANSLATED, sink=self.sink, time=end
-            )
-            record.unit_id = unit.uid
-            self._units[unit.uid] = unit
-            self._records_by_uid[unit.uid] = record
-            self.store.enqueue(unit)
-            self.sink.append(
-                ProfileEvent(
-                    time=end,
-                    entity=unit.uid,
-                    name="enqueue",
-                    pipeline=unit.pipeline_id,
-                    stage=unit.stage_index,
-                )
-            )
+            self.core.translated(record, unit, begin, end)
+            self.core.enqueue(unit, end)
 
     def _pull_pending(self) -> None:
-        if self.store.pending_count() == 0:
+        if self.core.store.pending_count() == 0:
             return
         begin = self._now()
         if self.config.pull_sleep:
             _time.sleep(self.config.pull_sleep)
-        units, _ = self.store.pull(self.config.bulk)
-        self.sink.append(ProfileEvent(time=begin, entity="pilot.0000", name="pull_begin"))
-        self.sink.append(
-            ProfileEvent(time=self._now(), entity="pilot.0000", name="pull_end")
-        )
+        units, _ = self.core.store.pull(self.config.bulk)
+        self.core.pulled(begin, self._now())
         for unit in units:
             # Re-read the description from its wire form, as the agent does.
             io_begin = self._now()
             if self.config.fs_sleep:
                 _time.sleep(self.config.fs_sleep)
             UnitDescription.from_wire(unit.to_wire())
-            self.sink.append(
-                ProfileEvent(
-                    time=io_begin,
-                    entity=unit.uid,
-                    name="unit_io_begin",
-                    pipeline=unit.pipeline_id,
-                    stage=unit.stage_index,
-                )
-            )
-            self.sink.append(
-                ProfileEvent(
-                    time=self._now(),
-                    entity=unit.uid,
-                    name="unit_io_end",
-                    pipeline=unit.pipeline_id,
-                    stage=unit.stage_index,
-                )
-            )
-            self.scheduler.offer(unit)
-
-    def _cancel_unit(self, unit: UnitDescription, release: bool) -> None:
-        record = self._records_by_uid[unit.uid]
-        if release:
-            self.scheduler.release(unit.uid)
-        self.store.complete(unit.uid)
-        advance_task_state(
-            record, LifecycleEvent.CANCELED, sink=self.sink, time=self._now()
-        )
-        self.tracker.on_terminal(record)
+            self.core.unit_read(unit, io_begin, self._now())
+            self.core.scheduler.offer(unit)
 
     def _apply_result(self, result: _UnitResult) -> None:
-        unit = self._units[result.uid]
-        record = self._records_by_uid[result.uid]
-        self.scheduler.release(result.uid)
-        self.store.complete(result.uid)
-
-        entry_for = {
-            "stage_in": LifecycleEvent.STAGE_IN_STARTED,
-            "exec": LifecycleEvent.EXEC_STARTED,
-            "stage_out": LifecycleEvent.COMPLETED,
-        }
+        record = self.core.release(result.uid)
         for phase in result.phases:
-            advance_task_state(
-                record, entry_for[phase.name], sink=self.sink, time=phase.begin
-            )
-            self.sink.append(
-                ProfileEvent(
-                    time=phase.end,
-                    entity=record.task.id,
-                    name=f"{phase.name}_end",
-                    pipeline=record.pipeline_id,
-                    stage=record.stage_index,
-                )
-            )
+            self.core.phase(record, phase.name, phase.begin, phase.end)
         if result.ok:
-            advance_task_state(
-                record, LifecycleEvent.STAGED_OUT, sink=self.sink, time=result.end_time
-            )
+            event = LifecycleEvent.STAGED_OUT
         else:
             self._diagnostics[record.task.id] = result.diagnostic
-            advance_task_state(
-                record, LifecycleEvent.FAILED, sink=self.sink, time=result.end_time
-            )
-        ready = self.tracker.on_terminal(record)
-        if ready:
-            self._translate(ready)
+            event = LifecycleEvent.FAILED
+        self._translate(self.core.terminate(record, event, result.end_time))
 
     def run(self) -> EventLog:
         self._epoch = _time.perf_counter()
-        pilot = submit_pilot(self.request, self.sink, uid="pilot.0000", time=0.0)
         # The allocation is this process: active the instant it is requested.
-        pilot.state = PilotState.ACTIVE
-        pilot.active_at = 0.0
-        self.sink.append(ProfileEvent(time=0.0, entity=pilot.uid, name="pilot_active"))
+        self.core.activate(0.0)
 
         owns_root = self.config.sandbox_root is None
         if owns_root:
@@ -394,21 +312,24 @@ class _LocalEngine:
             workers = max(1, min(self.request.cores, 128))
         deadline = self.request.walltime
         in_flight = 0
+        core = self.core
 
-        self._translate(self.tracker.initial_ready())
+        self._translate(core.tracker.initial_ready())
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 while True:
                     self._pull_pending()
-                    for unit, _placement in self.scheduler.place_ready():
-                        record = self._records_by_uid[unit.uid]
+                    for unit, _placement in core.scheduler.place_ready():
+                        record = core.records[unit.uid]
                         now = self._now()
-                        failed = self.tracker.pipeline_failed(record.task.id)
+                        failed = core.tracker.pipeline_failed(record.task.id)
                         if failed or now > deadline:
-                            self._cancel_unit(unit, release=True)
+                            core.terminate(
+                                core.release(unit.uid), LifecycleEvent.CANCELED, now
+                            )
                             continue
                         advance_task_state(
-                            record, LifecycleEvent.SCHEDULED, sink=self.sink, time=now
+                            record, LifecycleEvent.SCHEDULED, sink=core.sink, time=now
                         )
                         timeout = max(0.01, deadline - now)
                         pool.submit(
@@ -426,8 +347,8 @@ class _LocalEngine:
                         in_flight += 1
                     if (
                         in_flight == 0
-                        and self.store.pending_count() == 0
-                        and self.scheduler.waiting_count() == 0
+                        and core.store.pending_count() == 0
+                        and core.scheduler.waiting_count() == 0
                     ):
                         break
                     if in_flight > 0:
@@ -438,27 +359,11 @@ class _LocalEngine:
             if not self.config.keep_sandboxes:
                 shutil.rmtree(root if owns_root else run_dir, ignore_errors=True)
 
-        finish = self._now()
-        for record in self.tracker.all_records():
-            if not record.state.is_terminal:
-                advance_task_state(
-                    record, LifecycleEvent.CANCELED, sink=self.sink, time=finish
-                )
-                self.tracker.on_terminal(record)
-        self.sink.append(ProfileEvent(time=finish, entity=pilot.uid, name="pilot_done"))
-        pilot.state = PilotState.DONE
-
-        return EventLog(
-            events=self.sink.events(),
-            pilot_id=pilot.uid,
-            pilot_cores=self.request.cores,
-            backend="local",
-            seed=None,
-            extras={
-                "status": self.tracker.status(),
-                "diagnostics": dict(self._diagnostics),
-                "run_dir": str(run_dir),
-            },
+        return core.close(
+            self._now(),
+            "local",
+            None,
+            {"diagnostics": dict(self._diagnostics), "run_dir": str(run_dir)},
         )
 
 

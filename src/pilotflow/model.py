@@ -241,8 +241,6 @@ class ResourceRequest:
 
     cores: int
     walltime: float
-    queue_name: str = ""
-    project: str = ""
 
 
 @dataclass(frozen=True)
@@ -323,11 +321,14 @@ def peak_core_demand(workflow: Workflow) -> int:
 # with staging directives as {"source", "target", "mode"}.
 
 
-def _directive_to_dict(d: StagingDirective) -> dict:
+def directive_to_dict(d: StagingDirective) -> dict:
+    """The one dict form of a staging directive, shared by every schema."""
     return {"source": d.source, "target": d.target, "mode": d.mode.value}
 
 
-def _directive_from_dict(data: dict) -> StagingDirective:
+def directive_from_dict(data: dict) -> StagingDirective:
+    """Inverse of :func:`directive_to_dict`; raises ``KeyError`` for a missing
+    field and ``ValueError`` for an unknown mode."""
     return StagingDirective(
         source=data["source"], target=data["target"], mode=StagingMode(data["mode"])
     )
@@ -341,8 +342,8 @@ def _task_to_dict(task: TaskSpec) -> dict:
         "arguments": list(task.arguments),
         "cores": task.cores,
         "expected_duration": task.expected_duration,
-        "inputs": [_directive_to_dict(d) for d in task.inputs],
-        "outputs": [_directive_to_dict(d) for d in task.outputs],
+        "inputs": [directive_to_dict(d) for d in task.inputs],
+        "outputs": [directive_to_dict(d) for d in task.outputs],
         "stage_label": task.stage_label,
     }
 
@@ -355,8 +356,8 @@ def _task_from_dict(data: dict) -> TaskSpec:
         arguments=tuple(data.get("arguments", ())),
         cores=int(data.get("cores", 1)),
         expected_duration=float(data.get("expected_duration", 0.0)),
-        inputs=tuple(_directive_from_dict(d) for d in data.get("inputs", ())),
-        outputs=tuple(_directive_from_dict(d) for d in data.get("outputs", ())),
+        inputs=tuple(directive_from_dict(d) for d in data.get("inputs", ())),
+        outputs=tuple(directive_from_dict(d) for d in data.get("outputs", ())),
         stage_label=data.get("stage_label", ""),
     )
 

@@ -37,17 +37,6 @@ INTERVAL_STEMS = (
     "stage_out",
 )
 
-POINT_EVENTS = (
-    "submit",
-    "pilot_active",
-    "pilot_done",
-    "enqueue",
-    "schedule",
-    "done",
-    "failed",
-    "canceled",
-)
-
 
 class ProfileEvent(NamedTuple):
     """One timestamped occurrence attributed to an entity.
@@ -77,9 +66,6 @@ class ProfileSink:
     def append(self, event: ProfileEvent) -> None:
         self._events.append(event)
 
-    def extend(self, events: list[ProfileEvent]) -> None:
-        self._events.extend(events)
-
     def events(self) -> list[ProfileEvent]:
         """Events ordered by time, ties broken by append order (the sort is
         stable)."""
@@ -102,9 +88,6 @@ class EventLog:
 
     def by_name(self, name: str) -> list[ProfileEvent]:
         return [e for e in self.events if e.name == name]
-
-    def for_entity(self, entity: str) -> list[ProfileEvent]:
-        return [e for e in self.events if e.entity == entity]
 
     def write_csv(self, path: str | Path) -> None:
         """Three-column export: time_s, entity, event.

@@ -26,6 +26,8 @@ from .model import (
     TaskKind,
     TaskSpec,
     Workflow,
+    directive_from_dict,
+    directive_to_dict,
 )
 
 
@@ -273,14 +275,8 @@ def _template_to_dict(t: StageTemplate) -> dict:
         "arguments": list(t.arguments),
         "cores": t.cores,
         "expected_duration": t.expected_duration,
-        "inputs": [
-            {"source": d.source, "target": d.target, "mode": d.mode.value}
-            for d in t.inputs
-        ],
-        "outputs": [
-            {"source": d.source, "target": d.target, "mode": d.mode.value}
-            for d in t.outputs
-        ],
+        "inputs": [directive_to_dict(d) for d in t.inputs],
+        "outputs": [directive_to_dict(d) for d in t.outputs],
         "timesteps": t.timesteps,
     }
 
@@ -317,14 +313,8 @@ def protocol_from_dict(data: dict) -> ProtocolConfig:
         if not isinstance(cores, int) or cores < 1:
             raise ProtocolSchemaError(f"{where}: 'cores' must be a positive integer")
         try:
-            inputs = tuple(
-                StagingDirective(d["source"], d["target"], StagingMode(d["mode"]))
-                for d in raw.get("inputs", ())
-            )
-            outputs = tuple(
-                StagingDirective(d["source"], d["target"], StagingMode(d["mode"]))
-                for d in raw.get("outputs", ())
-            )
+            inputs = tuple(directive_from_dict(d) for d in raw.get("inputs", ()))
+            outputs = tuple(directive_from_dict(d) for d in raw.get("outputs", ()))
         except (KeyError, ValueError) as exc:
             raise ProtocolSchemaError(f"{where}: bad staging directive: {exc}") from exc
         stages.append(

@@ -10,14 +10,21 @@ in bulk and places them on cores.
 stage k+1 of a pipeline becomes ready only when every task of stage k is
 done, pipelines never wait for each other, and a failed task fails only its
 own pipeline.
+
+:class:`EngineCore` is the manager/agent story both backends tell: it owns
+the store, the scheduler and the tracker, and writes every event of a
+unit's life at the time the backend gives it. The simulator takes those
+times from its event heap, the local backend from a monotonic clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
+from .latency import Sampler
 from .model import (
+    LifecycleEvent,
     PipelineState,
     ResourceRequest,
     StageState,
@@ -25,9 +32,12 @@ from .model import (
     TaskState,
     Workflow,
     WorkflowValidationError,
+    advance_task_state,
     validate_workflow,
 )
 from .profiling import EventLog, ProfileEvent, ProfileSink
+from .scheduler import FirstFitScheduler
+from .units import TaskStore, UnitDescription, UnitIdAllocator
 
 
 class PilotState(str, Enum):
@@ -47,7 +57,6 @@ class Pilot:
     uid: str
     request: ResourceRequest
     state: PilotState = PilotState.NEW
-    submitted_at: float | None = None
     active_at: float | None = None
 
 
@@ -66,9 +75,7 @@ def submit_pilot(
         raise PilotRequestError("pilot needs at least one core")
     if request.walltime <= 0:
         raise PilotRequestError("pilot walltime must be positive")
-    pilot = Pilot(
-        uid=uid, request=request, state=PilotState.QUEUED, submitted_at=time
-    )
+    pilot = Pilot(uid=uid, request=request, state=PilotState.QUEUED)
     sink.append(ProfileEvent(time=time, entity=uid, name="submit"))
     return pilot
 
@@ -163,14 +170,6 @@ class WorkflowTracker:
         pipeline.state = PipelineState.DONE
         return []
 
-    def non_terminal_in_pipeline(self, pipeline_id: str) -> list[TaskRecord]:
-        """Launched-but-unfinished records of one pipeline (for cancellation)."""
-        for pipeline in self.pipelines:
-            if pipeline.id == pipeline_id:
-                stage = pipeline.stages[pipeline.current]
-                return [r for r in stage.records if not r.state.is_terminal]
-        raise KeyError(pipeline_id)
-
     def finished(self) -> bool:
         return all(
             p.state in (PipelineState.DONE, PipelineState.FAILED)
@@ -185,18 +184,123 @@ class WorkflowTracker:
         )
 
 
-def run_workflow(workflow: Workflow, request: ResourceRequest, backend) -> EventLog:
-    """Execute a workflow on the backend selected by the config object.
+# The lifecycle event that opens each execution phase of a unit, and the
+# name of the event that closes it. The names are constants so that every
+# event shares one string object rather than building its own.
+_PHASES = {
+    "stage_in": (LifecycleEvent.STAGE_IN_STARTED, "stage_in_end"),
+    "exec": (LifecycleEvent.EXEC_STARTED, "exec_end"),
+    "stage_out": (LifecycleEvent.COMPLETED, "stage_out_end"),
+}
 
-    The request may be smaller than the workflow's peak demand; tasks then
-    wait inside the pilot. Only a single task wider than the whole pilot is
-    rejected.
+
+class EngineCore:
+    """One pilot's manager and agent bookkeeping, shared by both backends.
+
+    A backend decides when each step of a unit's life happens and calls the
+    matching method with that time; the core applies the step to the store,
+    scheduler and tracker and writes its events. ``records`` maps each unit
+    id to the record of the task it was translated from.
     """
-    from .localbackend import LocalBackendConfig, local_run
-    from .simbackend import SimBackendConfig, sim_run
 
-    if isinstance(backend, SimBackendConfig):
-        return sim_run(workflow, request, backend)
-    if isinstance(backend, LocalBackendConfig):
-        return local_run(workflow, request, backend)
-    raise TypeError(f"unsupported backend config: {type(backend).__name__}")
+    def __init__(
+        self, workflow: Workflow, request: ResourceRequest, pull_latency: Sampler
+    ) -> None:
+        self.tracker = WorkflowTracker(workflow)
+        self.sink = ProfileSink()
+        self.pilot = submit_pilot(request, self.sink)
+        self.store = TaskStore(pull_latency)
+        self.scheduler = FirstFitScheduler(request.cores)
+        self.allocator = UnitIdAllocator()
+        self.records: dict[str, TaskRecord] = {}
+
+    def activate(self, time: float) -> None:
+        """The pilot's allocation came up."""
+        self.pilot.state = PilotState.ACTIVE
+        self.pilot.active_at = time
+        self.sink.append(ProfileEvent(time, self.pilot.uid, "pilot_active"))
+
+    def translated(
+        self, record: TaskRecord, unit: UnitDescription, begin: float, end: float
+    ) -> None:
+        """The manager translated ``record``'s task into ``unit``."""
+        self.sink.append(
+            ProfileEvent(
+                begin,
+                record.task.id,
+                "translate_begin",
+                record.pipeline_id,
+                record.stage_index,
+            )
+        )
+        advance_task_state(record, LifecycleEvent.TRANSLATED, sink=self.sink, time=end)
+        record.unit_id = unit.uid
+        self.records[unit.uid] = record
+
+    def enqueue(self, unit: UnitDescription, time: float) -> None:
+        """The manager handed ``unit`` to the store."""
+        self.store.enqueue(unit)
+        self.sink.append(
+            ProfileEvent(time, unit.uid, "enqueue", unit.pipeline_id, unit.stage_index)
+        )
+
+    def pulled(self, begin: float, end: float) -> None:
+        """The agent pulled one batch of units from the store."""
+        self.sink.append(ProfileEvent(begin, self.pilot.uid, "pull_begin"))
+        self.sink.append(ProfileEvent(end, self.pilot.uid, "pull_end"))
+
+    def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
+        """The agent read one pulled unit's description."""
+        self.sink.append(
+            ProfileEvent(
+                begin, unit.uid, "unit_io_begin", unit.pipeline_id, unit.stage_index
+            )
+        )
+        self.sink.append(
+            ProfileEvent(
+                end, unit.uid, "unit_io_end", unit.pipeline_id, unit.stage_index
+            )
+        )
+
+    def phase(self, record: TaskRecord, stem: str, begin: float, end: float) -> None:
+        """A placed unit completed its ``stem`` phase (stage_in, exec or
+        stage_out)."""
+        entry, end_name = _PHASES[stem]
+        advance_task_state(record, entry, sink=self.sink, time=begin)
+        self.sink.append(
+            ProfileEvent(
+                end, record.task.id, end_name, record.pipeline_id, record.stage_index
+            )
+        )
+
+    def release(self, uid: str) -> TaskRecord:
+        """Free a finished unit's cores; returns its task's record."""
+        self.scheduler.release(uid)
+        self.store.complete(uid)
+        return self.records[uid]
+
+    def terminate(
+        self, record: TaskRecord, event: LifecycleEvent, time: float
+    ) -> list[TaskRecord]:
+        """End a task with ``event``; returns the records this made ready."""
+        advance_task_state(record, event, sink=self.sink, time=time)
+        return self.tracker.on_terminal(record)
+
+    def close(
+        self, finish: float, backend: str, seed: int | None, extras: dict
+    ) -> EventLog:
+        """Cancel every unfinished task, end the pilot at ``finish`` and
+        build the run's log; ``extras`` follow the run's status."""
+        for record in self.tracker.all_records():
+            if not record.state.is_terminal:
+                self.terminate(record, LifecycleEvent.CANCELED, finish)
+        self.sink.append(ProfileEvent(finish, self.pilot.uid, "pilot_done"))
+        self.pilot.state = PilotState.DONE
+        return EventLog(
+            events=self.sink.events(),
+            pilot_id=self.pilot.uid,
+            pilot_cores=self.pilot.request.cores,
+            backend=backend,
+            seed=seed,
+            extras={"status": self.tracker.status(), **extras},
+        )

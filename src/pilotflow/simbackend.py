@@ -15,6 +15,11 @@ shared filesystem (one fs latency per unit), offers it to the first-fit
 core scheduler, and on placement the unit stages inputs (one fs latency per
 directive), executes, stages outputs, and completes. Completion frees cores
 and unblocks the pipeline's next stage.
+
+The bookkeeping and the events of each step belong to
+:class:`~pilotflow.runtime.EngineCore`. This module owns only the timing:
+the event heap, the latency samplers, the serialized manager timeline and
+the cut at the walltime limit.
 """
 
 from __future__ import annotations
@@ -28,14 +33,12 @@ from .model import (
     LifecycleEvent,
     ResourceRequest,
     TaskRecord,
-    TaskState,
     Workflow,
     advance_task_state,
 )
-from .profiling import EventLog, ProfileEvent, ProfileSink
-from .runtime import Pilot, PilotRequestError, PilotState, WorkflowTracker, submit_pilot
-from .scheduler import FirstFitScheduler
-from .units import TaskStore, UnitDescription, UnitIdAllocator, translate_task
+from .profiling import EventLog
+from .runtime import EngineCore, PilotRequestError
+from .units import UnitDescription, translate_task
 
 
 @dataclass(frozen=True)
@@ -123,24 +126,18 @@ class _SimEngine:
             )
         self.config = config
         self.request = request
-        self.sink = ProfileSink()
-        self.tracker = WorkflowTracker(workflow)
-        self.pilot: Pilot = submit_pilot(request, self.sink, uid="pilot.0000")
         seed = config.seed
+        self.core = EngineCore(
+            workflow, request, Sampler(config.pull_latency, seed, "pull")
+        )
         self.queue_wait = Sampler(config.queue_wait, seed, "queue")
-        self.pull_latency = Sampler(config.pull_latency, seed, "pull")
         self.fs_latency = Sampler(config.fs_latency, seed, "fs")
         self.translate_cost = Sampler(config.translate_cost, seed, "translate")
         self.duration_noise = Sampler(config.duration_noise, seed, "noise")
-        self.store = TaskStore(self.pull_latency)
-        self.scheduler = FirstFitScheduler(request.cores)
-        self.allocator = UnitIdAllocator()
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = itertools.count()
         self._pending_pulls: set[float] = set()
         self._pending_scheds: set[float] = set()
-        self._units: dict[str, UnitDescription] = {}
-        self._records_by_uid: dict[str, TaskRecord] = {}
         self._manager_free_at = 0.0
         self._active_at: float | None = None
         self._deadline: float | None = None
@@ -151,15 +148,6 @@ class _SimEngine:
 
     def _push(self, time: float, kind: str, payload: object = None) -> None:
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
-
-    def _emit(
-        self, time: float, entity: str, name: str, pipeline: str = "", stage: int = -1
-    ) -> None:
-        self.sink.append(
-            ProfileEvent(
-                time=time, entity=entity, name=name, pipeline=pipeline, stage=stage
-            )
-        )
 
     def _schedule_pull(self, time: float) -> None:
         # The agent exists only once the pilot is active.
@@ -181,85 +169,54 @@ class _SimEngine:
         """Serialize translation of ready tasks on the manager timeline."""
         for record in records:
             start = max(now, self._manager_free_at)
-            cost = self.translate_cost.sample()
-            end = start + cost
+            end = start + self.translate_cost.sample()
             self._manager_free_at = end
-            self._emit(
-                start,
-                record.task.id,
-                "translate_begin",
-                pipeline=record.pipeline_id,
-                stage=record.stage_index,
-            )
-            advance_task_state(
-                record, LifecycleEvent.TRANSLATED, sink=self.sink, time=end
-            )
             unit = translate_task(
-                record.task, record.pipeline_id, record.stage_index, self.allocator
+                record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
-            record.unit_id = unit.uid
-            self._units[unit.uid] = unit
-            self._records_by_uid[unit.uid] = record
+            self.core.translated(record, unit, start, end)
             self._push(end, _ENQUEUE, unit)
 
     # -- agent side --------------------------------------------------------
 
     def _handle_enqueue(self, time: float, unit: UnitDescription) -> None:
-        self.store.enqueue(unit)
-        self._emit(
-            time,
-            unit.uid,
-            "enqueue",
-            pipeline=unit.pipeline_id,
-            stage=unit.stage_index,
-        )
+        self.core.enqueue(unit, time)
         self._schedule_pull(time)
 
     def _handle_pull(self, time: float) -> None:
         self._pending_pulls.discard(time)
-        if self.store.pending_count() == 0:
+        store = self.core.store
+        if store.pending_count() == 0:
             return
-        units, latency = self.store.pull(self.config.bulk)
+        units, latency = store.pull(self.config.bulk)
         pull_end = time + latency
-        self._emit(time, self.pilot.uid, "pull_begin")
-        self._emit(pull_end, self.pilot.uid, "pull_end")
+        self.core.pulled(time, pull_end)
         for unit in units:
             # Reading the unit description off the shared filesystem.
             io_end = pull_end + self.fs_latency.sample()
-            self._emit(
-                pull_end,
-                unit.uid,
-                "unit_io_begin",
-                pipeline=unit.pipeline_id,
-                stage=unit.stage_index,
-            )
-            self._emit(
-                io_end,
-                unit.uid,
-                "unit_io_end",
-                pipeline=unit.pipeline_id,
-                stage=unit.stage_index,
-            )
+            self.core.unit_read(unit, pull_end, io_end)
             self._push(io_end, _OFFER, unit)
-        if self.store.pending_count() > 0:
+        if store.pending_count() > 0:
             # Bulk limit hit; the agent turns around and pulls again.
             self._schedule_pull(pull_end)
 
     def _handle_offer(self, time: float, unit: UnitDescription) -> None:
-        self.scheduler.offer(unit)
+        self.core.scheduler.offer(unit)
         self._schedule_sched(time)
 
     def _handle_sched(self, time: float) -> None:
         self._pending_scheds.discard(time)
-        for unit, _placement in self.scheduler.place_ready():
+        for unit, _placement in self.core.scheduler.place_ready():
             self._launch(time, unit)
 
     def _launch(self, time: float, unit: UnitDescription) -> None:
         """Lay out the unit's full timeline; truncate at the walltime limit."""
-        record = self._records_by_uid[unit.uid]
+        record = self.core.records[unit.uid]
         deadline = self._deadline
         assert deadline is not None
-        advance_task_state(record, LifecycleEvent.SCHEDULED, sink=self.sink, time=time)
+        advance_task_state(
+            record, LifecycleEvent.SCHEDULED, sink=self.core.sink, time=time
+        )
 
         stage_in_end = time
         for _ in unit.inputs:
@@ -269,57 +226,35 @@ class _SimEngine:
         for _ in unit.outputs:
             stage_out_end += self.fs_latency.sample()
 
-        def advance(event: LifecycleEvent, when: float) -> None:
-            advance_task_state(record, event, sink=self.sink, time=when)
-
-        def emit(when: float, name: str) -> None:
-            self._emit(
-                when,
-                record.task.id,
-                name,
-                pipeline=record.pipeline_id,
-                stage=record.stage_index,
-            )
-
-        def truncate() -> None:
-            # The unit holds its cores until the pilot dies, so nothing is
-            # released here; the pipeline can no longer finish and the
-            # pilot stays up to its walltime limit.
-            advance(LifecycleEvent.CANCELED, deadline)
-            self.tracker.on_terminal(record)
-            self._finish_floor = deadline
-
         # A phase appears in the log only when it completes inside the
         # walltime; a truncated unit is canceled at the deadline instead.
-        if stage_in_end <= deadline:
-            advance(LifecycleEvent.STAGE_IN_STARTED, time)
-            emit(stage_in_end, "stage_in_end")
-        else:
-            truncate()
-            return
-        if exec_end <= deadline:
-            advance(LifecycleEvent.EXEC_STARTED, stage_in_end)
-            emit(exec_end, "exec_end")
-        else:
-            truncate()
-            return
-        if stage_out_end <= deadline:
-            advance(LifecycleEvent.COMPLETED, exec_end)
-            emit(stage_out_end, "stage_out_end")
-            advance(LifecycleEvent.STAGED_OUT, stage_out_end)
-            self._push(stage_out_end, _UNIT_DONE, unit)
-        else:
-            truncate()
+        begin = time
+        for stem, end in (
+            ("stage_in", stage_in_end),
+            ("exec", exec_end),
+            ("stage_out", stage_out_end),
+        ):
+            if end > deadline:
+                # The unit holds its cores until the pilot dies, so nothing
+                # is released here; the pipeline can no longer finish and
+                # the pilot stays up to its walltime limit.
+                self.core.terminate(record, LifecycleEvent.CANCELED, deadline)
+                self._finish_floor = deadline
+                return
+            self.core.phase(record, stem, begin, end)
+            begin = end
+        # The done event is written now, while its time is known; the cores
+        # free up and the pipeline moves on when the heap reaches it.
+        advance_task_state(
+            record, LifecycleEvent.STAGED_OUT, sink=self.core.sink, time=stage_out_end
+        )
+        self._push(stage_out_end, _UNIT_DONE, unit)
 
     def _handle_unit_done(self, time: float, unit: UnitDescription) -> None:
-        record = self._records_by_uid[unit.uid]
-        self.store.complete(unit.uid)
-        self.scheduler.release(unit.uid)
-        if self.scheduler.waiting_count() > 0:
+        record = self.core.release(unit.uid)
+        if self.core.scheduler.waiting_count() > 0:
             self._schedule_sched(time)
-        next_records = self.tracker.on_terminal(record)
-        if next_records:
-            self._translate(next_records, time)
+        self._translate(self.core.tracker.on_terminal(record), time)
 
     # -- main loop -----------------------------------------------------------
 
@@ -328,7 +263,7 @@ class _SimEngine:
         self._active_at = wait
         self._deadline = wait + self.request.walltime
         self._push(wait, _PILOT_ACTIVE)
-        self._translate(self.tracker.initial_ready(), 0.0)
+        self._translate(self.core.tracker.initial_ready(), 0.0)
 
         finish = None
         while self._heap:
@@ -338,9 +273,7 @@ class _SimEngine:
                 break
             self.now = time
             if kind == _PILOT_ACTIVE:
-                self.pilot.state = PilotState.ACTIVE
-                self.pilot.active_at = time
-                self._emit(time, self.pilot.uid, "pilot_active")
+                self.core.activate(time)
             elif kind == _ENQUEUE:
                 self._handle_enqueue(time, payload)
             elif kind == _PULL:
@@ -353,24 +286,7 @@ class _SimEngine:
                 self._handle_unit_done(time, payload)
         if finish is None:
             finish = max(self.now, self._finish_floor)
-
-        for record in self.tracker.all_records():
-            if not record.state.is_terminal:
-                advance_task_state(
-                    record, LifecycleEvent.CANCELED, sink=self.sink, time=finish
-                )
-                self.tracker.on_terminal(record)
-        self._emit(finish, self.pilot.uid, "pilot_done")
-        self.pilot.state = PilotState.DONE
-
-        return EventLog(
-            events=self.sink.events(),
-            pilot_id=self.pilot.uid,
-            pilot_cores=self.request.cores,
-            backend="sim",
-            seed=self.config.seed,
-            extras={"status": self.tracker.status()},
-        )
+        return self.core.close(finish, "sim", self.config.seed, {})
 
 
 def sim_run(

@@ -14,7 +14,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .latency import Sampler
-from .model import StagingDirective, StagingMode, TaskKind, TaskSpec
+from .model import (
+    StagingDirective,
+    TaskKind,
+    TaskSpec,
+    directive_from_dict,
+    directive_to_dict,
+)
 
 
 @dataclass(frozen=True)
@@ -46,14 +52,8 @@ class UnitDescription:
                 "arguments": list(self.arguments),
                 "cores": self.cores,
                 "expected_duration": self.expected_duration,
-                "inputs": [
-                    {"source": d.source, "target": d.target, "mode": d.mode.value}
-                    for d in self.inputs
-                ],
-                "outputs": [
-                    {"source": d.source, "target": d.target, "mode": d.mode.value}
-                    for d in self.outputs
-                ],
+                "inputs": [directive_to_dict(d) for d in self.inputs],
+                "outputs": [directive_to_dict(d) for d in self.outputs],
             },
             sort_keys=True,
         )
@@ -71,14 +71,8 @@ class UnitDescription:
             arguments=tuple(data["arguments"]),
             cores=data["cores"],
             expected_duration=data["expected_duration"],
-            inputs=tuple(
-                StagingDirective(d["source"], d["target"], StagingMode(d["mode"]))
-                for d in data["inputs"]
-            ),
-            outputs=tuple(
-                StagingDirective(d["source"], d["target"], StagingMode(d["mode"]))
-                for d in data["outputs"]
-            ),
+            inputs=tuple(directive_from_dict(d) for d in data["inputs"]),
+            outputs=tuple(directive_from_dict(d) for d in data["outputs"]),
         )
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import tarfile
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,29 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+# sha256 over trials.csv and every event CSV that the shipped weak-scaling
+# config writes, each file's name followed by its bytes.
+WEAK_SCALING_DIGEST = (
+    "592ef3a36c32176cb7dbf6e0a1c52a995215986e868f5d58296ca53e9f4a4338"
+)
+
+
+def test_weak_scaling_config_outputs_are_byte_identical_to_recorded_digest(
+    tmp_path,
+):
+    config_path = Path(__file__).parent.parent / "configs" / "weak_scaling_sim.json"
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig.load(config_path), out)
+    names = ["trials.csv"] + sorted(
+        f"events/{path.name}" for path in (out / "events").iterdir()
+    )
+    assert len(names) == 1 + 4 * 3
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\n" + (out / name).read_bytes())
+    assert digest.hexdigest() == WEAK_SCALING_DIGEST
 
 
 def test_seed_override_changes_noisy_results(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import tarfile
 import threading
 
@@ -203,6 +204,40 @@ def test_staging_out_packs_results(tmp_path):
     assert (data_root / "results" / "answer.txt").read_text() == "result\n"
     with tarfile.open(data_root / "results" / "packed.tar") as archive:
         assert "output/answer.txt" in archive.getnames()
+
+
+def test_archive_is_not_extracted_without_a_member_filter(tmp_path, monkeypatch):
+    """An interpreter whose extractall has no ``filter`` fails the unit."""
+    extractall = tarfile.TarFile.extractall
+
+    def unfiltered(self, path=".", members=None, *, numeric_owner=False):
+        # Extraction as it behaves on an interpreter without filters.
+        return extractall(
+            self, path, members, numeric_owner=numeric_owner, filter="fully_trusted"
+        )
+
+    monkeypatch.setattr(tarfile.TarFile, "extractall", unfiltered)
+    data_root = tmp_path / "data"
+    (data_root / "input").mkdir(parents=True)
+    payload = b"outside the sandbox\n"
+    member = tarfile.TarInfo("../escape.txt")
+    member.size = len(payload)
+    with tarfile.open(data_root / "input" / "escape.tar", "w") as archive:
+        archive.addfile(member, io.BytesIO(payload))
+    task = shell_task(
+        "unpacker",
+        "true",
+        inputs=(StagingDirective("input/escape.tar", ".", StagingMode.TAR_IN),),
+    )
+    log = run_local(
+        one_stage_workflow(task),
+        data_root=str(data_root),
+        sandbox_root=str(tmp_path / "sandboxes"),
+        keep_sandboxes=True,
+    )
+    assert compute_report(log).failed_tasks == 1
+    assert "filter" in log.extras["diagnostics"]["unpacker"]
+    assert list(tmp_path.rglob("escape.txt")) == []
 
 
 def test_missing_staging_source_fails_cleanly(tmp_path):

@@ -64,7 +64,8 @@ def synthetic_events() -> list[ProfileEvent]:
 
 def make_log(events) -> EventLog:
     sink = ProfileSink()
-    sink.extend(list(events))
+    for event in events:
+        sink.append(event)
     return EventLog(
         events=sink.events(),
         pilot_id="pilot.0000",

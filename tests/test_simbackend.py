@@ -343,10 +343,11 @@ def test_randomized_runs_always_complete_and_balance(seed, replicas):
 QUEUED_DIGEST = "02733580f867bc53cefe9710b20a0693a009b8658ae7b44c9d8a1eb817cedddd"
 
 
-def _queued_run(**latencies):
+def _queued_run(walltime: float = 1_000_000.0, **latencies):
     """24 pipelines on peak/8 cores: units wait, and noise breaks lockstep.
 
-    ``latencies`` replace the constant latency models.
+    ``walltime`` is the pilot's limit; ``latencies`` replace the constant
+    latency models.
     """
     workflow = generate_esmacs(replicas=24)
     cores = peak_core_demand(workflow) // 8
@@ -358,21 +359,62 @@ def _queued_run(**latencies):
         seed=11,
     )
     config = dataclasses.replace(config, **latencies)
-    log = sim_run(workflow, ResourceRequest(cores=cores, walltime=1_000_000.0), config)
+    log = sim_run(workflow, ResourceRequest(cores=cores, walltime=walltime), config)
     assert cores == 24
     return log
 
 
-def test_queued_run_is_byte_identical_to_recorded_digest():
-    log = _queued_run()
-    digest = hashlib.sha256()
+def _update_digest(digest, log) -> None:
     for event in log.events:
         digest.update(
             f"{event.time!r},{event.entity},{event.name},"
             f"{event.pipeline},{event.stage}\n".encode()
         )
+
+
+def test_queued_run_is_byte_identical_to_recorded_digest():
+    log = _queued_run()
+    digest = hashlib.sha256()
+    _update_digest(digest, log)
     assert compute_report(log).done_tasks == 7 * 24
     assert digest.hexdigest() == QUEUED_DIGEST
+
+
+# sha256 of the queued run cut short by two walltimes: the first cuts units
+# in stage_in and exec, the second in exec and stage_out. Stage-in happens
+# only in the first two esmacs stages and stage-out only in the last, so no
+# single walltime cuts all three phases.
+TRUNCATED_DIGEST = (
+    "291a4336be73686da4ea8011e5c3d62a1f412e5345db63e05a4151b2cc48b6b2"
+)
+TRUNCATING_WALLTIMES = (1.25, 55.87)
+
+
+def _phase_cut(names: list[str]) -> str:
+    """The phase a canceled task was in when the walltime cut it."""
+    if "exec_end" in names:
+        return "stage_out"
+    if "stage_in_end" in names:
+        return "exec"
+    if "schedule" in names:
+        return "stage_in"
+    return "waiting"
+
+
+def test_truncated_queued_runs_are_byte_identical_to_recorded_digest():
+    digest = hashlib.sha256()
+    cuts: set[str] = set()
+    for walltime in TRUNCATING_WALLTIMES:
+        log = _queued_run(walltime=walltime)
+        _update_digest(digest, log)
+        by_entity: dict[str, list[str]] = {}
+        for event in log.events:
+            by_entity.setdefault(event.entity, []).append(event.name)
+        cuts.update(
+            _phase_cut(names) for names in by_entity.values() if "canceled" in names
+        )
+    assert {"stage_in", "exec", "stage_out"} <= cuts
+    assert digest.hexdigest() == TRUNCATED_DIGEST
 
 
 # sha256 of the event CSV and the trials CSV that the queued run writes.
