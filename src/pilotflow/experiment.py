@@ -19,9 +19,13 @@ from __future__ import annotations
 
 import json
 import tarfile
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 
+from .latency import Distribution, LatencyModel
 from .localbackend import LocalBackendConfig, local_run
 from .metrics import (
     AggregateRow,
@@ -54,13 +58,13 @@ class ExperimentConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
+    name: str = ""
     protocol: str = "esmacs"
     workload: str = "SIM"
-    pipeline_counts: tuple[int, ...] = (2, 4, 8, 16)
+    pipeline_counts: tuple[int, ...] = ()
     trials: int = 2
     cores: str | tuple[int, ...] = "peak"
-    backend: dict = field(default_factory=lambda: {"backend": "sim"})
+    backend: SimBackendConfig | LocalBackendConfig = SimBackendConfig()
     seed: int = 0
     walltime: float = 1_000_000.0
     time_scale: float = 1.0
@@ -89,32 +93,30 @@ class ExperimentConfig:
             raise ExperimentConfigError(
                 "explicit cores list must match pipeline_counts in length"
             )
+        elif any(cores < 1 for cores in self.cores):
+            raise ExperimentConfigError("explicit cores must be >= 1")
         if self.walltime <= 0:
             raise ExperimentConfigError("walltime must be positive")
-        backend_kind = self.backend.get("backend", "sim")
-        if backend_kind not in ("sim", "local"):
-            raise ExperimentConfigError(f"unknown backend {backend_kind!r}")
+        if self.time_scale < 0:
+            raise ExperimentConfigError("time_scale must be >= 0")
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentConfig:
+        """Read an experiment object; every key must name a field.
+
+        The ``backend`` object picks its config class by its ``backend`` key
+        (``sim`` when absent) and is read into that class here, once.
+        """
         if not isinstance(data, dict):
             raise ExperimentConfigError("experiment config must be a JSON object")
-        cores = data.get("cores", "peak")
-        if isinstance(cores, list):
-            cores = tuple(int(c) for c in cores)
-        config = ExperimentConfig(
-            name=data.get("name", ""),
-            protocol=data.get("protocol", "esmacs"),
-            workload=data.get("workload", "SIM"),
-            pipeline_counts=tuple(int(p) for p in data.get("pipeline_counts", ())),
-            trials=int(data.get("trials", 2)),
-            cores=cores,
-            backend=data.get("backend", {"backend": "sim"}),
-            seed=int(data.get("seed", 0)),
-            walltime=float(data.get("walltime", 1_000_000.0)),
-            time_scale=float(data.get("time_scale", 1.0)),
-            save_events=bool(data.get("save_events", True)),
+        values = _read_fields(
+            ExperimentConfig,
+            {key: value for key, value in data.items() if key != "backend"},
+            "experiment",
         )
+        if "backend" in data:
+            values["backend"] = _read_backend(data["backend"])
+        config = ExperimentConfig(**values)
         config.validate()
         return config
 
@@ -122,11 +124,120 @@ class ExperimentConfig:
     def load(path: str | Path) -> ExperimentConfig:
         try:
             data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ExperimentConfigError(f"no such config file: {path}") from None
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ExperimentConfigError(f"cannot read {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ExperimentConfigError(f"{path}: not valid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(data)
+
+
+# --- the config reader ----------------------------------------------------------
+#
+# One reader serves the experiment object, both backend objects and every
+# latency object: each key must name a field of the target dataclass, and
+# its JSON value must fit the field's type hint. A latency-typed field takes
+# a number (a constant) or a {"distribution": ...} object.
+
+_BACKENDS = {"sim": SimBackendConfig, "local": LocalBackendConfig}
+
+# The LatencyModel fields each distribution reads; a latency object may set
+# only those and ``distribution``.
+_LATENCY_PARAMETERS = {
+    Distribution.CONSTANT: ("value",),
+    Distribution.UNIFORM: ("low", "high"),
+    Distribution.NORMAL_TRUNCATED: ("mean", "stddev"),
+}
+
+
+def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
+    if not isinstance(data, dict):
+        raise ExperimentConfigError("backend must be a JSON object")
+    kind = data.get("backend", "sim")
+    if not isinstance(kind, str) or kind not in _BACKENDS:
+        raise ExperimentConfigError(
+            f"unknown backend {kind!r}; expected one of {sorted(_BACKENDS)}"
+        )
+    if "seed" in data:
+        # run_experiment seeds every trial itself; a backend seed would be
+        # overwritten without a word.
+        raise ExperimentConfigError(
+            "backend.seed is not read: trial t runs with the experiment's "
+            "top-level 'seed' + t; set the top-level 'seed' instead"
+        )
+    cls = _BACKENDS[kind]
+    fields = {key: value for key, value in data.items() if key != "backend"}
+    return cls(**_read_fields(cls, fields, "backend", exclude=("seed",)))
+
+
+def _read_fields(
+    cls: type, data: dict, where: str, exclude: set[str] | tuple[str, ...] = ()
+) -> dict:
+    """Keyword arguments for the config dataclass ``cls`` from ``data``.
+
+    Raises :class:`ExperimentConfigError` for a key that names no field (or
+    one in ``exclude``) and for a value that does not fit its field.
+    """
+    hints = {
+        name: hint
+        for name, hint in typing.get_type_hints(cls).items()
+        if name not in exclude
+    }
+    values = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ExperimentConfigError(
+                f"unknown key {key!r} in {where}; expected one of "
+                f"{', '.join(sorted(hints))}"
+            )
+        values[key] = _read_value(hints[key], value, f"{where}.{key}")
+    return values
+
+
+def _read_latency(data: dict, where: str) -> LatencyModel:
+    kind = _read_value(
+        Distribution, data.get("distribution", "CONSTANT"), f"{where}.distribution"
+    )
+    unread = {name for names in _LATENCY_PARAMETERS.values() for name in names}
+    unread -= set(_LATENCY_PARAMETERS[kind])
+    model = LatencyModel(**_read_fields(LatencyModel, data, where, exclude=unread))
+    try:
+        model.validate()
+    except ValueError as exc:
+        raise ExperimentConfigError(f"{where}: {exc}") from None
+    return model
+
+
+def _read_value(hint: object, value: object, where: str) -> object:
+    """``value`` as the type ``hint`` names, or ExperimentConfigError."""
+    origin = typing.get_origin(hint)
+    expected = getattr(hint, "__name__", str(hint))
+    if hint is LatencyModel:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = {"value": value}
+        if isinstance(value, dict):
+            return _read_latency(value, where)
+        expected = "a number or a latency object"
+    elif isinstance(hint, type) and issubclass(hint, Enum):
+        if value in [member.value for member in hint]:
+            return hint(value)
+        expected = "one of " + ", ".join(member.value for member in hint)
+    elif origin in (typing.Union, types.UnionType):
+        for option in typing.get_args(hint):
+            try:
+                return _read_value(option, value, where)
+            except ExperimentConfigError:
+                pass
+    elif origin is tuple:
+        if isinstance(value, list):
+            item = typing.get_args(hint)[0]
+            return tuple(
+                _read_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)
+            )
+    elif isinstance(value, (int, float) if hint is float else hint) and (
+        hint is bool or not isinstance(value, bool)  # a bool is never a number
+    ):
+        return float(value) if hint is float else value
+    raise ExperimentConfigError(f"{where} must be {expected}, got {value!r}")
 
 
 def resolve_protocol(name: str, kind: TaskKind, time_scale: float) -> ProtocolConfig:
@@ -174,14 +285,13 @@ def run_experiment(
     """Run every (pipeline count, trial) cell and write the report files."""
     config.validate()
     base_seed = config.seed if seed is None else seed
+    kind = WORKLOAD_KINDS[config.workload]
+    protocol = resolve_protocol(config.protocol, kind, config.time_scale)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kind = WORKLOAD_KINDS[config.workload]
-    backend_kind = config.backend.get("backend", "sim")
 
     reports: list[RunReport] = []
     for position, count in enumerate(config.pipeline_counts):
-        protocol = resolve_protocol(config.protocol, kind, config.time_scale)
         workflow = protocol_to_workflow(
             protocol, replicas=count, kind=kind, name=f"{protocol.name}{count}"
         )
@@ -191,20 +301,15 @@ def run_experiment(
             cores = config.cores[position]
         request = ResourceRequest(cores=cores, walltime=config.walltime)
         for trial in range(config.trials):
-            trial_seed = base_seed + trial
             trial_id = f"{config.workload.lower()}-p{count}-t{trial}"
-            if backend_kind == "sim":
-                backend = SimBackendConfig.from_dict(config.backend).with_seed(
-                    trial_seed
-                )
+            backend = config.backend
+            if isinstance(backend, SimBackendConfig):
+                backend = replace(backend, seed=base_seed + trial)
                 log = sim_run(workflow, request, backend)
             else:
-                backend = LocalBackendConfig.from_dict(config.backend)
                 if backend.data_root is None:
                     data_root = out / "data" / trial_id
-                    backend = LocalBackendConfig.from_dict(
-                        {**backend.to_dict(), "data_root": str(data_root)}
-                    )
+                    backend = replace(backend, data_root=str(data_root))
                 materialize_inputs(workflow, Path(backend.data_root))
                 log = local_run(workflow, request, backend)
             report = compute_report(log, trial_id=trial_id, workload=config.workload)

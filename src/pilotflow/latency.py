@@ -49,36 +49,13 @@ class LatencyModel:
     def validate(self) -> None:
         if self.distribution is Distribution.CONSTANT:
             if self.value < 0:
-                raise ValueError("constant latency must be >= 0")
+                raise ValueError(f"constant latency must be >= 0, got {self.value}")
         elif self.distribution is Distribution.UNIFORM:
             if self.low < 0 or self.high < self.low:
                 raise ValueError("uniform latency needs 0 <= low <= high")
         else:
             if self.stddev < 0:
-                raise ValueError("stddev must be >= 0")
-
-    def to_dict(self) -> dict:
-        base = {"distribution": self.distribution.value}
-        if self.distribution is Distribution.CONSTANT:
-            base["value"] = self.value
-        elif self.distribution is Distribution.UNIFORM:
-            base.update(low=self.low, high=self.high)
-        else:
-            base.update(mean=self.mean, stddev=self.stddev)
-        return base
-
-    @staticmethod
-    def from_dict(data: dict) -> LatencyModel:
-        kind = Distribution(data.get("distribution", "CONSTANT"))
-        if kind is Distribution.CONSTANT:
-            return LatencyModel.constant(float(data.get("value", 0.0)))
-        if kind is Distribution.UNIFORM:
-            return LatencyModel.uniform(
-                float(data.get("low", 0.0)), float(data.get("high", 0.0))
-            )
-        return LatencyModel.normal(
-            float(data.get("mean", 0.0)), float(data.get("stddev", 0.0))
-        )
+                raise ValueError(f"stddev must be >= 0, got {self.stddev}")
 
 
 class Sampler:

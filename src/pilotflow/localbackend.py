@@ -53,42 +53,14 @@ class LocalBackendConfig:
 
     ``sandbox_root`` holds per-unit working directories (a temporary
     directory by default); ``data_root`` is where staging sources are read
-    from and staging targets written to. ``pull_sleep`` and ``fs_sleep``
-    inject artificial store and filesystem delays for overhead
-    demonstrations; both default to none.
+    from and staging targets written to.
     """
 
     sandbox_root: str | None = None
     data_root: str | None = None
     keep_sandboxes: bool = False
-    pull_sleep: float = 0.0
-    fs_sleep: float = 0.0
     bulk: int = 1024
     max_workers: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": "local",
-            "sandbox_root": self.sandbox_root,
-            "data_root": self.data_root,
-            "keep_sandboxes": self.keep_sandboxes,
-            "pull_sleep": self.pull_sleep,
-            "fs_sleep": self.fs_sleep,
-            "bulk": self.bulk,
-            "max_workers": self.max_workers,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> LocalBackendConfig:
-        return LocalBackendConfig(
-            sandbox_root=data.get("sandbox_root"),
-            data_root=data.get("data_root"),
-            keep_sandboxes=bool(data.get("keep_sandboxes", False)),
-            pull_sleep=float(data.get("pull_sleep", 0.0)),
-            fs_sleep=float(data.get("fs_sleep", 0.0)),
-            bulk=int(data.get("bulk", 1024)),
-            max_workers=data.get("max_workers"),
-        )
 
 
 class StagingError(Exception):
@@ -168,7 +140,6 @@ def _execute_unit(
     data_root: Path,
     clock,
     timeout: float,
-    fs_sleep: float,
 ) -> _UnitResult:
     """Run one unit: stage in, execute, stage out.
 
@@ -182,8 +153,6 @@ def _execute_unit(
 
         begin = clock()
         for directive in unit.inputs:
-            if fs_sleep:
-                _time.sleep(fs_sleep)
             _stage_one(directive, sandbox, data_root)
         result.phases.append(_Phase("stage_in", begin, clock()))
 
@@ -213,8 +182,6 @@ def _execute_unit(
 
         begin = clock()
         for directive in unit.outputs:
-            if fs_sleep:
-                _time.sleep(fs_sleep)
             _stage_one(directive, sandbox, data_root)
         result.phases.append(_Phase("stage_out", begin, clock()))
         result.ok = True
@@ -264,15 +231,11 @@ class _LocalEngine:
         if self.core.store.pending_count() == 0:
             return
         begin = self._now()
-        if self.config.pull_sleep:
-            _time.sleep(self.config.pull_sleep)
         units, _ = self.core.store.pull(self.config.bulk)
         self.core.pulled(begin, self._now())
         for unit in units:
             # Re-read the description from its wire form, as the agent does.
             io_begin = self._now()
-            if self.config.fs_sleep:
-                _time.sleep(self.config.fs_sleep)
             UnitDescription.from_wire(unit.to_wire())
             self.core.unit_read(unit, io_begin, self._now())
             self.core.scheduler.offer(unit)
@@ -340,7 +303,6 @@ class _LocalEngine:
                                     data_root,
                                     self._now,
                                     t,
-                                    self.config.fs_sleep,
                                 )
                             )
                         )

@@ -155,7 +155,6 @@ class TaskRecord:
     pipeline_id: str
     stage_index: int
     state: TaskState = TaskState.NEW
-    unit_id: str | None = None
 
 
 def advance_task_state(
@@ -207,7 +206,6 @@ class Stage:
 
     index: int
     tasks: list[TaskSpec]
-    state: StageState = StageState.NEW
 
 
 @dataclass
@@ -216,7 +214,6 @@ class Pipeline:
 
     id: str
     stages: list[Stage]
-    state: PipelineState = PipelineState.NEW
 
 
 @dataclass

@@ -57,7 +57,6 @@ class Pilot:
     uid: str
     request: ResourceRequest
     state: PilotState = PilotState.NEW
-    active_at: float | None = None
 
 
 def submit_pilot(
@@ -217,7 +216,6 @@ class EngineCore:
     def activate(self, time: float) -> None:
         """The pilot's allocation came up."""
         self.pilot.state = PilotState.ACTIVE
-        self.pilot.active_at = time
         self.sink.append(ProfileEvent(time, self.pilot.uid, "pilot_active"))
 
     def translated(
@@ -234,7 +232,6 @@ class EngineCore:
             )
         )
         advance_task_state(record, LifecycleEvent.TRANSLATED, sink=self.sink, time=end)
-        record.unit_id = unit.uid
         self.records[unit.uid] = record
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:

@@ -59,52 +59,6 @@ class SimBackendConfig:
     seed: int = 0
     bulk: int = 1024
 
-    def to_dict(self) -> dict:
-        return {
-            "backend": "sim",
-            "total_cores": self.total_cores,
-            "queue_wait": self.queue_wait.to_dict(),
-            "pull_latency": self.pull_latency.to_dict(),
-            "fs_latency": self.fs_latency.to_dict(),
-            "translate_cost": self.translate_cost.to_dict(),
-            "duration_noise": self.duration_noise.to_dict(),
-            "seed": self.seed,
-            "bulk": self.bulk,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> SimBackendConfig:
-        def model(key: str, fallback: float) -> LatencyModel:
-            raw = data.get(key)
-            if raw is None:
-                return LatencyModel.constant(fallback)
-            if isinstance(raw, (int, float)):
-                return LatencyModel.constant(float(raw))
-            return LatencyModel.from_dict(raw)
-
-        return SimBackendConfig(
-            total_cores=int(data.get("total_cores", 1_048_576)),
-            queue_wait=model("queue_wait", 0.0),
-            pull_latency=model("pull_latency", 0.0),
-            fs_latency=model("fs_latency", 0.0),
-            translate_cost=model("translate_cost", 0.0),
-            duration_noise=model("duration_noise", 1.0),
-            seed=int(data.get("seed", 0)),
-            bulk=int(data.get("bulk", 1024)),
-        )
-
-    def with_seed(self, seed: int) -> SimBackendConfig:
-        return SimBackendConfig(
-            total_cores=self.total_cores,
-            queue_wait=self.queue_wait,
-            pull_latency=self.pull_latency,
-            fs_latency=self.fs_latency,
-            translate_cost=self.translate_cost,
-            duration_noise=self.duration_noise,
-            seed=seed,
-            bulk=self.bulk,
-        )
-
 
 # Heap event kinds, processed in (time, insertion order).
 _PILOT_ACTIVE = "pilot_active"

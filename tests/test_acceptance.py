@@ -12,6 +12,7 @@ point.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 
@@ -289,7 +290,7 @@ def test_c9_byte_identical_reruns(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     sim_run(workflow, request, config).write_csv(paths[0])
     sim_run(workflow, request, config).write_csv(paths[1])
-    sim_run(workflow, request, config.with_seed(32)).write_csv(paths[2])
+    sim_run(workflow, request, dataclasses.replace(config, seed=32)).write_csv(paths[2])
     same = paths[0].read_bytes() == paths[1].read_bytes()
     different = paths[0].read_bytes() != paths[2].read_bytes()
     verdict(

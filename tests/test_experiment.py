@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import re
 import tarfile
 from pathlib import Path
 
@@ -19,8 +20,16 @@ from pilotflow.experiment import (
     run_experiment,
     write_plot_files,
 )
+from pilotflow.latency import LatencyModel
+from pilotflow.localbackend import LocalBackendConfig
 from pilotflow.model import TaskKind
-from pilotflow.protocols import UnknownProtocolError, generate_esmacs
+from pilotflow.protocols import (
+    UnknownProtocolError,
+    esmacs_protocol,
+    generate_esmacs,
+    load_protocol,
+)
+from pilotflow.simbackend import SimBackendConfig
 
 SIM_BACKEND = {
     "backend": "sim",
@@ -198,6 +207,50 @@ def test_bad_configs_rejected():
         sim_config(name="")
     with pytest.raises(ExperimentConfigError):
         sim_config(walltime=0.0)
+    with pytest.raises(ExperimentConfigError):
+        ExperimentConfig.from_dict({"name": "no-pipeline-counts"})
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"trails": 3}, "'trails'"),
+        ({"walltime": "1h"}, "experiment.walltime"),
+        ({"save_events": 1}, "experiment.save_events"),
+        ({"pipeline_counts": [2, 4.5]}, "experiment.pipeline_counts"),
+        ({"backend": {**SIM_BACKEND, "bulk": 16.0}}, "backend.bulk"),
+        ({"backend": {"backend": "local", "pull_sleep": 0.1}}, "'pull_sleep'"),
+        # every trial is seeded from the top-level seed
+        ({"backend": {**SIM_BACKEND, "seed": 3}}, "top-level 'seed'"),
+    ],
+)
+def test_keys_and_values_that_would_not_be_read_are_rejected(overrides, named):
+    with pytest.raises(ExperimentConfigError, match=re.escape(named)):
+        sim_config(**overrides)
+
+
+def test_every_shipped_config_loads():
+    configs = Path(__file__).parent.parent / "configs"
+    assert sorted(path.name for path in configs.iterdir()) == [
+        "esmacs.json",
+        "overhead_local.json",
+        "weak_scaling_sim.json",
+    ]
+    assert load_protocol(configs / "esmacs.json") == esmacs_protocol()
+    weak = ExperimentConfig.load(configs / "weak_scaling_sim.json")
+    assert weak.backend == SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.0),
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+    )
+    assert (weak.workload, weak.pipeline_counts, weak.trials) == (
+        "SIM",
+        (2, 4, 8, 16),
+        3,
+    )
+    overhead = ExperimentConfig.load(configs / "overhead_local.json")
+    assert overhead.backend == LocalBackendConfig()
+    assert (overhead.workload, overhead.trials, overhead.walltime) == ("NULL", 5, 600.0)
 
 
 def test_load_missing_file_rejected(tmp_path):
@@ -285,9 +338,43 @@ def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_unreadable_config_exits_2(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for path in (tmp_path, binary):
+        assert main(["run", "--config", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+
+
 def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, trials=0)
     assert main(["run", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (
+            {"backend": {"queue_wait": {"distribution": "uniform", "low": 5}}},
+            "'uniform'",
+        ),
+        ({"backend": {"fs_latency": -0.125}}, "-0.125"),
+        ({"backend": {"queue_wiat": 2.0}}, "'queue_wiat'"),
+        ({"backend": {"queue_wait": {"dist": "uniform", "low": 5}}}, "'dist'"),
+        ({"protocol": "mmpbsa"}, "'mmpbsa'"),
+        ({"cores": [0]}, "cores"),
+        ({"time_scale": -1.0}, "time_scale"),
+    ],
+)
+def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, named):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert named in line
+    assert not out.exists()
 
 
 def test_cli_describe(capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow.experiment import ExperimentConfig, ExperimentConfigError
 from pilotflow.latency import Distribution, LatencyModel, Sampler
 
 
@@ -60,13 +63,44 @@ def test_invalid_models_rejected():
         )
 
 
+def parse(latency: object) -> LatencyModel:
+    """A latency as the experiment config reads it."""
+    data = {"name": "x", "pipeline_counts": [1], "backend": {"queue_wait": latency}}
+    return ExperimentConfig.from_dict(data).backend.queue_wait
+
+
 def test_dict_round_trip():
-    for model in (
-        LatencyModel.constant(0.5),
-        LatencyModel.uniform(1.0, 2.0),
-        LatencyModel.normal(0.2, 0.05),
-    ):
-        assert LatencyModel.from_dict(model.to_dict()) == model
+    """Literal latency dicts, and the scalar shorthand, read back as the models they name."""
+    assert parse({"distribution": "CONSTANT", "value": 0.5}) == LatencyModel.constant(
+        0.5
+    )
+    assert parse({"value": 2}) == LatencyModel.constant(2.0)
+    assert parse(0.25) == LatencyModel.constant(0.25)
+    assert parse(
+        {"distribution": "UNIFORM", "low": 1.0, "high": 2.0}
+    ) == LatencyModel.uniform(1.0, 2.0)
+    assert parse(
+        {"distribution": "NORMAL_TRUNCATED", "mean": 0.2, "stddev": 0.05}
+    ) == LatencyModel.normal(0.2, 0.05)
+
+
+@pytest.mark.parametrize(
+    "latency, named",
+    [
+        ({"distribution": "uniform", "low": 1.0, "high": 2.0}, "'uniform'"),
+        ({"dist": "uniform", "low": 1.0, "high": 2.0}, "'dist'"),
+        ({"distribution": "UNIFORM", "value": 1.0}, "'value'"),
+        ({"distribution": "NORMAL_TRUNCATED", "mean": "0.2"}, "mean"),
+        ({"value": True}, "value"),
+        (-1.0, "-1.0"),
+        ({"distribution": "UNIFORM", "low": 2.0, "high": 1.0}, "low <= high"),
+        ({"distribution": "NORMAL_TRUNCATED", "stddev": -0.5}, "-0.5"),
+        ("fast", "'fast'"),
+    ],
+)
+def test_config_rejects_latencies_it_would_not_read(latency, named):
+    with pytest.raises(ExperimentConfigError, match=re.escape(named)):
+        parse(latency)
 
 
 @given(

@@ -6,6 +6,7 @@ import io
 import tarfile
 import threading
 
+from pilotflow.experiment import ExperimentConfig
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
@@ -304,7 +305,15 @@ def test_engine_and_runtime_overheads_are_measured():
 
 
 def test_config_dict_round_trip():
-    config = LocalBackendConfig(
+    """A literal local backend object reads back as the config it names."""
+    backend = {
+        "backend": "local",
+        "sandbox_root": "/tmp/x",
+        "keep_sandboxes": True,
+        "bulk": 4,
+        "max_workers": 2,
+    }
+    data = {"name": "x", "pipeline_counts": [1], "backend": backend}
+    assert ExperimentConfig.from_dict(data).backend == LocalBackendConfig(
         sandbox_root="/tmp/x", keep_sandboxes=True, bulk=4, max_workers=2
     )
-    assert LocalBackendConfig.from_dict(config.to_dict()) == config

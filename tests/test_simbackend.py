@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow.experiment import ExperimentConfig
 from pilotflow.latency import LatencyModel
 from pilotflow.metrics import compute_report, reports_to_csv
 from pilotflow.model import (
@@ -290,22 +291,41 @@ def test_same_seed_reproduces_event_log_exactly():
     first = sim_run(wf, request, config)
     second = sim_run(wf, request, config)
     assert first.events == second.events
-    third = sim_run(wf, request, config.with_seed(43))
+    third = sim_run(wf, request, dataclasses.replace(config, seed=43))
     assert third.events != first.events
 
 
 def test_config_dict_round_trip():
-    config = SimBackendConfig(
+    """A literal sim backend object reads back as the config it names."""
+
+    def parse(backend: dict) -> SimBackendConfig:
+        data = {"name": "x", "pipeline_counts": [1], "backend": backend}
+        return ExperimentConfig.from_dict(data).backend
+
+    assert parse(
+        {
+            "backend": "sim",
+            "total_cores": 4096,
+            "queue_wait": {"distribution": "UNIFORM", "low": 1.0, "high": 4.0},
+            "fs_latency": {"distribution": "CONSTANT", "value": 0.1},
+            "duration_noise": {
+                "distribution": "NORMAL_TRUNCATED",
+                "mean": 1,
+                "stddev": 0.1,
+            },
+            "bulk": 16,
+        }
+    ) == SimBackendConfig(
         total_cores=4096,
         queue_wait=LatencyModel.uniform(1.0, 4.0),
         fs_latency=LatencyModel.constant(0.1),
-        seed=7,
+        duration_noise=LatencyModel.normal(1.0, 0.1),
         bulk=16,
     )
-    assert SimBackendConfig.from_dict(config.to_dict()) == config
-    # scalar shorthand for constants
-    short = SimBackendConfig.from_dict({"queue_wait": 2.5})
-    assert short.queue_wait == LatencyModel.constant(2.5)
+    # scalar shorthand for constants; the backend kind defaults to sim
+    assert parse({"queue_wait": 2.5}) == SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.5)
+    )
 
 
 @given(
