@@ -23,6 +23,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from .latency import Distribution, LatencyModel
@@ -43,7 +44,8 @@ from .protocols import (
     load_protocol,
     protocol_to_workflow,
 )
-from .simbackend import SimBackendConfig, sim_run
+from .scheduler import UnschedulableError
+from .simbackend import SimBackendConfig, check_request, sim_run
 
 WORKLOAD_KINDS = {
     "NULL": TaskKind.NULL_WORKLOAD,
@@ -247,6 +249,35 @@ def resolve_protocol(name: str, kind: TaskKind, time_scale: float) -> ProtocolCo
     return builtin_protocol(name, kind=kind, time_scale=time_scale)
 
 
+def _cell_requests(
+    config: ExperimentConfig, protocol: ProtocolConfig
+) -> list[ResourceRequest]:
+    """Each sweep point's pilot request, checked before any output is written.
+
+    Every replica repeats the protocol's stages with one task each, so a
+    pipeline's peak demand is its widest stage and ``peak`` cores are that
+    times the pipeline count: ``peak_core_demand`` of the expanded workflow,
+    found without expanding it.
+    """
+    widest = max(protocol.stages, key=attrgetter("cores"))
+    requests: list[ResourceRequest] = []
+    for position, count in enumerate(config.pipeline_counts):
+        if config.cores == "peak":
+            cores = count * widest.cores
+        else:
+            cores = config.cores[position]
+        if widest.cores > cores:
+            raise UnschedulableError(
+                f"stage {widest.label!r} wants {widest.cores} cores but the "
+                f"pilot has only {cores}"
+            )
+        request = ResourceRequest(cores=cores, walltime=config.walltime)
+        if isinstance(config.backend, SimBackendConfig):
+            check_request(request, config.backend)
+        requests.append(request)
+    return requests
+
+
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
@@ -287,19 +318,15 @@ def run_experiment(
     base_seed = config.seed if seed is None else seed
     kind = WORKLOAD_KINDS[config.workload]
     protocol = resolve_protocol(config.protocol, kind, config.time_scale)
+    requests = _cell_requests(config, protocol)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     reports: list[RunReport] = []
-    for position, count in enumerate(config.pipeline_counts):
+    for count, request in zip(config.pipeline_counts, requests):
         workflow = protocol_to_workflow(
             protocol, replicas=count, kind=kind, name=f"{protocol.name}{count}"
         )
-        if config.cores == "peak":
-            cores = peak_core_demand(workflow)
-        else:
-            cores = config.cores[position]
-        request = ResourceRequest(cores=cores, walltime=config.walltime)
         for trial in range(config.trials):
             trial_id = f"{config.workload.lower()}-p{count}-t{trial}"
             backend = config.backend

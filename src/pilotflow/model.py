@@ -28,10 +28,6 @@ class StagingMode(str, Enum):
     TAR_IN = "TAR_IN"
     TAR_OUT = "TAR_OUT"
 
-    @property
-    def is_input(self) -> bool:
-        return self in (StagingMode.COPY_IN, StagingMode.TAR_IN)
-
 
 @dataclass(frozen=True)
 class StagingDirective:

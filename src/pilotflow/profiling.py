@@ -22,6 +22,7 @@ All timestamps are seconds relative to pilot submission (time 0.0).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -36,6 +37,11 @@ INTERVAL_STEMS = (
     "exec",
     "stage_out",
 )
+
+
+# Rows per write in EventLog.write_csv: large enough to amortize the write
+# call, small enough that the file is never held in memory whole.
+_CSV_CHUNK_ROWS = 4096
 
 
 class ProfileEvent(NamedTuple):
@@ -93,11 +99,43 @@ class EventLog:
         """Three-column export: time_s, entity, event.
 
         Timestamps use repr formatting, so identical runs produce
-        byte-identical files.
+        byte-identical files. Entity and event names are quoted by
+        ``csv.writer``'s default dialect (``QUOTE_MINIMAL``), so the file is
+        byte for byte what that writer makes of the same rows.
         """
+        buffer = io.StringIO()
+        quoter = csv.writer(buffer)
+        quoted: dict[str, str] = {}
+
+        def quote(text: str) -> str:
+            # Quote each distinct string once, through csv.writer itself.
+            buffer.seek(0)
+            buffer.truncate()
+            quoter.writerow((text, ""))
+            field = buffer.getvalue()[: -len(",\r\n")]
+            if field == text:
+                field = text  # keep one copy of a string that needs no quotes
+            quoted[text] = field
+            return field
+
+        events = self.events
+        last_time = stamp = None
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["time_s", "entity", "event"])
-            writer.writerows(
-                (repr(event.time), event.entity, event.name) for event in self.events
-            )
+            handle.write("time_s,entity,event\r\n")
+            for start in range(0, len(events), _CSV_CHUNK_ROWS):
+                lines = []
+                chunk = events[start : start + _CSV_CHUNK_ROWS]
+                for time, entity, name, _, _ in chunk:
+                    # Sorted events often share a time object; reuse its repr.
+                    # Identity, not equality: 0.0 == -0.0 but their reprs differ.
+                    if time is not last_time:
+                        last_time = time
+                        stamp = repr(time)
+                    entity_field = quoted.get(entity)
+                    if entity_field is None:
+                        entity_field = quote(entity)
+                    name_field = quoted.get(name)
+                    if name_field is None:
+                        name_field = quote(name)
+                    lines.append(f"{stamp},{entity_field},{name_field}\r\n")
+                handle.write("".join(lines))

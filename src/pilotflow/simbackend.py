@@ -60,6 +60,15 @@ class SimBackendConfig:
     bulk: int = 1024
 
 
+def check_request(request: ResourceRequest, config: SimBackendConfig) -> None:
+    """Raise ``PilotRequestError`` when the machine cannot hold the pilot."""
+    if request.cores > config.total_cores:
+        raise PilotRequestError(
+            f"request asks for {request.cores} cores but the machine "
+            f"has {config.total_cores}"
+        )
+
+
 # Heap event kinds, processed in (time, insertion order).
 _PILOT_ACTIVE = "pilot_active"
 _ENQUEUE = "enqueue"
@@ -73,11 +82,7 @@ class _SimEngine:
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, config: SimBackendConfig
     ) -> None:
-        if request.cores > config.total_cores:
-            raise PilotRequestError(
-                f"request asks for {request.cores} cores but the machine "
-                f"has {config.total_cores}"
-            )
+        check_request(request, config)
         self.config = config
         self.request = request
         seed = config.seed
@@ -96,7 +101,6 @@ class _SimEngine:
         self._active_at: float | None = None
         self._deadline: float | None = None
         self._finish_floor = 0.0
-        self.now = 0.0
 
     # -- helpers ---------------------------------------------------------
 
@@ -220,12 +224,13 @@ class _SimEngine:
         self._translate(self.core.tracker.initial_ready(), 0.0)
 
         finish = None
+        now = 0.0
         while self._heap:
             time, _seq, kind, payload = heapq.heappop(self._heap)
             if time > self._deadline:
                 finish = self._deadline
                 break
-            self.now = time
+            now = time
             if kind == _PILOT_ACTIVE:
                 self.core.activate(time)
             elif kind == _ENQUEUE:
@@ -239,7 +244,7 @@ class _SimEngine:
             elif kind == _UNIT_DONE:
                 self._handle_unit_done(time, payload)
         if finish is None:
-            finish = max(self.now, self._finish_floor)
+            finish = max(now, self._finish_floor)
         return self.core.close(finish, "sim", self.config.seed, {})
 
 

@@ -365,6 +365,9 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
         ({"protocol": "mmpbsa"}, "'mmpbsa'"),
         ({"cores": [0]}, "cores"),
         ({"time_scale": -1.0}, "time_scale"),
+        # Requests that only starting the pilot or placing a task would reject.
+        ({"cores": [64], "backend": {**SIM_BACKEND, "total_cores": 32}}, "64 cores"),
+        ({"cores": [4]}, "'minimize' wants 8 cores"),
     ],
 )
 def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, named):

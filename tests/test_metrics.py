@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotflow.metrics import (
     MalformedProfileError,
@@ -134,6 +138,107 @@ def test_first_unmatched_stem_in_vocabulary_order_is_reported():
         compute_report(make_log(events))
     assert "translate_end" in str(excinfo.value)
     assert "'a'" in str(excinfo.value)
+
+
+def left_sum(values):
+    """Add from the int 0, left to right: what ``sum()`` did before Python
+    3.12 made it compensated."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def list_based_interval_sums(log: EventLog) -> dict[str, float]:
+    """Oracle: the reduction compute_report used to make, on time lists.
+
+    Per stem and entity it keeps every begin and end time in log order,
+    rejects the first entity (stems in vocabulary order, entities sorted)
+    whose counts differ, and adds ``sum(ends) - sum(begins)`` per entity in
+    sorted entity order.
+    """
+    pairs = {stem: {} for stem in INTERVAL_STEMS}
+    for event in log.events:
+        stem, _, side = event.name.rpartition("_")
+        if stem in pairs and side in ("begin", "end"):
+            opened, closed = pairs[stem].setdefault(event.entity, ([], []))
+            (opened if side == "begin" else closed).append(event.time)
+    sums = {}
+    for stem in INTERVAL_STEMS:
+        total = 0.0
+        for entity in sorted(pairs[stem]):
+            opened, closed = pairs[stem][entity]
+            if len(opened) != len(closed):
+                raise MalformedProfileError(
+                    f"entity {entity!r}: {len(opened)} {stem}_begin events "
+                    f"but {len(closed)} {stem}_end events"
+                )
+            total += left_sum(closed) - left_sum(opened)
+        sums[stem] = total
+    return sums
+
+
+# Decimal fractions and thirds are not dyadic, so the order in which they
+# are added changes the last bits of a sum; a small pool also makes ties.
+TIMES = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.1, 2.9]),
+    st.integers(0, 10**6).map(lambda n: n / 1000),
+    st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def interval_logs(draw):
+    """A valid run frame around begin/end pairs of generated entities,
+    possibly missing one ``*_end`` event."""
+    events = [
+        ev(0.0, "pilot.0000", "submit"),
+        ev(0.5, "pilot.0000", "pilot_active"),
+        ev(2e5, "t", "done", "p", 0),
+    ]
+    entities = draw(
+        st.lists(
+            st.sampled_from(["a", "b", "B", "a1", "pilot.0000", "unit.000001", "t"]),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    for entity in entities:
+        stems = draw(st.lists(st.sampled_from(INTERVAL_STEMS), min_size=1, unique=True))
+        for stem in stems:
+            for _ in range(draw(st.integers(1, 3))):
+                events.append(ev(draw(TIMES), entity, f"{stem}_begin"))
+                events.append(ev(draw(TIMES), entity, f"{stem}_end"))
+    if draw(st.booleans()):
+        ends = [i for i, e in enumerate(events) if e.name.endswith("_end")]
+        del events[draw(st.sampled_from(ends))]
+    # The sink orders by time; the append order decides how ties interleave.
+    return make_log(draw(st.permutations(events)))
+
+
+@given(interval_logs())
+@settings(max_examples=150, deadline=None)
+def test_interval_sums_match_list_based_oracle(log):
+    try:
+        expected = list_based_interval_sums(log)
+    except MalformedProfileError as error:
+        with pytest.raises(MalformedProfileError) as excinfo:
+            compute_report(log)
+        assert str(excinfo.value) == str(error)
+        return
+    report = compute_report(log)
+    got = (
+        report.engine_overhead_s,
+        report.pull_overhead_s,
+        report.unit_io_overhead_s,
+        report.runtime_overhead_s,
+    )
+    want = (
+        expected["translate"],
+        expected["pull"],
+        expected["unit_io"],
+        expected["pull"] + expected["unit_io"],
+    )
+    # repr, so that a last-bit difference or a sign of zero shows.
+    assert [repr(value) for value in got] == [repr(value) for value in want]
 
 
 def test_missing_submit_is_rejected():
