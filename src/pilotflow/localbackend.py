@@ -33,12 +33,12 @@ from pathlib import Path
 
 from .latency import LatencyModel, Sampler
 from .model import (
-    LifecycleEvent,
     ResourceRequest,
     StagingDirective,
     StagingMode,
     TaskKind,
     TaskRecord,
+    TaskState,
     Workflow,
     advance_task_state,
 )
@@ -245,11 +245,11 @@ class _LocalEngine:
         for phase in result.phases:
             self.core.phase(record, phase.name, phase.begin, phase.end)
         if result.ok:
-            event = LifecycleEvent.STAGED_OUT
+            state = TaskState.DONE
         else:
             self._diagnostics[record.task.id] = result.diagnostic
-            event = LifecycleEvent.FAILED
-        self._translate(self.core.terminate(record, event, result.end_time))
+            state = TaskState.FAILED
+        self._translate(self.core.terminate(record, state, result.end_time))
 
     def run(self) -> EventLog:
         self._epoch = _time.perf_counter()
@@ -288,11 +288,11 @@ class _LocalEngine:
                         failed = core.tracker.pipeline_failed(record.task.id)
                         if failed or now > deadline:
                             core.terminate(
-                                core.release(unit.uid), LifecycleEvent.CANCELED, now
+                                core.release(unit.uid), TaskState.CANCELED, now
                             )
                             continue
                         advance_task_state(
-                            record, LifecycleEvent.SCHEDULED, sink=core.sink, time=now
+                            record, TaskState.SCHEDULED, sink=core.sink, time=now
                         )
                         timeout = max(0.01, deadline - now)
                         pool.submit(
@@ -314,9 +314,16 @@ class _LocalEngine:
                     ):
                         break
                     if in_flight > 0:
+                        # Apply every result already waiting too, so that the
+                        # units they make ready share the next pull.
                         result = self._results.get(timeout=deadline + 60.0)
-                        in_flight -= 1
-                        self._apply_result(result)
+                        while True:
+                            in_flight -= 1
+                            self._apply_result(result)
+                            try:
+                                result = self._results.get_nowait()
+                            except queue.Empty:
+                                break
         finally:
             if not self.config.keep_sandboxes:
                 shutil.rmtree(root if owns_root else run_dir, ignore_errors=True)

@@ -58,7 +58,6 @@ class RunReport:
     ttx_s: float
     engine_overhead_s: float
     runtime_overhead_s: float
-    translate_overhead_s: float
     pull_overhead_s: float
     unit_io_overhead_s: float
     per_stage_ttx_max: dict[int, float]
@@ -82,7 +81,6 @@ class RunReport:
             "ttx_s": self.ttx_s,
             "engine_overhead_s": self.engine_overhead_s,
             "runtime_overhead_s": self.runtime_overhead_s,
-            "translate_overhead_s": self.translate_overhead_s,
             "pull_overhead_s": self.pull_overhead_s,
             "unit_io_overhead_s": self.unit_io_overhead_s,
             "per_stage_ttx_max": {str(k): v for k, v in self.per_stage_ttx_max.items()},
@@ -235,7 +233,6 @@ def compute_report(
         ttx_s=ttx,
         engine_overhead_s=translate,
         runtime_overhead_s=pull + unit_io,
-        translate_overhead_s=translate,
         pull_overhead_s=pull,
         unit_io_overhead_s=unit_io,
         per_stage_ttx_max=per_stage_max,

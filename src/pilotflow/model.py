@@ -4,14 +4,17 @@ Pipelines run concurrently, stages within a pipeline run sequentially, and
 tasks within a stage run concurrently. Descriptions are treated as immutable
 once validated; runtime progress is tracked in :class:`TaskRecord` objects
 owned by the execution engine, never on the shared description objects.
+
+A task's state walks one forward chain, NEW -> TRANSLATED -> SCHEDULED ->
+STAGING_IN -> EXECUTING -> STAGING_OUT -> DONE, or ends FAILED or CANCELED
+from any state before DONE. :func:`advance_task_state` makes every move and
+writes the event that marks entry into the new state.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .profiling import ProfileEvent, ProfileSink
 
@@ -59,7 +62,6 @@ class TaskSpec:
     expected_duration: float = 0.0
     inputs: tuple[StagingDirective, ...] = ()
     outputs: tuple[StagingDirective, ...] = ()
-    stage_label: str = ""
 
     @property
     def staging(self) -> tuple[StagingDirective, ...]:
@@ -87,13 +89,6 @@ _TERMINAL_TASK_STATES = frozenset(
 )
 
 
-class StageState(str, Enum):
-    NEW = "NEW"
-    ACTIVE = "ACTIVE"
-    DONE = "DONE"
-    FAILED = "FAILED"
-
-
 class PipelineState(str, Enum):
     NEW = "NEW"
     ACTIVE = "ACTIVE"
@@ -101,29 +96,20 @@ class PipelineState(str, Enum):
     FAILED = "FAILED"
 
 
-class LifecycleEvent(str, Enum):
-    """Triggers accepted by the task state machine."""
-
-    TRANSLATED = "translated"
-    SCHEDULED = "scheduled"
-    STAGE_IN_STARTED = "stage_in_started"
-    EXEC_STARTED = "exec_started"
-    COMPLETED = "completed"
-    STAGED_OUT = "staged_out"
-    FAILED = "failed"
-    CANCELED = "canceled"
-
-
-# Forward transitions; FAILED/CANCELED are reachable from any non-terminal
-# state and handled in advance_task_state directly.
-_TASK_TRANSITIONS: dict[tuple[TaskState, LifecycleEvent], TaskState] = {
-    (TaskState.NEW, LifecycleEvent.TRANSLATED): TaskState.TRANSLATED,
-    (TaskState.TRANSLATED, LifecycleEvent.SCHEDULED): TaskState.SCHEDULED,
-    (TaskState.SCHEDULED, LifecycleEvent.STAGE_IN_STARTED): TaskState.STAGING_IN,
-    (TaskState.STAGING_IN, LifecycleEvent.EXEC_STARTED): TaskState.EXECUTING,
-    (TaskState.EXECUTING, LifecycleEvent.COMPLETED): TaskState.STAGING_OUT,
-    (TaskState.STAGING_OUT, LifecycleEvent.STAGED_OUT): TaskState.DONE,
-}
+# The forward chain a task walks; FAILED and CANCELED may follow any
+# non-terminal state.
+_FORWARD_CHAIN = (
+    TaskState.NEW,
+    TaskState.TRANSLATED,
+    TaskState.SCHEDULED,
+    TaskState.STAGING_IN,
+    TaskState.EXECUTING,
+    TaskState.STAGING_OUT,
+    TaskState.DONE,
+)
+_SUCCESSOR: dict[TaskState, TaskState] = dict(
+    zip(_FORWARD_CHAIN, _FORWARD_CHAIN[1:])
+)
 
 # Profile event emitted when a task *enters* a state. The engine emits the
 # matching interval-opening/closing counterparts around the real work.
@@ -140,7 +126,7 @@ _STATE_ENTRY_EVENT: dict[TaskState, str] = {
 
 
 class IllegalTransitionError(Exception):
-    """Raised when a lifecycle event is not legal for the current state."""
+    """Raised when a task cannot move to the requested state."""
 
 
 @dataclass
@@ -155,40 +141,34 @@ class TaskRecord:
 
 def advance_task_state(
     record: TaskRecord,
-    event: LifecycleEvent,
+    state: TaskState,
     sink: ProfileSink | None = None,
     time: float = 0.0,
 ) -> TaskRecord:
-    """Apply one lifecycle event to a task record.
+    """Move a task record to ``state``.
 
-    Emits the state-entry profile event to ``sink`` when given. Raises
-    :class:`IllegalTransitionError` (leaving the record untouched) when the
-    event is not legal for the current state.
+    The move is legal when ``state`` is the next state of the forward chain,
+    or FAILED/CANCELED from any non-terminal state. Emits the state-entry
+    profile event to ``sink`` when given. Raises
+    :class:`IllegalTransitionError` (leaving the record untouched) for any
+    other move.
     """
-    if record.state.is_terminal:
+    current = record.state
+    if state is not _SUCCESSOR.get(current) and (
+        current.is_terminal
+        or state not in (TaskState.FAILED, TaskState.CANCELED)
+    ):
         raise IllegalTransitionError(
-            f"illegal transition from terminal state {record.state.value} "
-            f"on event {event.value!r} (task {record.task.id})"
+            f"illegal transition from {current.value} to {state.value} "
+            f"(task {record.task.id})"
         )
-    if event in (LifecycleEvent.FAILED, LifecycleEvent.CANCELED):
-        new_state = (
-            TaskState.FAILED if event is LifecycleEvent.FAILED else TaskState.CANCELED
-        )
-    else:
-        try:
-            new_state = _TASK_TRANSITIONS[(record.state, event)]
-        except KeyError:
-            raise IllegalTransitionError(
-                f"illegal transition from {record.state.value} "
-                f"on event {event.value!r} (task {record.task.id})"
-            ) from None
-    record.state = new_state
+    record.state = state
     if sink is not None:
         sink.append(
             ProfileEvent(
                 time=time,
                 entity=record.task.id,
-                name=_STATE_ENTRY_EVENT[new_state],
+                name=_STATE_ENTRY_EVENT[state],
                 pipeline=record.pipeline_id,
                 stage=record.stage_index,
             )
@@ -305,13 +285,7 @@ def peak_core_demand(workflow: Workflow) -> int:
     )
 
 
-# --- JSON serialization ------------------------------------------------------
-#
-# Schema mirrors the type hierarchy, field names as in the dataclasses:
-#   {"name": ..., "pipelines": [{"id": ..., "stages": [{"index": ...,
-#    "tasks": [{"id", "kind", "executable", "arguments", "cores",
-#               "expected_duration", "inputs", "outputs", "stage_label"}]}]}]}
-# with staging directives as {"source", "target", "mode"}.
+# --- staging directive codec -------------------------------------------------
 
 
 def directive_to_dict(d: StagingDirective) -> dict:
@@ -325,77 +299,3 @@ def directive_from_dict(data: dict) -> StagingDirective:
     return StagingDirective(
         source=data["source"], target=data["target"], mode=StagingMode(data["mode"])
     )
-
-
-def _task_to_dict(task: TaskSpec) -> dict:
-    return {
-        "id": task.id,
-        "kind": task.kind.value,
-        "executable": task.executable,
-        "arguments": list(task.arguments),
-        "cores": task.cores,
-        "expected_duration": task.expected_duration,
-        "inputs": [directive_to_dict(d) for d in task.inputs],
-        "outputs": [directive_to_dict(d) for d in task.outputs],
-        "stage_label": task.stage_label,
-    }
-
-
-def _task_from_dict(data: dict) -> TaskSpec:
-    return TaskSpec(
-        id=data["id"],
-        kind=TaskKind(data["kind"]),
-        executable=data["executable"],
-        arguments=tuple(data.get("arguments", ())),
-        cores=int(data.get("cores", 1)),
-        expected_duration=float(data.get("expected_duration", 0.0)),
-        inputs=tuple(directive_from_dict(d) for d in data.get("inputs", ())),
-        outputs=tuple(directive_from_dict(d) for d in data.get("outputs", ())),
-        stage_label=data.get("stage_label", ""),
-    )
-
-
-def workflow_to_dict(workflow: Workflow) -> dict:
-    return {
-        "name": workflow.name,
-        "pipelines": [
-            {
-                "id": pipeline.id,
-                "stages": [
-                    {
-                        "index": stage.index,
-                        "tasks": [_task_to_dict(t) for t in stage.tasks],
-                    }
-                    for stage in pipeline.stages
-                ],
-            }
-            for pipeline in workflow.pipelines
-        ],
-    }
-
-
-def workflow_from_dict(data: dict) -> Workflow:
-    return Workflow(
-        name=data["name"],
-        pipelines=[
-            Pipeline(
-                id=p["id"],
-                stages=[
-                    Stage(
-                        index=s["index"],
-                        tasks=[_task_from_dict(t) for t in s["tasks"]],
-                    )
-                    for s in p["stages"]
-                ],
-            )
-            for p in data["pipelines"]
-        ],
-    )
-
-
-def save_workflow(workflow: Workflow, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(workflow_to_dict(workflow), indent=2))
-
-
-def load_workflow(path: str | Path) -> Workflow:
-    return workflow_from_dict(json.loads(Path(path).read_text()))

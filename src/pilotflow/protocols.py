@@ -15,7 +15,7 @@ its own files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -224,28 +224,12 @@ def protocol_to_workflow(
                 expected_duration=template.expected_duration,
                 inputs=_expand_directives(template.inputs, replica, workflow_name),
                 outputs=_expand_directives(template.outputs, replica, workflow_name),
-                stage_label=template.label,
             )
             stages.append(Stage(index=position, tasks=[task]))
         pipelines.append(
             Pipeline(id=f"{workflow_name}-p{replica}", stages=stages)
         )
     return Workflow(name=workflow_name, pipelines=pipelines)
-
-
-def generate_esmacs(
-    replicas: int = ESMACS_REPLICAS,
-    kind: TaskKind = TaskKind.SIMULATED,
-    name: str | None = None,
-    time_scale: float = 1.0,
-) -> Workflow:
-    """Convenience wrapper: build and expand the built-in protocol."""
-    return protocol_to_workflow(
-        esmacs_protocol(kind=kind, time_scale=time_scale),
-        replicas=replicas,
-        kind=kind,
-        name=name,
-    )
 
 
 BUILTIN_PROTOCOLS = ("esmacs",)
@@ -265,7 +249,7 @@ def builtin_protocol(
 #   {"name": str, "default_replicas": int,
 #    "stages": [{"label", "executable", "arguments", "cores",
 #                "expected_duration", "inputs", "outputs", "timesteps"}]}
-# Staging directives use the workflow schema ({"source","target","mode"}).
+# Staging directives are {"source", "target", "mode"} (model.directive_to_dict).
 
 
 def _template_to_dict(t: StageTemplate) -> dict:
@@ -335,10 +319,6 @@ def protocol_from_dict(data: dict) -> ProtocolConfig:
     return ProtocolConfig(
         name=name, stages=tuple(stages), default_replicas=default_replicas
     )
-
-
-def save_protocol(protocol: ProtocolConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(protocol_to_dict(protocol), indent=2))
 
 
 def load_protocol(path: str | Path) -> ProtocolConfig:

@@ -4,30 +4,31 @@ A pilot is a placeholder job: it acquires a block of cores first and binds
 work to them later, so task scheduling happens inside the allocation rather
 than in the machine's batch queue. The workflow manager translates ready
 tasks into unit descriptions and enqueues them; the pilot agent pulls them
-in bulk and places them on cores.
+in bulk and places them on cores. A :class:`Pilot` is just its uid and its
+resource request; its life shows in the log as the ``submit``,
+``pilot_active`` and ``pilot_done`` events.
 
 :class:`WorkflowTracker` holds the structural rules both backends share:
 stage k+1 of a pipeline becomes ready only when every task of stage k is
 done, pipelines never wait for each other, and a failed task fails only its
-own pipeline.
+own pipeline. It keeps one state per pipeline and each stage as the list
+of its task records.
 
 :class:`EngineCore` is the manager/agent story both backends tell: it owns
-the store, the scheduler and the tracker, and writes every event of a
-unit's life at the time the backend gives it. The simulator takes those
-times from its event heap, the local backend from a monotonic clock.
+the store, the scheduler and the tracker, moves each task through its
+states and writes every event of a unit's life at the time the backend
+gives it. The simulator takes those times from its event heap, the local
+backend from a monotonic clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .latency import Sampler
 from .model import (
-    LifecycleEvent,
     PipelineState,
     ResourceRequest,
-    StageState,
     TaskRecord,
     TaskState,
     Workflow,
@@ -40,14 +41,6 @@ from .scheduler import FirstFitScheduler
 from .units import TaskStore, UnitDescription, UnitIdAllocator
 
 
-class PilotState(str, Enum):
-    NEW = "NEW"
-    QUEUED = "QUEUED"
-    ACTIVE = "ACTIVE"
-    DONE = "DONE"
-    FAILED = "FAILED"
-
-
 class PilotRequestError(Exception):
     """The resource request cannot describe a runnable pilot."""
 
@@ -56,7 +49,6 @@ class PilotRequestError(Exception):
 class Pilot:
     uid: str
     request: ResourceRequest
-    state: PilotState = PilotState.NEW
 
 
 def submit_pilot(
@@ -74,22 +66,17 @@ def submit_pilot(
         raise PilotRequestError("pilot needs at least one core")
     if request.walltime <= 0:
         raise PilotRequestError("pilot walltime must be positive")
-    pilot = Pilot(uid=uid, request=request, state=PilotState.QUEUED)
+    pilot = Pilot(uid=uid, request=request)
     sink.append(ProfileEvent(time=time, entity=uid, name="submit"))
     return pilot
 
 
 @dataclass
-class StageRun:
-    index: int
-    records: list[TaskRecord]
-    state: StageState = StageState.NEW
-
-
-@dataclass
 class PipelineRun:
+    """One pipeline's progress: the task records of each stage, in order."""
+
     id: str
-    stages: list[StageRun]
+    stages: list[list[TaskRecord]]
     current: int = 0
     state: PipelineState = PipelineState.NEW
 
@@ -102,10 +89,9 @@ class WorkflowTracker:
         if not result.ok:
             raise WorkflowValidationError(result.violations)
         self.pipelines: list[PipelineRun] = []
-        self._by_task: dict[str, tuple[PipelineRun, StageRun, TaskRecord]] = {}
+        self._by_task: dict[str, tuple[PipelineRun, list[TaskRecord], TaskRecord]] = {}
         for pipeline in workflow.pipelines:
-            stage_runs: list[StageRun] = []
-            run = PipelineRun(id=pipeline.id, stages=stage_runs)
+            run = PipelineRun(id=pipeline.id, stages=[])
             for stage in pipeline.stages:
                 records = [
                     TaskRecord(
@@ -113,10 +99,9 @@ class WorkflowTracker:
                     )
                     for task in stage.tasks
                 ]
-                stage_run = StageRun(index=stage.index, records=records)
-                stage_runs.append(stage_run)
+                run.stages.append(records)
                 for record in records:
-                    self._by_task[record.task.id] = (run, stage_run, record)
+                    self._by_task[record.task.id] = (run, records, record)
             self.pipelines.append(run)
 
     def record_for(self, task_id: str) -> TaskRecord:
@@ -134,9 +119,7 @@ class WorkflowTracker:
         ready: list[TaskRecord] = []
         for pipeline in self.pipelines:
             pipeline.state = PipelineState.ACTIVE
-            first = pipeline.stages[0]
-            first.state = StageState.ACTIVE
-            ready.extend(first.records)
+            ready.extend(pipeline.stages[0])
         return ready
 
     def on_terminal(self, record: TaskRecord) -> list[TaskRecord]:
@@ -144,36 +127,25 @@ class WorkflowTracker:
 
         Returns the records of the next stage when this completion finished
         its stage; otherwise an empty list. Failure (or cancellation) marks
-        the stage and owning pipeline failed without touching any other
-        pipeline.
+        the owning pipeline failed without touching any other pipeline.
         """
         if not record.state.is_terminal:
             raise ValueError(f"task {record.task.id} is not terminal")
         pipeline, stage, _ = self._by_task[record.task.id]
         if record.state is not TaskState.DONE:
-            stage.state = StageState.FAILED
             pipeline.state = PipelineState.FAILED
             return []
         if pipeline.state is PipelineState.FAILED:
             # A sibling already failed the pipeline; this late completion
             # does not resurrect it.
             return []
-        if not all(r.state is TaskState.DONE for r in stage.records):
+        if not all(r.state is TaskState.DONE for r in stage):
             return []
-        stage.state = StageState.DONE
         if pipeline.current + 1 < len(pipeline.stages):
             pipeline.current += 1
-            next_stage = pipeline.stages[pipeline.current]
-            next_stage.state = StageState.ACTIVE
-            return list(next_stage.records)
+            return list(pipeline.stages[pipeline.current])
         pipeline.state = PipelineState.DONE
         return []
-
-    def finished(self) -> bool:
-        return all(
-            p.state in (PipelineState.DONE, PipelineState.FAILED)
-            for p in self.pipelines
-        )
 
     def status(self) -> str:
         return (
@@ -183,13 +155,13 @@ class WorkflowTracker:
         )
 
 
-# The lifecycle event that opens each execution phase of a unit, and the
-# name of the event that closes it. The names are constants so that every
+# The state a unit enters as each execution phase opens, and the name of
+# the event that closes the phase. The names are constants so that every
 # event shares one string object rather than building its own.
 _PHASES = {
-    "stage_in": (LifecycleEvent.STAGE_IN_STARTED, "stage_in_end"),
-    "exec": (LifecycleEvent.EXEC_STARTED, "exec_end"),
-    "stage_out": (LifecycleEvent.COMPLETED, "stage_out_end"),
+    "stage_in": (TaskState.STAGING_IN, "stage_in_end"),
+    "exec": (TaskState.EXECUTING, "exec_end"),
+    "stage_out": (TaskState.STAGING_OUT, "stage_out_end"),
 }
 
 
@@ -215,7 +187,6 @@ class EngineCore:
 
     def activate(self, time: float) -> None:
         """The pilot's allocation came up."""
-        self.pilot.state = PilotState.ACTIVE
         self.sink.append(ProfileEvent(time, self.pilot.uid, "pilot_active"))
 
     def translated(
@@ -231,7 +202,7 @@ class EngineCore:
                 record.stage_index,
             )
         )
-        advance_task_state(record, LifecycleEvent.TRANSLATED, sink=self.sink, time=end)
+        advance_task_state(record, TaskState.TRANSLATED, sink=self.sink, time=end)
         self.records[unit.uid] = record
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:
@@ -277,10 +248,11 @@ class EngineCore:
         return self.records[uid]
 
     def terminate(
-        self, record: TaskRecord, event: LifecycleEvent, time: float
+        self, record: TaskRecord, state: TaskState, time: float
     ) -> list[TaskRecord]:
-        """End a task with ``event``; returns the records this made ready."""
-        advance_task_state(record, event, sink=self.sink, time=time)
+        """Move a task to the terminal ``state``; returns the records this
+        made ready."""
+        advance_task_state(record, state, sink=self.sink, time=time)
         return self.tracker.on_terminal(record)
 
     def close(
@@ -290,9 +262,8 @@ class EngineCore:
         build the run's log; ``extras`` follow the run's status."""
         for record in self.tracker.all_records():
             if not record.state.is_terminal:
-                self.terminate(record, LifecycleEvent.CANCELED, finish)
+                self.terminate(record, TaskState.CANCELED, finish)
         self.sink.append(ProfileEvent(finish, self.pilot.uid, "pilot_done"))
-        self.pilot.state = PilotState.DONE
         return EventLog(
             events=self.sink.events(),
             pilot_id=self.pilot.uid,

@@ -145,9 +145,3 @@ class FirstFitScheduler:
 
     def release(self, uid: str) -> None:
         self.cores.release(uid)
-
-    def drain_waiting(self) -> list[UnitDescription]:
-        """Remove and return every queued unit (used at walltime expiry)."""
-        drained = list(self._waiting)
-        self._waiting.clear()
-        return drained

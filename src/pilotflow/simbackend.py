@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 from .latency import LatencyModel, Sampler
 from .model import (
-    LifecycleEvent,
     ResourceRequest,
     TaskRecord,
+    TaskState,
     Workflow,
     advance_task_state,
 )
@@ -172,9 +172,7 @@ class _SimEngine:
         record = self.core.records[unit.uid]
         deadline = self._deadline
         assert deadline is not None
-        advance_task_state(
-            record, LifecycleEvent.SCHEDULED, sink=self.core.sink, time=time
-        )
+        advance_task_state(record, TaskState.SCHEDULED, sink=self.core.sink, time=time)
 
         stage_in_end = time
         for _ in unit.inputs:
@@ -196,7 +194,7 @@ class _SimEngine:
                 # The unit holds its cores until the pilot dies, so nothing
                 # is released here; the pipeline can no longer finish and
                 # the pilot stays up to its walltime limit.
-                self.core.terminate(record, LifecycleEvent.CANCELED, deadline)
+                self.core.terminate(record, TaskState.CANCELED, deadline)
                 self._finish_floor = deadline
                 return
             self.core.phase(record, stem, begin, end)
@@ -204,7 +202,7 @@ class _SimEngine:
         # The done event is written now, while its time is known; the cores
         # free up and the pipeline moves on when the heap reaches it.
         advance_task_state(
-            record, LifecycleEvent.STAGED_OUT, sink=self.core.sink, time=stage_out_end
+            record, TaskState.DONE, sink=self.core.sink, time=stage_out_end
         )
         self._push(stage_out_end, _UNIT_DONE, unit)
 

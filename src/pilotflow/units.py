@@ -154,6 +154,3 @@ class TaskStore:
         if uid in self._completed:
             raise RuntimeError(f"duplicate completion for unit {uid}")
         self._completed.add(uid)
-
-    def completed_count(self) -> int:
-        return len(self._completed)

@@ -20,9 +20,11 @@ from pilotflow.latency import LatencyModel
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import ResourceRequest, TaskKind, peak_core_demand
-from pilotflow.protocols import esmacs_protocol, generate_esmacs
+from pilotflow.protocols import esmacs_protocol
 from pilotflow.scheduler import CoreMap
 from pilotflow.simbackend import SimBackendConfig, sim_run
+
+from helpers import generate_esmacs
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:

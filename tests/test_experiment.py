@@ -26,10 +26,11 @@ from pilotflow.model import TaskKind
 from pilotflow.protocols import (
     UnknownProtocolError,
     esmacs_protocol,
-    generate_esmacs,
     load_protocol,
 )
 from pilotflow.simbackend import SimBackendConfig
+
+from helpers import generate_esmacs
 
 SIM_BACKEND = {
     "backend": "sim",

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import queue
 import tarfile
 import threading
+import types
 
+from pilotflow import localbackend
 from pilotflow.experiment import ExperimentConfig
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
@@ -21,7 +24,9 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
-from pilotflow.protocols import generate_esmacs
+from pilotflow.units import TaskStore
+
+from helpers import generate_esmacs
 
 
 def shell_task(tid: str, command: str, cores: int = 1, **kwargs) -> TaskSpec:
@@ -72,6 +77,57 @@ def test_only_the_engine_thread_appends_events(monkeypatch):
     log = run_local(wf, cores=peak_core_demand(wf), max_workers=4)
     assert compute_report(log).done_tasks == 14
     assert appenders == {threading.get_ident()}
+
+
+def test_results_already_waiting_share_one_pull(monkeypatch):
+    """Every result queued before the engine wakes is applied before it pulls
+    again, so the second stages those results unblock arrive in one pull."""
+    width = 6
+
+    class GatedQueue(queue.Queue):
+        # The engine's first blocking get returns only once every first-stage
+        # result is queued.
+        gated = True
+
+        def get(self, block=True, timeout=None):
+            if block and self.gated:
+                self.gated = False
+                with self.not_empty:
+                    assert self.not_empty.wait_for(
+                        lambda: self._qsize() >= width, timeout=60.0
+                    )
+            return super().get(block, timeout)
+
+    monkeypatch.setattr(
+        localbackend,
+        "queue",
+        types.SimpleNamespace(Queue=GatedQueue, Empty=queue.Empty),
+    )
+    pulled: list[int] = []
+    pull = TaskStore.pull
+
+    def counted_pull(self, max_bulk):
+        units, latency = pull(self, max_bulk)
+        pulled.append(len(units))
+        return units, latency
+
+    monkeypatch.setattr(TaskStore, "pull", counted_pull)
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(
+                id=f"p{i}",
+                stages=[
+                    Stage(index=s, tasks=[shell_task(f"p{i}-s{s}", "true")])
+                    for s in range(2)
+                ],
+            )
+            for i in range(width)
+        ],
+    )
+    log = run_local(wf, cores=width, max_workers=width)
+    assert compute_report(log).done_tasks == 2 * width
+    assert pulled == [width, width]
 
 
 def test_stages_execute_in_order_per_pipeline():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from pilotflow.model import (
     IllegalTransitionError,
-    LifecycleEvent,
     Pipeline,
     Stage,
     StagingDirective,
@@ -22,12 +22,8 @@ from pilotflow.model import (
     Workflow,
     WorkflowValidationError,
     advance_task_state,
-    load_workflow,
     peak_core_demand,
-    save_workflow,
     validate_workflow,
-    workflow_from_dict,
-    workflow_to_dict,
 )
 from pilotflow.profiling import ProfileSink
 
@@ -246,12 +242,12 @@ def test_peak_demand_pipeline_order_invariant(wf, rng):
 # --- task state machine ---------------------------------------------------
 
 LEGAL_PATH = [
-    (LifecycleEvent.TRANSLATED, TaskState.TRANSLATED, "translate_end"),
-    (LifecycleEvent.SCHEDULED, TaskState.SCHEDULED, "schedule"),
-    (LifecycleEvent.STAGE_IN_STARTED, TaskState.STAGING_IN, "stage_in_begin"),
-    (LifecycleEvent.EXEC_STARTED, TaskState.EXECUTING, "exec_begin"),
-    (LifecycleEvent.COMPLETED, TaskState.STAGING_OUT, "stage_out_begin"),
-    (LifecycleEvent.STAGED_OUT, TaskState.DONE, "done"),
+    (TaskState.TRANSLATED, "translate_end"),
+    (TaskState.SCHEDULED, "schedule"),
+    (TaskState.STAGING_IN, "stage_in_begin"),
+    (TaskState.EXECUTING, "exec_begin"),
+    (TaskState.STAGING_OUT, "stage_out_begin"),
+    (TaskState.DONE, "done"),
 ]
 
 
@@ -262,129 +258,120 @@ def fresh_record() -> TaskRecord:
 def test_happy_path_states_and_events():
     record = fresh_record()
     sink = ProfileSink()
-    for step, (event, state, profile_name) in enumerate(LEGAL_PATH):
-        advance_task_state(record, event, sink=sink, time=float(step))
+    for step, (state, _) in enumerate(LEGAL_PATH):
+        advance_task_state(record, state, sink=sink, time=float(step))
         assert record.state is state
     names = [e.name for e in sink.events()]
-    assert names == [name for _, _, name in LEGAL_PATH]
+    assert names == [name for _, name in LEGAL_PATH]
 
 
 def test_skipping_a_state_is_illegal():
     record = fresh_record()
     with pytest.raises(IllegalTransitionError) as excinfo:
-        advance_task_state(record, LifecycleEvent.SCHEDULED)
+        advance_task_state(record, TaskState.SCHEDULED)
     assert "NEW" in str(excinfo.value)
-    assert "scheduled" in str(excinfo.value)
+    assert "SCHEDULED" in str(excinfo.value)
     assert record.state is TaskState.NEW
 
 
 def test_terminal_states_absorb():
-    for terminal_event in (LifecycleEvent.FAILED, LifecycleEvent.CANCELED):
+    for terminal in (TaskState.FAILED, TaskState.CANCELED):
         record = fresh_record()
-        advance_task_state(record, terminal_event)
+        advance_task_state(record, terminal)
         with pytest.raises(IllegalTransitionError):
-            advance_task_state(record, LifecycleEvent.TRANSLATED)
+            advance_task_state(record, TaskState.TRANSLATED)
 
 
 def test_done_absorbs():
     record = fresh_record()
-    for event, _, _ in LEGAL_PATH:
-        advance_task_state(record, event)
+    for state, _ in LEGAL_PATH:
+        advance_task_state(record, state)
     assert record.state is TaskState.DONE
     with pytest.raises(IllegalTransitionError):
-        advance_task_state(record, LifecycleEvent.FAILED)
+        advance_task_state(record, TaskState.FAILED)
 
 
 def test_failure_reachable_from_every_nonterminal_state():
     for depth in range(len(LEGAL_PATH)):
         record = fresh_record()
-        for event, _, _ in LEGAL_PATH[:depth]:
-            advance_task_state(record, event)
+        for state, _ in LEGAL_PATH[:depth]:
+            advance_task_state(record, state)
         if record.state.is_terminal:
             continue
-        advance_task_state(record, LifecycleEvent.FAILED)
+        advance_task_state(record, TaskState.FAILED)
         assert record.state is TaskState.FAILED
 
 
 def test_cancel_reachable_from_every_nonterminal_state():
     for depth in range(len(LEGAL_PATH)):
         record = fresh_record()
-        for event, _, _ in LEGAL_PATH[:depth]:
-            advance_task_state(record, event)
+        for state, _ in LEGAL_PATH[:depth]:
+            advance_task_state(record, state)
         if record.state.is_terminal:
             continue
-        advance_task_state(record, LifecycleEvent.CANCELED)
+        advance_task_state(record, TaskState.CANCELED)
         assert record.state is TaskState.CANCELED
 
 
 # Independent statement of the whole transition relation, written out by
-# hand so the property test does not share code with the implementation.
-FORWARD_TABLE = {
-    (TaskState.NEW, LifecycleEvent.TRANSLATED): TaskState.TRANSLATED,
-    (TaskState.TRANSLATED, LifecycleEvent.SCHEDULED): TaskState.SCHEDULED,
-    (TaskState.SCHEDULED, LifecycleEvent.STAGE_IN_STARTED): TaskState.STAGING_IN,
-    (TaskState.STAGING_IN, LifecycleEvent.EXEC_STARTED): TaskState.EXECUTING,
-    (TaskState.EXECUTING, LifecycleEvent.COMPLETED): TaskState.STAGING_OUT,
-    (TaskState.STAGING_OUT, LifecycleEvent.STAGED_OUT): TaskState.DONE,
+# hand so the tests below do not share code with the implementation.
+FORWARD_SUCCESSOR = {
+    TaskState.NEW: TaskState.TRANSLATED,
+    TaskState.TRANSLATED: TaskState.SCHEDULED,
+    TaskState.SCHEDULED: TaskState.STAGING_IN,
+    TaskState.STAGING_IN: TaskState.EXECUTING,
+    TaskState.EXECUTING: TaskState.STAGING_OUT,
+    TaskState.STAGING_OUT: TaskState.DONE,
 }
 TERMINALS = {TaskState.DONE, TaskState.FAILED, TaskState.CANCELED}
 
 
-def transition_oracle(state: TaskState, event: LifecycleEvent) -> TaskState | None:
-    """None means the event is illegal in this state."""
-    if state in TERMINALS:
-        return None
-    if event is LifecycleEvent.FAILED:
-        return TaskState.FAILED
-    if event is LifecycleEvent.CANCELED:
-        return TaskState.CANCELED
-    return FORWARD_TABLE.get((state, event))
+def transition_is_legal(current: TaskState, target: TaskState) -> bool:
+    if FORWARD_SUCCESSOR.get(current) is target:
+        return True
+    return current not in TERMINALS and target in (
+        TaskState.FAILED,
+        TaskState.CANCELED,
+    )
 
 
-@given(st.lists(st.sampled_from(list(LifecycleEvent)), max_size=12))
-@settings(max_examples=200)
-def test_random_event_sequences_follow_the_table(events):
+ENTRY_EVENT = {
+    **dict(LEGAL_PATH),
+    TaskState.FAILED: "failed",
+    TaskState.CANCELED: "canceled",
+}
+
+
+@pytest.mark.parametrize(
+    "current, target", list(itertools.product(TaskState, TaskState))
+)
+def test_every_state_pair_follows_the_table(current, target):
     record = fresh_record()
-    for event in events:
+    record.state = current
+    before = dataclasses.replace(record)
+    sink = ProfileSink()
+    if transition_is_legal(current, target):
+        assert advance_task_state(record, target, sink=sink, time=2.5) is record
+        assert record.state is target
+        [event] = sink.events()
+        assert event == (2.5, "t0", ENTRY_EVENT[target], "p0", 0)
+    else:
+        with pytest.raises(IllegalTransitionError):
+            advance_task_state(record, target, sink=sink, time=2.5)
+        assert record == before
+        assert sink.events() == []
+
+
+@given(st.lists(st.sampled_from(list(TaskState)), max_size=12))
+@settings(max_examples=200)
+def test_random_event_sequences_follow_the_table(targets):
+    record = fresh_record()
+    for target in targets:
         before = record.state
-        expected = transition_oracle(before, event)
-        if expected is None:
-            with pytest.raises(IllegalTransitionError):
-                advance_task_state(record, event)
-            assert record.state is before
+        if transition_is_legal(before, target):
+            advance_task_state(record, target)
+            assert record.state is target
         else:
-            advance_task_state(record, event)
-            assert record.state is expected
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def staged_workflow() -> Workflow:
-    task = TaskSpec(
-        id="a",
-        kind=TaskKind.SIMULATED,
-        executable="md",
-        arguments=("minimize",),
-        cores=8,
-        expected_duration=0.25,
-        inputs=(StagingDirective("input/x.tar", "x", StagingMode.TAR_IN),),
-        outputs=(StagingDirective("out", "results/out.tar", StagingMode.TAR_OUT),),
-        stage_label="minimize",
-    )
-    return Workflow(
-        name="roundtrip",
-        pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[task])])],
-    )
-
-
-def test_dict_round_trip():
-    wf = staged_workflow()
-    assert workflow_from_dict(workflow_to_dict(wf)) == wf
-
-
-def test_file_round_trip(tmp_path):
-    wf = staged_workflow()
-    path = tmp_path / "wf.json"
-    save_workflow(wf, path)
-    assert load_workflow(path) == wf
+            with pytest.raises(IllegalTransitionError):
+                advance_task_state(record, target)
+            assert record.state is before

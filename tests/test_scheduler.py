@@ -113,16 +113,6 @@ def test_release_reuses_lowest_offset():
     assert placements[0][1].core_offset == 2
 
 
-def test_drain_waiting_empties_queue():
-    scheduler = FirstFitScheduler(4)
-    scheduler.offer(make_unit("a", 4))
-    scheduler.offer(make_unit("b", 4))
-    scheduler.place_ready()
-    drained = scheduler.drain_waiting()
-    assert [u.uid for u in drained] == ["b"]
-    assert scheduler.waiting_count() == 0
-
-
 def test_core_map_rejects_empty():
     with pytest.raises(ValueError):
         CoreMap(0)
@@ -246,7 +236,7 @@ def test_place_ready_matches_fifo_reference(script):
         assert fast.cores.widest_free() == max(
             (len(run) for run in bytes(slow.busy).split(b"\1")), default=0
         )
-    assert [u.uid for u in fast.drain_waiting()] == [uid for uid, _ in slow.waiting]
+    assert [u.uid for u in fast._waiting] == [uid for uid, _ in slow.waiting]
 
 
 @pytest.fixture
@@ -278,7 +268,7 @@ def test_full_pilot_and_too_wide_units_cost_no_fit_search(find_offset_calls):
     # Pilot full: no search at all, and the queue is left as it is.
     assert scheduler.place_ready() == []
     assert len(find_offset_calls) == 2
-    assert [u.uid for u in scheduler.drain_waiting()] == [f"w{i}" for i in range(1000)]
+    assert [u.uid for u in scheduler._waiting] == [f"w{i}" for i in range(1000)]
 
 
 def test_each_placement_costs_exactly_one_fit_search(find_offset_calls):

@@ -33,10 +33,11 @@ from pilotflow.model import (
     Workflow,
     peak_core_demand,
 )
-from pilotflow.protocols import generate_esmacs
 from pilotflow.runtime import PilotRequestError
 from pilotflow.scheduler import UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
+
+from helpers import generate_esmacs
 
 PULL = 0.25
 FS = 0.125
