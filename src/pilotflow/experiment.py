@@ -18,6 +18,7 @@ Outputs per experiment directory:
 from __future__ import annotations
 
 import json
+import math
 import tarfile
 import types
 import typing
@@ -26,7 +27,7 @@ from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 
-from .latency import Distribution, LatencyModel
+from .latency import DISTRIBUTION_PARAMETERS, Distribution, LatencyModel
 from .localbackend import LocalBackendConfig, local_run
 from .metrics import (
     AggregateRow,
@@ -97,10 +98,10 @@ class ExperimentConfig:
             )
         elif any(cores < 1 for cores in self.cores):
             raise ExperimentConfigError("explicit cores must be >= 1")
-        if self.walltime <= 0:
-            raise ExperimentConfigError("walltime must be positive")
-        if self.time_scale < 0:
-            raise ExperimentConfigError("time_scale must be >= 0")
+        if not math.isfinite(self.walltime) or self.walltime <= 0:
+            raise ExperimentConfigError("walltime must be positive and finite")
+        if not math.isfinite(self.time_scale) or self.time_scale < 0:
+            raise ExperimentConfigError("time_scale must be finite and >= 0")
 
     @staticmethod
     def from_dict(data: dict) -> ExperimentConfig:
@@ -141,15 +142,6 @@ class ExperimentConfig:
 # a number (a constant) or a {"distribution": ...} object.
 
 _BACKENDS = {"sim": SimBackendConfig, "local": LocalBackendConfig}
-
-# The LatencyModel fields each distribution reads; a latency object may set
-# only those and ``distribution``.
-_LATENCY_PARAMETERS = {
-    Distribution.CONSTANT: ("value",),
-    Distribution.UNIFORM: ("low", "high"),
-    Distribution.NORMAL_TRUNCATED: ("mean", "stddev"),
-}
-
 
 def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
     if not isinstance(data, dict):
@@ -199,8 +191,9 @@ def _read_latency(data: dict, where: str) -> LatencyModel:
     kind = _read_value(
         Distribution, data.get("distribution", "CONSTANT"), f"{where}.distribution"
     )
-    unread = {name for names in _LATENCY_PARAMETERS.values() for name in names}
-    unread -= set(_LATENCY_PARAMETERS[kind])
+    # A latency object may set only ``distribution`` and the fields it reads.
+    unread = {name for names in DISTRIBUTION_PARAMETERS.values() for name in names}
+    unread -= set(DISTRIBUTION_PARAMETERS[kind])
     model = LatencyModel(**_read_fields(LatencyModel, data, where, exclude=unread))
     try:
         model.validate()

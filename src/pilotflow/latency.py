@@ -8,6 +8,7 @@ drawn never perturbs the others.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +18,14 @@ class Distribution(str, Enum):
     CONSTANT = "CONSTANT"
     UNIFORM = "UNIFORM"
     NORMAL_TRUNCATED = "NORMAL_TRUNCATED"
+
+
+# The LatencyModel fields each distribution reads.
+DISTRIBUTION_PARAMETERS = {
+    Distribution.CONSTANT: ("value",),
+    Distribution.UNIFORM: ("low", "high"),
+    Distribution.NORMAL_TRUNCATED: ("mean", "stddev"),
+}
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,10 @@ class LatencyModel:
         )
 
     def validate(self) -> None:
+        for name in DISTRIBUTION_PARAMETERS[self.distribution]:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"latency {name} must be finite, got {value}")
         if self.distribution is Distribution.CONSTANT:
             if self.value < 0:
                 raise ValueError(f"constant latency must be >= 0, got {self.value}")

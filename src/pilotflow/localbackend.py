@@ -223,6 +223,9 @@ class _LocalEngine:
             unit = translate_task(
                 record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
+            # The manager sends the description as JSON: the wire round trip
+            # is part of the measured translation.
+            unit = UnitDescription.from_wire(unit.to_wire())
             end = self._now()
             self.core.translated(record, unit, begin, end)
             self.core.enqueue(unit, end)

@@ -13,6 +13,7 @@ writes the event that marks entry into the new state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -260,8 +261,11 @@ def validate_workflow(workflow: Workflow) -> ValidationResult:
                 seen_tasks.add(task.id)
                 if task.cores < 1:
                     violations.append(f"{twhere}: cores must be >= 1")
-                if task.expected_duration < 0:
-                    violations.append(f"{twhere}: expected_duration must be >= 0")
+                duration = task.expected_duration
+                if not math.isfinite(duration) or duration < 0:
+                    violations.append(
+                        f"{twhere}: expected_duration must be finite and >= 0"
+                    )
                 for directive in task.staging:
                     if not directive.source or not directive.target:
                         violations.append(

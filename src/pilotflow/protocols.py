@@ -15,6 +15,7 @@ its own files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,13 +302,18 @@ def protocol_from_dict(data: dict) -> ProtocolConfig:
             outputs = tuple(directive_from_dict(d) for d in raw.get("outputs", ()))
         except (KeyError, ValueError) as exc:
             raise ProtocolSchemaError(f"{where}: bad staging directive: {exc}") from exc
+        duration = float(raw.get("expected_duration", 0.0))
+        if not math.isfinite(duration) or duration < 0:
+            raise ProtocolSchemaError(
+                f"{where}: 'expected_duration' must be finite and >= 0"
+            )
         stages.append(
             StageTemplate(
                 label=label,
                 executable=executable,
                 arguments=tuple(raw.get("arguments", ())),
                 cores=cores,
-                expected_duration=float(raw.get("expected_duration", 0.0)),
+                expected_duration=duration,
                 inputs=inputs,
                 outputs=outputs,
                 timesteps=raw.get("timesteps"),

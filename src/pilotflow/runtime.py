@@ -23,6 +23,7 @@ backend from a monotonic clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .latency import Sampler
@@ -64,8 +65,8 @@ def submit_pilot(
     """
     if request.cores < 1:
         raise PilotRequestError("pilot needs at least one core")
-    if request.walltime <= 0:
-        raise PilotRequestError("pilot walltime must be positive")
+    if not math.isfinite(request.walltime) or request.walltime <= 0:
+        raise PilotRequestError("pilot walltime must be positive and finite")
     pilot = Pilot(uid=uid, request=request)
     sink.append(ProfileEvent(time=time, entity=uid, name="submit"))
     return pilot

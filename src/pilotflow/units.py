@@ -3,8 +3,10 @@
 Translation turns an application-level task into a self-contained unit
 description: everything a pilot agent needs to run the work without seeing
 the pipeline/stage structure. Descriptions cross the manager/agent boundary
-as JSON, so translation serializes to the wire format and the agent side
-deserializes it back; both halves are part of the measured overheads.
+as JSON. The wire round trip is paid where it is measured: the local backend
+serializes and parses each unit inside its timed translate interval, while
+the simulator models translation with its ``translate_cost`` sampler and
+uses the description as built.
 """
 
 from __future__ import annotations
@@ -96,10 +98,12 @@ def translate_task(
 ) -> UnitDescription:
     """Build the unit description for one task.
 
-    The round-trip through the wire format is intentional: it is the work
-    translation actually performs, and the measured part of it.
+    No wire round trip happens here: it is paid where it is measured, by the
+    local backend, whose translate interval serializes and parses the unit.
+    ``UnitDescription.from_wire(u.to_wire()) == u`` holds for the units of
+    every valid workflow, so skipping the round trip changes no field.
     """
-    unit = UnitDescription(
+    return UnitDescription(
         uid=allocator.allocate(),
         task_id=task.id,
         pipeline_id=pipeline_id,
@@ -112,7 +116,6 @@ def translate_task(
         inputs=task.inputs,
         outputs=task.outputs,
     )
-    return UnitDescription.from_wire(unit.to_wire())
 
 
 class TaskStore:

@@ -369,6 +369,11 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
         # Requests that only starting the pilot or placing a task would reject.
         ({"cores": [64], "backend": {**SIM_BACKEND, "total_cores": 32}}, "64 cores"),
         ({"cores": [4]}, "'minimize' wants 8 cores"),
+        # Python's json writes and reads NaN and Infinity.
+        ({"walltime": float("nan")}, "walltime must be positive and finite"),
+        ({"walltime": float("inf")}, "walltime must be positive and finite"),
+        ({"time_scale": float("nan")}, "time_scale must be finite"),
+        ({"backend": {"pull_latency": float("inf")}}, "value must be finite"),
     ],
 )
 def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, named):

@@ -63,6 +63,24 @@ def test_invalid_models_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "distribution, name",
+    [
+        (Distribution.CONSTANT, "value"),
+        (Distribution.UNIFORM, "low"),
+        (Distribution.UNIFORM, "high"),
+        (Distribution.NORMAL_TRUNCATED, "mean"),
+        (Distribution.NORMAL_TRUNCATED, "stddev"),
+    ],
+)
+def test_non_finite_parameters_rejected(distribution, name, bad):
+    valid = {"value": 0.5, "low": 0.5, "high": 1.0, "mean": 0.5, "stddev": 0.1}
+    model = LatencyModel(distribution=distribution, **{**valid, name: bad})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        model.validate()
+
+
 def parse(latency: object) -> LatencyModel:
     """A latency as the experiment config reads it."""
     data = {"name": "x", "pipeline_counts": [1], "backend": {"queue_wait": latency}}
@@ -96,6 +114,14 @@ def test_dict_round_trip():
         ({"distribution": "UNIFORM", "low": 2.0, "high": 1.0}, "low <= high"),
         ({"distribution": "NORMAL_TRUNCATED", "stddev": -0.5}, "-0.5"),
         ("fast", "'fast'"),
+        # Python's json reads NaN and Infinity.
+        (float("nan"), "value must be finite"),
+        (float("inf"), "value must be finite"),
+        ({"distribution": "UNIFORM", "high": float("inf")}, "high must be finite"),
+        (
+            {"distribution": "NORMAL_TRUNCATED", "mean": float("nan")},
+            "mean must be finite",
+        ),
     ],
 )
 def test_config_rejects_latencies_it_would_not_read(latency, named):

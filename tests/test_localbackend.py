@@ -24,7 +24,7 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
-from pilotflow.units import TaskStore
+from pilotflow.units import TaskStore, UnitDescription
 
 from helpers import generate_esmacs
 
@@ -358,6 +358,23 @@ def test_engine_and_runtime_overheads_are_measured():
     assert report.runtime_overhead_s > 0.0
     assert len(log.by_name("translate_begin")) == 14
     assert len(log.by_name("unit_io_begin")) == 14
+
+
+def test_each_unit_crosses_the_wire_at_translate_and_at_unit_io(monkeypatch):
+    """translate_task builds the unit; the local backend pays the round trip."""
+    serialized: list[str] = []
+    to_wire = UnitDescription.to_wire
+
+    def counting_to_wire(unit):
+        serialized.append(unit.uid)
+        return to_wire(unit)
+
+    monkeypatch.setattr(UnitDescription, "to_wire", counting_to_wire)
+    wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
+    log = run_local(wf, cores=peak_core_demand(wf))
+    assert compute_report(log).done_tasks == 14
+    assert sorted(set(serialized)) == sorted(e.entity for e in log.by_name("enqueue"))
+    assert all(serialized.count(uid) == 2 for uid in set(serialized))
 
 
 def test_config_dict_round_trip():

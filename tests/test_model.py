@@ -137,6 +137,21 @@ def test_negative_duration_rejected():
     assert any("expected_duration" in v for v in result.violations)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_duration_rejected(duration):
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(
+                id="p",
+                stages=[Stage(index=0, tasks=[make_task("a", duration=duration)])],
+            )
+        ],
+    )
+    result = validate_workflow(wf)
+    assert any("expected_duration must be finite" in v for v in result.violations)
+
+
 def test_empty_staging_path_rejected():
     bad = TaskSpec(
         id="a",

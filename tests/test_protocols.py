@@ -197,6 +197,13 @@ def test_bad_cores_rejected():
         )
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_bad_expected_duration_rejected(duration):
+    stage = {"label": "a", "executable": "x", "expected_duration": duration}
+    with pytest.raises(ProtocolSchemaError, match="expected_duration"):
+        protocol_from_dict({"name": "p", "stages": [stage]})
+
+
 def test_bad_staging_mode_rejected():
     with pytest.raises(ProtocolSchemaError):
         protocol_from_dict(

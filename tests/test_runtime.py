@@ -77,6 +77,10 @@ def test_submit_pilot_rejects_bad_requests():
         submit_pilot(ResourceRequest(cores=0, walltime=60.0), sink)
     with pytest.raises(PilotRequestError):
         submit_pilot(ResourceRequest(cores=4, walltime=0.0), sink)
+    for walltime in (float("nan"), float("inf")):
+        with pytest.raises(PilotRequestError, match="finite"):
+            submit_pilot(ResourceRequest(cores=4, walltime=walltime), sink)
+    assert sink.events() == []
 
 
 # --- tracker ----------------------------------------------------------------

@@ -31,6 +31,7 @@ from pilotflow.model import (
     TaskKind,
     TaskSpec,
     Workflow,
+    WorkflowValidationError,
     peak_core_demand,
 )
 from pilotflow.runtime import PilotRequestError
@@ -215,6 +216,17 @@ def test_task_wider_than_pilot_rejected():
             ResourceRequest(cores=8, walltime=1000.0),
             SimBackendConfig(),
         )
+
+
+def test_non_finite_duration_never_reaches_the_clock():
+    """A NaN duration in one pipeline would stamp NaN on the others' tasks."""
+    workflow = generate_esmacs(replicas=2)
+    first = workflow.pipelines[0].stages[0]
+    first.tasks[0] = dataclasses.replace(
+        first.tasks[0], expected_duration=float("nan")
+    )
+    with pytest.raises(WorkflowValidationError, match="expected_duration"):
+        sim_run(workflow, ResourceRequest(cores=16, walltime=1000.0), STANDARD)
 
 
 def test_walltime_truncates_and_cancels():

@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pilotflow.latency import LatencyModel, Sampler
-from pilotflow.model import StagingDirective, StagingMode, TaskKind, TaskSpec
+from pilotflow.model import (
+    ResourceRequest,
+    StagingDirective,
+    StagingMode,
+    TaskKind,
+    TaskSpec,
+    peak_core_demand,
+)
+from pilotflow.simbackend import SimBackendConfig, sim_run
 from pilotflow.units import (
     TaskStore,
     UnitDescription,
     UnitIdAllocator,
     translate_task,
 )
+
+from helpers import generate_esmacs
 
 
 def make_task(tid: str = "t1") -> TaskSpec:
@@ -53,6 +65,65 @@ def test_allocator_ids_are_sequential():
 def test_wire_round_trip_is_lossless():
     unit = translate_task(make_task(), "pipe-1", 2, UnitIdAllocator())
     assert UnitDescription.from_wire(unit.to_wire()) == unit
+
+
+# The simulator uses translate_task's unit as built, the local backend its
+# wire round trip; the two agree only if the round trip is lossless.
+directives = st.lists(
+    st.builds(StagingDirective, st.text(), st.text(), st.sampled_from(StagingMode)),
+    max_size=3,
+).map(tuple)
+durations = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    # negative zero, the smallest subnormal and normal, the largest finite
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@given(
+    task=st.builds(
+        TaskSpec,
+        id=st.text(),
+        kind=st.sampled_from(TaskKind),
+        executable=st.text(),
+        arguments=st.lists(st.text(), max_size=4).map(tuple),
+        cores=st.integers(min_value=1, max_value=2**40),
+        expected_duration=durations,
+        inputs=directives,
+        outputs=directives,
+    ),
+    pipeline_id=st.text(),
+    stage_index=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=300)
+def test_wire_round_trip_is_lossless_for_generated_tasks(
+    task, pipeline_id, stage_index
+):
+    unit = translate_task(task, pipeline_id, stage_index, UnitIdAllocator())
+    back = UnitDescription.from_wire(unit.to_wire())
+    assert back == unit
+    # == cannot tell -0.0 from 0.0; the repr can.
+    assert repr(back.expected_duration) == repr(unit.expected_duration)
+
+
+def test_sim_run_never_uses_the_wire_format(monkeypatch):
+    workflow = generate_esmacs(replicas=4)
+    request = ResourceRequest(cores=peak_core_demand(workflow) // 2, walltime=1e6)
+    config = SimBackendConfig(
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        translate_cost=LatencyModel.uniform(0.001, 0.002),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=3,
+    )
+    expected = sim_run(workflow, request, config).events
+
+    def no_wire(*args):
+        raise AssertionError("the simulator touched the wire format")
+
+    monkeypatch.setattr(UnitDescription, "to_wire", no_wire)
+    monkeypatch.setattr(UnitDescription, "from_wire", staticmethod(no_wire))
+    assert repr(sim_run(workflow, request, config).events) == repr(expected)
 
 
 def zero_latency_store() -> TaskStore:
