@@ -24,7 +24,7 @@ from .experiment import (
     write_plot_files,
 )
 from .model import WorkflowValidationError
-from .protocols import ProtocolSchemaError, UnknownProtocolError
+from .protocols import UnknownProtocolError
 from .runtime import PilotRequestError
 from .scheduler import UnschedulableError
 
@@ -110,8 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (
-        ExperimentConfigError,
-        ProtocolSchemaError,
+        ExperimentConfigError,  # protocols.ProtocolSchemaError too
         UnknownProtocolError,
         WorkflowValidationError,
         PilotRequestError,

@@ -17,17 +17,14 @@ Outputs per experiment directory:
 
 from __future__ import annotations
 
-import json
 import math
 import tarfile
-import types
-import typing
 from dataclasses import dataclass, replace
-from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 
-from .latency import DISTRIBUTION_PARAMETERS, Distribution, LatencyModel
+from . import codec
+from .codec import ExperimentConfigError
 from .localbackend import LocalBackendConfig, local_run
 from .metrics import (
     AggregateRow,
@@ -36,7 +33,6 @@ from .metrics import (
     aggregates_to_csv,
     compute_report,
     reports_to_csv,
-    reports_to_json,
 )
 from .model import ResourceRequest, StagingMode, TaskKind, Workflow, peak_core_demand
 from .protocols import (
@@ -53,10 +49,6 @@ WORKLOAD_KINDS = {
     "SIM": TaskKind.SIMULATED,
     "LOCAL": TaskKind.LOCAL_EXEC,
 }
-
-
-class ExperimentConfigError(Exception):
-    """The experiment description is unusable as written."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ class ExperimentConfig:
             raise ExperimentConfigError("time_scale must be finite and >= 0")
 
     @staticmethod
-    def from_dict(data: dict) -> ExperimentConfig:
+    def from_dict(data: object) -> ExperimentConfig:
         """Read an experiment object; every key must name a field.
 
         The ``backend`` object picks its config class by its ``backend`` key
@@ -112,36 +104,20 @@ class ExperimentConfig:
         """
         if not isinstance(data, dict):
             raise ExperimentConfigError("experiment config must be a JSON object")
-        values = _read_fields(
-            ExperimentConfig,
-            {key: value for key, value in data.items() if key != "backend"},
-            "experiment",
-        )
+        fields = {key: value for key, value in data.items() if key != "backend"}
+        config = codec.read(ExperimentConfig, fields, "experiment")
         if "backend" in data:
-            values["backend"] = _read_backend(data["backend"])
-        config = ExperimentConfig(**values)
+            config = replace(config, backend=_read_backend(data["backend"]))
         config.validate()
         return config
 
     @staticmethod
     def load(path: str | Path) -> ExperimentConfig:
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ExperimentConfigError(f"cannot read {path}: {exc.strerror}") from None
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ExperimentConfigError(f"{path}: not valid JSON: {exc}") from exc
-        return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_dict(codec.load(path))
 
-
-# --- the config reader ----------------------------------------------------------
-#
-# One reader serves the experiment object, both backend objects and every
-# latency object: each key must name a field of the target dataclass, and
-# its JSON value must fit the field's type hint. A latency-typed field takes
-# a number (a constant) or a {"distribution": ...} object.
 
 _BACKENDS = {"sim": SimBackendConfig, "local": LocalBackendConfig}
+
 
 def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
     if not isinstance(data, dict):
@@ -158,81 +134,8 @@ def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
             "backend.seed is not read: trial t runs with the experiment's "
             "top-level 'seed' + t; set the top-level 'seed' instead"
         )
-    cls = _BACKENDS[kind]
     fields = {key: value for key, value in data.items() if key != "backend"}
-    return cls(**_read_fields(cls, fields, "backend", exclude=("seed",)))
-
-
-def _read_fields(
-    cls: type, data: dict, where: str, exclude: set[str] | tuple[str, ...] = ()
-) -> dict:
-    """Keyword arguments for the config dataclass ``cls`` from ``data``.
-
-    Raises :class:`ExperimentConfigError` for a key that names no field (or
-    one in ``exclude``) and for a value that does not fit its field.
-    """
-    hints = {
-        name: hint
-        for name, hint in typing.get_type_hints(cls).items()
-        if name not in exclude
-    }
-    values = {}
-    for key, value in data.items():
-        if key not in hints:
-            raise ExperimentConfigError(
-                f"unknown key {key!r} in {where}; expected one of "
-                f"{', '.join(sorted(hints))}"
-            )
-        values[key] = _read_value(hints[key], value, f"{where}.{key}")
-    return values
-
-
-def _read_latency(data: dict, where: str) -> LatencyModel:
-    kind = _read_value(
-        Distribution, data.get("distribution", "CONSTANT"), f"{where}.distribution"
-    )
-    # A latency object may set only ``distribution`` and the fields it reads.
-    unread = {name for names in DISTRIBUTION_PARAMETERS.values() for name in names}
-    unread -= set(DISTRIBUTION_PARAMETERS[kind])
-    model = LatencyModel(**_read_fields(LatencyModel, data, where, exclude=unread))
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ExperimentConfigError(f"{where}: {exc}") from None
-    return model
-
-
-def _read_value(hint: object, value: object, where: str) -> object:
-    """``value`` as the type ``hint`` names, or ExperimentConfigError."""
-    origin = typing.get_origin(hint)
-    expected = getattr(hint, "__name__", str(hint))
-    if hint is LatencyModel:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = {"value": value}
-        if isinstance(value, dict):
-            return _read_latency(value, where)
-        expected = "a number or a latency object"
-    elif isinstance(hint, type) and issubclass(hint, Enum):
-        if value in [member.value for member in hint]:
-            return hint(value)
-        expected = "one of " + ", ".join(member.value for member in hint)
-    elif origin in (typing.Union, types.UnionType):
-        for option in typing.get_args(hint):
-            try:
-                return _read_value(option, value, where)
-            except ExperimentConfigError:
-                pass
-    elif origin is tuple:
-        if isinstance(value, list):
-            item = typing.get_args(hint)[0]
-            return tuple(
-                _read_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)
-            )
-    elif isinstance(value, (int, float) if hint is float else hint) and (
-        hint is bool or not isinstance(value, bool)  # a bool is never a number
-    ):
-        return float(value) if hint is float else value
-    raise ExperimentConfigError(f"{where} must be {expected}, got {value!r}")
+    return codec.read(_BACKENDS[kind], fields, "backend", exclude=("seed",))
 
 
 def resolve_protocol(name: str, kind: TaskKind, time_scale: float) -> ProtocolConfig:
@@ -342,10 +245,8 @@ def run_experiment(
     aggregates = aggregate_trials(reports)
     reports_to_csv(reports, out / "trials.csv")
     aggregates_to_csv(aggregates, out / "summary.csv")
-    Path(out / "summary.json").write_text(
-        json.dumps([row.to_dict() for row in aggregates], indent=2, sort_keys=True)
-    )
-    reports_to_json(reports, out / "reports.json")
+    codec.dump(aggregates, out / "summary.json")
+    codec.dump(reports, out / "reports.json")
     return ExperimentResult(
         config=config, out_dir=out, reports=reports, aggregates=aggregates
     )

@@ -32,7 +32,7 @@ DISTRIBUTION_PARAMETERS = {
 class LatencyModel:
     """Distribution spec: CONSTANT uses ``value``; UNIFORM draws from
     [``low``, ``high``]; NORMAL_TRUNCATED redraws Normal(``mean``, ``stddev``)
-    until the sample is non-negative."""
+    until the sample is non-negative, and needs ``mean >= 0``."""
 
     distribution: Distribution = Distribution.CONSTANT
     value: float = 0.0
@@ -67,6 +67,10 @@ class LatencyModel:
             if self.low < 0 or self.high < self.low:
                 raise ValueError("uniform latency needs 0 <= low <= high")
         else:
+            # With mean >= 0 each draw is >= 0 with probability >= 1/2, so
+            # Sampler.sample's redraw loop ends; below that it may not.
+            if self.mean < 0:
+                raise ValueError(f"truncated normal mean must be >= 0, got {self.mean}")
             if self.stddev < 0:
                 raise ValueError(f"stddev must be >= 0, got {self.stddev}")
 

@@ -33,9 +33,8 @@ is byte-identical on Python 3.10 through 3.13.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .profiling import INTERVAL_STEMS, EventLog, ProfileEvent
@@ -69,32 +68,6 @@ class RunReport:
     workload: str = ""
     backend: str = ""
     seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "pipelines": self.pipelines,
-            "tasks": self.tasks,
-            "cores": self.cores,
-            "tq_s": self.tq_s,
-            "ttc_s": self.ttc_s,
-            "ttx_s": self.ttx_s,
-            "engine_overhead_s": self.engine_overhead_s,
-            "runtime_overhead_s": self.runtime_overhead_s,
-            "pull_overhead_s": self.pull_overhead_s,
-            "unit_io_overhead_s": self.unit_io_overhead_s,
-            "per_stage_ttx_max": {str(k): v for k, v in self.per_stage_ttx_max.items()},
-            "per_stage_ttx_mean": {
-                str(k): v for k, v in self.per_stage_ttx_mean.items()
-            },
-            "done_tasks": self.done_tasks,
-            "failed_tasks": self.failed_tasks,
-            "canceled_tasks": self.canceled_tasks,
-            "status": self.status,
-            "workload": self.workload,
-            "backend": self.backend,
-            "seed": self.seed,
-        }
 
 
 # One interval event name's times: entity -> running sum, entity -> count.
@@ -263,21 +236,6 @@ class AggregateRow:
     engine_overhead_mean: float
     runtime_overhead_mean: float
 
-    def to_dict(self) -> dict:
-        return {
-            "pipelines": self.pipelines,
-            "workload": self.workload,
-            "trials": self.trials,
-            "ttx_mean": self.ttx_mean,
-            "ttx_min": self.ttx_min,
-            "ttx_max": self.ttx_max,
-            "ttx_stddev": self.ttx_stddev,
-            "tq_mean": self.tq_mean,
-            "ttc_mean": self.ttc_mean,
-            "engine_overhead_mean": self.engine_overhead_mean,
-            "runtime_overhead_mean": self.runtime_overhead_mean,
-        }
-
 
 def aggregate_trials(reports: list[RunReport]) -> list[AggregateRow]:
     """Group reports by (pipeline count, workload) and summarize each group."""
@@ -314,8 +272,9 @@ def aggregate_trials(reports: list[RunReport]) -> list[AggregateRow]:
 
 def reports_to_csv(reports: list[RunReport], path: str | Path) -> None:
     """Fixed-order CSV: identity, sizes, headline metrics, stage windows."""
-    max_stages = max((len(r.per_stage_ttx_max) for r in reports), default=0)
-    header = [
+    # csv writes a float as its repr, and a stage a trial lacks (None) as "".
+    stages = range(1, max((len(r.per_stage_ttx_max) for r in reports), default=0) + 1)
+    columns = [
         "trial_id",
         "pipelines",
         "tasks",
@@ -325,64 +284,21 @@ def reports_to_csv(reports: list[RunReport], path: str | Path) -> None:
         "ttx_s",
         "engine_overhead_s",
         "runtime_overhead_s",
-    ] + [f"per_stage_ttx_s{k}" for k in range(1, max_stages + 1)]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for report in reports:
-            row = [
-                report.trial_id,
-                report.pipelines,
-                report.tasks,
-                report.cores,
-                repr(report.tq_s),
-                repr(report.ttc_s),
-                repr(report.ttx_s),
-                repr(report.engine_overhead_s),
-                repr(report.runtime_overhead_s),
-            ]
-            for k in range(1, max_stages + 1):
-                value = report.per_stage_ttx_max.get(k)
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
-
-
-def aggregates_to_csv(rows: list[AggregateRow], path: str | Path) -> None:
-    header = [
-        "pipelines",
-        "workload",
-        "trials",
-        "ttx_mean",
-        "ttx_min",
-        "ttx_max",
-        "ttx_stddev",
-        "tq_mean",
-        "ttc_mean",
-        "engine_overhead_mean",
-        "runtime_overhead_mean",
     ]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(columns + [f"per_stage_ttx_s{k}" for k in stages])
+        for report in reports:
             writer.writerow(
-                [
-                    row.pipelines,
-                    row.workload,
-                    row.trials,
-                    repr(row.ttx_mean),
-                    repr(row.ttx_min),
-                    repr(row.ttx_max),
-                    repr(row.ttx_stddev),
-                    repr(row.tq_mean),
-                    repr(row.ttc_mean),
-                    repr(row.engine_overhead_mean),
-                    repr(row.runtime_overhead_mean),
-                ]
+                [getattr(report, name) for name in columns]
+                + [report.per_stage_ttx_max.get(k) for k in stages]
             )
 
 
-def reports_to_json(reports: list[RunReport], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-    )
+def aggregates_to_csv(rows: list[AggregateRow], path: str | Path) -> None:
+    """One column per AggregateRow field, in field order."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(field.name for field in fields(AggregateRow))
+        writer.writerows(astuple(row) for row in rows)
+

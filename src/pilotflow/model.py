@@ -288,18 +288,3 @@ def peak_core_demand(workflow: Workflow) -> int:
         for pipeline in workflow.pipelines
     )
 
-
-# --- staging directive codec -------------------------------------------------
-
-
-def directive_to_dict(d: StagingDirective) -> dict:
-    """The one dict form of a staging directive, shared by every schema."""
-    return {"source": d.source, "target": d.target, "mode": d.mode.value}
-
-
-def directive_from_dict(data: dict) -> StagingDirective:
-    """Inverse of :func:`directive_to_dict`; raises ``KeyError`` for a missing
-    field and ``ValueError`` for an unknown mode."""
-    return StagingDirective(
-        source=data["source"], target=data["target"], mode=StagingMode(data["mode"])
-    )

@@ -14,11 +14,11 @@ its own files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import codec
 from .model import (
     Pipeline,
     Stage,
@@ -27,13 +27,10 @@ from .model import (
     TaskKind,
     TaskSpec,
     Workflow,
-    directive_from_dict,
-    directive_to_dict,
 )
 
-
-class ProtocolSchemaError(Exception):
-    """A protocol definition file is missing or mistypes a required field."""
+# A protocol file is read like an experiment config and fails the same way.
+ProtocolSchemaError = codec.ExperimentConfigError
 
 
 class UnknownProtocolError(Exception):
@@ -49,9 +46,10 @@ class UnknownProtocolError(Exception):
 class StageTemplate:
     """Recipe for one stage of one pipeline.
 
-    ``timesteps`` is descriptive metadata for simulation stages (it also
-    determines their expected duration at one ten-thousandth of a second
-    per step); data-movement stages leave it unset.
+    ``timesteps`` is descriptive metadata for simulation stages;
+    data-movement stages leave it unset. The built-in esmacs protocol
+    derives those stages' durations from it, at one ten-thousandth of a
+    second per step; a protocol file sets ``expected_duration`` itself.
     """
 
     label: str
@@ -245,91 +243,30 @@ def builtin_protocol(
 
 
 # --- protocol definition files ----------------------------------------------
-#
-# Schema:
-#   {"name": str, "default_replicas": int,
-#    "stages": [{"label", "executable", "arguments", "cores",
-#                "expected_duration", "inputs", "outputs", "timesteps"}]}
-# Staging directives are {"source", "target", "mode"} (model.directive_to_dict).
-
-
-def _template_to_dict(t: StageTemplate) -> dict:
-    return {
-        "label": t.label,
-        "executable": t.executable,
-        "arguments": list(t.arguments),
-        "cores": t.cores,
-        "expected_duration": t.expected_duration,
-        "inputs": [directive_to_dict(d) for d in t.inputs],
-        "outputs": [directive_to_dict(d) for d in t.outputs],
-        "timesteps": t.timesteps,
-    }
+# A file is the codec's JSON form of a ProtocolConfig; protocol_from_dict adds
+# the checks that type hints cannot express.
 
 
 def protocol_to_dict(protocol: ProtocolConfig) -> dict:
-    return {
-        "name": protocol.name,
-        "default_replicas": protocol.default_replicas,
-        "stages": [_template_to_dict(t) for t in protocol.stages],
-    }
+    return codec.to_json(protocol)
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ProtocolSchemaError(f"{where}: missing required field {key!r}")
-    return data[key]
-
-
-def protocol_from_dict(data: dict) -> ProtocolConfig:
-    if not isinstance(data, dict):
-        raise ProtocolSchemaError("protocol definition must be a JSON object")
-    name = _require(data, "name", "protocol")
-    raw_stages = _require(data, "stages", "protocol")
-    if not isinstance(raw_stages, list) or not raw_stages:
-        raise ProtocolSchemaError("protocol: 'stages' must be a non-empty list")
-    stages: list[StageTemplate] = []
-    for position, raw in enumerate(raw_stages):
-        where = f"stage {position}"
-        if not isinstance(raw, dict):
-            raise ProtocolSchemaError(f"{where}: must be a JSON object")
-        label = _require(raw, "label", where)
-        executable = _require(raw, "executable", where)
-        cores = raw.get("cores", 1)
-        if not isinstance(cores, int) or cores < 1:
-            raise ProtocolSchemaError(f"{where}: 'cores' must be a positive integer")
-        try:
-            inputs = tuple(directive_from_dict(d) for d in raw.get("inputs", ()))
-            outputs = tuple(directive_from_dict(d) for d in raw.get("outputs", ()))
-        except (KeyError, ValueError) as exc:
-            raise ProtocolSchemaError(f"{where}: bad staging directive: {exc}") from exc
-        duration = float(raw.get("expected_duration", 0.0))
-        if not math.isfinite(duration) or duration < 0:
+def protocol_from_dict(data: object) -> ProtocolConfig:
+    protocol = codec.read(ProtocolConfig, data, "protocol")
+    if not protocol.stages:
+        raise ProtocolSchemaError("protocol.stages must be a non-empty list")
+    for position, stage in enumerate(protocol.stages):
+        where = f"protocol.stages[{position}]"
+        if stage.cores < 1:
+            raise ProtocolSchemaError(f"{where}.cores must be >= 1")
+        if not math.isfinite(stage.expected_duration) or stage.expected_duration < 0:
             raise ProtocolSchemaError(
-                f"{where}: 'expected_duration' must be finite and >= 0"
+                f"{where}.expected_duration must be finite and >= 0"
             )
-        stages.append(
-            StageTemplate(
-                label=label,
-                executable=executable,
-                arguments=tuple(raw.get("arguments", ())),
-                cores=cores,
-                expected_duration=duration,
-                inputs=inputs,
-                outputs=outputs,
-                timesteps=raw.get("timesteps"),
-            )
-        )
-    default_replicas = data.get("default_replicas", 1)
-    if not isinstance(default_replicas, int) or default_replicas < 1:
-        raise ProtocolSchemaError("protocol: 'default_replicas' must be >= 1")
-    return ProtocolConfig(
-        name=name, stages=tuple(stages), default_replicas=default_replicas
-    )
+    if protocol.default_replicas < 1:
+        raise ProtocolSchemaError("protocol.default_replicas must be >= 1")
+    return protocol
 
 
 def load_protocol(path: str | Path) -> ProtocolConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ProtocolSchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return protocol_from_dict(data)
+    return protocol_from_dict(codec.load(path))

@@ -15,14 +15,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
+from . import codec
 from .latency import Sampler
-from .model import (
-    StagingDirective,
-    TaskKind,
-    TaskSpec,
-    directive_from_dict,
-    directive_to_dict,
-)
+from .model import StagingDirective, TaskKind, TaskSpec
 
 
 @dataclass(frozen=True)
@@ -43,39 +38,11 @@ class UnitDescription:
 
     def to_wire(self) -> str:
         """Serialize to the JSON wire format used between manager and agent."""
-        return json.dumps(
-            {
-                "uid": self.uid,
-                "task_id": self.task_id,
-                "pipeline_id": self.pipeline_id,
-                "stage_index": self.stage_index,
-                "kind": self.kind.value,
-                "executable": self.executable,
-                "arguments": list(self.arguments),
-                "cores": self.cores,
-                "expected_duration": self.expected_duration,
-                "inputs": [directive_to_dict(d) for d in self.inputs],
-                "outputs": [directive_to_dict(d) for d in self.outputs],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(codec.to_json(self), sort_keys=True)
 
     @staticmethod
     def from_wire(wire: str) -> UnitDescription:
-        data = json.loads(wire)
-        return UnitDescription(
-            uid=data["uid"],
-            task_id=data["task_id"],
-            pipeline_id=data["pipeline_id"],
-            stage_index=data["stage_index"],
-            kind=TaskKind(data["kind"]),
-            executable=data["executable"],
-            arguments=tuple(data["arguments"]),
-            cores=data["cores"],
-            expected_duration=data["expected_duration"],
-            inputs=tuple(directive_from_dict(d) for d in data["inputs"]),
-            outputs=tuple(directive_from_dict(d) for d in data["outputs"]),
-        )
+        return codec.read(UnitDescription, json.loads(wire), "unit")
 
 
 class UnitIdAllocator:

@@ -27,6 +27,7 @@ from pilotflow.protocols import (
     UnknownProtocolError,
     esmacs_protocol,
     load_protocol,
+    protocol_to_dict,
 )
 from pilotflow.simbackend import SimBackendConfig
 
@@ -114,6 +115,11 @@ def test_rerun_is_byte_identical(tmp_path):
 WEAK_SCALING_DIGEST = (
     "592ef3a36c32176cb7dbf6e0a1c52a995215986e868f5d58296ca53e9f4a4338"
 )
+# sha256 of reports.json and of summary.json from the same run.
+WEAK_SCALING_JSON_DIGESTS = {
+    "reports.json": "273658d7bbbe1042be54bb037bf9a1b77e2fc3742bd5528955a6d6da9899816b",
+    "summary.json": "68d4aafe6878ec8e8557e88765ea754519bd1d490140094cde0ddc56cc3a4520",
+}
 
 
 def test_weak_scaling_config_outputs_are_byte_identical_to_recorded_digest(
@@ -130,6 +136,8 @@ def test_weak_scaling_config_outputs_are_byte_identical_to_recorded_digest(
     for name in names:
         digest.update(name.encode() + b"\n" + (out / name).read_bytes())
     assert digest.hexdigest() == WEAK_SCALING_DIGEST
+    for name, expected in WEAK_SCALING_JSON_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == expected
 
 
 def test_seed_override_changes_noisy_results(tmp_path):
@@ -374,6 +382,14 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
         ({"walltime": float("inf")}, "walltime must be positive and finite"),
         ({"time_scale": float("nan")}, "time_scale must be finite"),
         ({"backend": {"pull_latency": float("inf")}}, "value must be finite"),
+        # An integer too large for a float.
+        ({"walltime": 10**400}, "experiment.walltime must be float"),
+        # Every draw would be negative, so sampling it would never end.
+        (
+            {"backend": {"queue_wait": {"distribution": "NORMAL_TRUNCATED",
+                                        "mean": -1.0, "stddev": 0.0}}},
+            "mean must be >= 0",
+        ),
     ],
 )
 def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, named):
@@ -383,6 +399,61 @@ def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, 
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error:")
     assert named in line
+    assert not out.exists()
+
+
+def write_protocol(tmp_path, stage_keys, top_keys):
+    """esmacs as a protocol file, with keys of its first stage and of its
+    top level replaced."""
+    data = protocol_to_dict(esmacs_protocol())
+    data["stages"][0].update(stage_keys)
+    data.update(top_keys)
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "stage_keys, top_keys, named",
+    [
+        ({"expected_duration": "abc"}, {}, "stages[0].expected_duration"),
+        ({"expected_duration": [1]}, {}, "stages[0].expected_duration"),
+        ({"expected_duration": 10**400}, {}, "stages[0].expected_duration"),
+        ({"inputs": "ab"}, {}, "stages[0].inputs"),
+        ({"inputs": [3]}, {}, "stages[0].inputs[0]"),
+        ({"arguments": "abc"}, {}, "stages[0].arguments"),
+        ({"core": 8}, {}, "'core'"),
+        ({"label": 5}, {}, "stages[0].label"),
+        ({"timesteps": "many"}, {}, "stages[0].timesteps"),
+        ({"cores": True}, {}, "stages[0].cores"),
+        ({}, {"replicas": 3}, "'replicas'"),
+    ],
+)
+def test_cli_run_malformed_protocol_exits_2_before_writing(
+    tmp_path, capsys, stage_keys, top_keys, named
+):
+    protocol = write_protocol(tmp_path, stage_keys, top_keys)
+    config = write_config(tmp_path, protocol=str(protocol))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert named in line
+    assert not out.exists()
+
+
+def test_cli_missing_protocol_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    config = write_config(tmp_path, protocol=missing)
+    out = tmp_path / "out"
+    for argv in (
+        ["run", "--config", str(config), "--out", str(out)],
+        ["describe", "--protocol", missing],
+        ["describe", "--protocol", f"{tmp_path}/"],  # a directory
+    ):
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot read")
     assert not out.exists()
 
 

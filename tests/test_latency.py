@@ -61,6 +61,9 @@ def test_invalid_models_rejected():
             seed=0,
             stream="x",
         )
+    # Every draw negative: sampling would never return. Nothing is drawn here.
+    with pytest.raises(ValueError, match="mean must be >= 0"):
+        Sampler(LatencyModel.normal(-1.0, 0.0), 0, "x")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

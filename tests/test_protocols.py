@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -166,9 +167,22 @@ def test_loaded_protocol_expands_identically(tmp_path):
     assert protocol_to_workflow(loaded, replicas=3) == generate_esmacs(replicas=3)
 
 
+# sha256 of json.dumps(protocol_to_dict(esmacs LOCAL), sort_keys=True).
+ESMACS_LOCAL_DICT_DIGEST = (
+    "6220716385de8f2cca235200745485c179f320435063c8046a9788cc245e5126"
+)
+
+
 def test_dict_round_trip():
     protocol = esmacs_protocol(kind=TaskKind.LOCAL_EXEC)
-    assert protocol_from_dict(protocol_to_dict(protocol)) == protocol
+    data = protocol_to_dict(protocol)
+    assert protocol_from_dict(data) == protocol
+    text = json.dumps(data, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == ESMACS_LOCAL_DICT_DIGEST
+    # A file's timesteps are stored, not turned into a duration.
+    stage = {"label": "md", "executable": "md", "timesteps": 50000}
+    [read] = protocol_from_dict({"name": "p", "stages": [stage]}).stages
+    assert (read.timesteps, read.expected_duration) == (50000, 0.0)
 
 
 def test_missing_name_rejected():

@@ -62,9 +62,25 @@ def test_allocator_ids_are_sequential():
     assert ids == ["unit.000000", "unit.000001", "unit.000002"]
 
 
+# The wire form of esmacs LOCAL replica 2's last unit, which stages out.
+ESMACS_TAR_OUT_WIRE = (
+    '{"arguments": ["-c", "sleep 0.25 && mkdir -p output && echo tar-output r2 '
+    '>> output/tar-output.log"], "cores": 1, "executable": "/bin/sh", '
+    '"expected_duration": 0.25, "inputs": [], "kind": "LOCAL_EXEC", "outputs": '
+    '[{"mode": "TAR_OUT", "source": "output", "target": "output/results-r2.tar"}], '
+    '"pipeline_id": "esmacs-p2", "stage_index": 6, "task_id": "esmacs-p2-s7", '
+    '"uid": "unit.000000"}'
+)
+
+
 def test_wire_round_trip_is_lossless():
     unit = translate_task(make_task(), "pipe-1", 2, UnitIdAllocator())
     assert UnitDescription.from_wire(unit.to_wire()) == unit
+    pipeline = generate_esmacs(replicas=2, kind=TaskKind.LOCAL_EXEC).pipelines[1]
+    stage = pipeline.stages[6]
+    unit = translate_task(stage.tasks[0], pipeline.id, stage.index, UnitIdAllocator())
+    assert unit.to_wire() == ESMACS_TAR_OUT_WIRE
+    assert UnitDescription.from_wire(ESMACS_TAR_OUT_WIRE) == unit
 
 
 # The simulator uses translate_task's unit as built, the local backend its
