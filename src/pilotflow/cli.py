@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    WORKLOAD_KINDS,
     ExperimentConfig,
     ExperimentConfigError,
     describe,
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     desc.add_argument(
         "--workload",
         default="SIM",
-        choices=["NULL", "SIM", "LOCAL"],
+        choices=sorted(WORKLOAD_KINDS),
         help="task kind used for the expansion",
     )
 

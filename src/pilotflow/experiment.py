@@ -38,6 +38,7 @@ from .model import ResourceRequest, StagingMode, TaskKind, Workflow, peak_core_d
 from .protocols import (
     ProtocolConfig,
     builtin_protocol,
+    for_workload,
     load_protocol,
     protocol_to_workflow,
 )
@@ -49,6 +50,14 @@ WORKLOAD_KINDS = {
     "SIM": TaskKind.SIMULATED,
     "LOCAL": TaskKind.LOCAL_EXEC,
 }
+
+
+def _workload_kind(name: str) -> TaskKind:
+    if name not in WORKLOAD_KINDS:
+        raise ExperimentConfigError(
+            f"unknown workload {name!r}; expected one of {sorted(WORKLOAD_KINDS)}"
+        )
+    return WORKLOAD_KINDS[name]
 
 
 @dataclass(frozen=True)
@@ -68,11 +77,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.name:
             raise ExperimentConfigError("experiment needs a name")
-        if self.workload not in WORKLOAD_KINDS:
-            raise ExperimentConfigError(
-                f"unknown workload {self.workload!r}; "
-                f"expected one of {sorted(WORKLOAD_KINDS)}"
-            )
+        _workload_kind(self.workload)
         if not self.pipeline_counts:
             raise ExperimentConfigError("pipeline_counts must be non-empty")
         if any(count < 1 for count in self.pipeline_counts):
@@ -139,9 +144,9 @@ def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
 
 
 def resolve_protocol(name: str, kind: TaskKind, time_scale: float) -> ProtocolConfig:
-    """Builtin protocol name, or a path to a protocol definition file."""
+    """A builtin name or a protocol file's path, under ``kind`` and ``time_scale``."""
     if name.endswith(".json") or "/" in name:
-        return load_protocol(name)
+        return for_workload(load_protocol(name), kind, time_scale)
     return builtin_protocol(name, kind=kind, time_scale=time_scale)
 
 
@@ -212,7 +217,7 @@ def run_experiment(
     """Run every (pipeline count, trial) cell and write the report files."""
     config.validate()
     base_seed = config.seed if seed is None else seed
-    kind = WORKLOAD_KINDS[config.workload]
+    kind = _workload_kind(config.workload)
     protocol = resolve_protocol(config.protocol, kind, config.time_scale)
     requests = _cell_requests(config, protocol)
     out = Path(out_dir)
@@ -254,11 +259,7 @@ def run_experiment(
 
 def describe(protocol_name: str, replicas: int | None = None, workload: str = "SIM") -> str:
     """Human-readable summary of an expanded protocol."""
-    if workload not in WORKLOAD_KINDS:
-        raise ExperimentConfigError(
-            f"unknown workload {workload!r}; expected one of {sorted(WORKLOAD_KINDS)}"
-        )
-    kind = WORKLOAD_KINDS[workload]
+    kind = _workload_kind(workload)
     protocol = resolve_protocol(protocol_name, kind, time_scale=1.0)
     count = protocol.default_replicas if replicas is None else replicas
     workflow = protocol_to_workflow(protocol, replicas=count, kind=kind)

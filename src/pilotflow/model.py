@@ -217,22 +217,13 @@ class ResourceRequest:
     walltime: float
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class WorkflowValidationError(Exception):
     def __init__(self, violations: tuple[str, ...]):
         self.violations = violations
         super().__init__("; ".join(violations))
 
 
-def validate_workflow(workflow: Workflow) -> ValidationResult:
+def validate_workflow(workflow: Workflow) -> tuple[str, ...]:
     """Collect every invariant violation; the workflow is executable iff none."""
     violations: list[str] = []
     if not workflow.pipelines:
@@ -271,7 +262,7 @@ def validate_workflow(workflow: Workflow) -> ValidationResult:
                         violations.append(
                             f"{twhere}: staging directive with empty source/target"
                         )
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def peak_core_demand(workflow: Workflow) -> int:
@@ -280,9 +271,9 @@ def peak_core_demand(workflow: Workflow) -> int:
     Stages of one pipeline are sequential, so a pipeline's demand is the
     widest of its stages; pipelines are concurrent, so demands add up.
     """
-    result = validate_workflow(workflow)
-    if not result.ok:
-        raise WorkflowValidationError(result.violations)
+    violations = validate_workflow(workflow)
+    if violations:
+        raise WorkflowValidationError(violations)
     return sum(
         max(sum(task.cores for task in stage.tasks) for stage in pipeline.stages)
         for pipeline in workflow.pipelines

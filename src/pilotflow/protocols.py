@@ -15,7 +15,7 @@ its own files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import codec
@@ -47,9 +47,8 @@ class StageTemplate:
     """Recipe for one stage of one pipeline.
 
     ``timesteps`` is descriptive metadata for simulation stages;
-    data-movement stages leave it unset. The built-in esmacs protocol
-    derives those stages' durations from it, at one ten-thousandth of a
-    second per step; a protocol file sets ``expected_duration`` itself.
+    data-movement stages leave it unset. It never sets a duration: every
+    protocol, built-in or file, states ``expected_duration`` itself.
     """
 
     label: str
@@ -69,14 +68,76 @@ class ProtocolConfig:
     default_replicas: int = 1
 
 
+def for_workload(
+    protocol: ProtocolConfig, kind: TaskKind, time_scale: float = 1.0
+) -> ProtocolConfig:
+    """Apply a workload kind and a time scale to any protocol.
+
+    NULL_WORKLOAD turns every stage into ``sleep 0`` lasting 0.0 s with no
+    data movement; cores and timesteps are kept, so overheads are measured at
+    the protocol's real resource shape. Every other kind keeps the stages as
+    written and multiplies each expected duration by ``time_scale``.
+    """
+    if not math.isfinite(time_scale) or time_scale < 0:
+        raise ValueError("time_scale must be finite and >= 0")
+    if kind is TaskKind.NULL_WORKLOAD:
+        stages = tuple(
+            StageTemplate(
+                stage.label, "sleep", ("0",), stage.cores, timesteps=stage.timesteps
+            )
+            for stage in protocol.stages
+        )
+    else:
+        stages = tuple(
+            replace(stage, expected_duration=stage.expected_duration * time_scale)
+            for stage in protocol.stages
+        )
+    return replace(protocol, stages=stages)
+
+
 # Standard replica count for a production ensemble of this protocol.
 ESMACS_REPLICAS = 25
 
-# Simulation stages advance this many integration steps; duration is
-# steps / 10000 seconds so the middle stage dominates, as it should.
-_MD_TIMESTEPS = (5000, 55000, 5000)
+_UNTAR_IN = (StagingDirective("input/config.tar", "config", StagingMode.TAR_IN),)
+_PARAMS_IN = (StagingDirective("input/params.dat", "params.dat", StagingMode.COPY_IN),)
+_TAR_OUT = (
+    StagingDirective("output", "output/results-r{replica}.tar", StagingMode.TAR_OUT),
+)
 
-_SECONDS_PER_TIMESTEP = 1.0 / 10000.0
+# The built-in esmacs protocol in its SIM form, the form configs/esmacs.json
+# holds. Simulation stages last one ten-thousandth of a second per timestep,
+# so the middle stage dominates, as it should.
+_ESMACS = ProtocolConfig(
+    name="esmacs",
+    stages=(
+        StageTemplate(
+            "untar-config", "tar", ("untar-config",), 1, 0.25, inputs=_UNTAR_IN
+        ),
+        StageTemplate("preprep", "prep", ("preprep",), 1, 0.25, inputs=_PARAMS_IN),
+        StageTemplate("minimize", "md", ("minimize",), 8, 0.25),
+        StageTemplate(
+            "equilibrate-nvt", "md", ("equilibrate-nvt",), 8, 0.5, timesteps=5000
+        ),
+        StageTemplate(
+            "equilibrate-npt-restrained",
+            "md",
+            ("equilibrate-npt-restrained",),
+            8,
+            5.5,
+            timesteps=55000,
+        ),
+        StageTemplate(
+            "equilibrate-npt-free",
+            "md",
+            ("equilibrate-npt-free",),
+            8,
+            0.5,
+            timesteps=5000,
+        ),
+        StageTemplate("tar-output", "tar", ("tar-output",), 1, 0.25, outputs=_TAR_OUT),
+    ),
+    default_replicas=ESMACS_REPLICAS,
+)
 
 
 def esmacs_protocol(
@@ -84,96 +145,21 @@ def esmacs_protocol(
 ) -> ProtocolConfig:
     """Seven-stage ensemble protocol, one task per stage.
 
-    Stage layout (cores in parentheses): unpack the configuration archive
-    (1), fetch parameter files (1), minimize (8), heat at constant volume
-    (8), equilibrate at constant pressure with restraints (8), equilibrate
-    unrestrained (8), pack the outputs (1).
-
-    ``kind`` selects how tasks execute: NULL_WORKLOAD swaps every command
-    for ``sleep 0`` with no data movement, SIMULATED keeps nominal commands
-    for the simulated backend, LOCAL_EXEC builds real shell commands.
-    ``time_scale`` multiplies every expected duration, handy for quick
-    local demonstrations.
+    ``kind`` and ``time_scale`` apply as in :func:`for_workload`. The engine
+    binaries do not exist on the host, so LOCAL_EXEC swaps each command for a
+    shell stand-in that sleeps for the stage's duration and logs a line.
     """
-    if time_scale < 0:
-        raise ValueError("time_scale must be >= 0")
-
-    untar_in = (
-        StagingDirective("input/config.tar", "config", StagingMode.TAR_IN),
-    )
-    params_in = (
-        StagingDirective("input/params.dat", "params.dat", StagingMode.COPY_IN),
-    )
-    tar_out = (
-        StagingDirective(
-            "output", "output/results-r{replica}.tar", StagingMode.TAR_OUT
-        ),
-    )
-
-    def duration(base: float) -> float:
-        return base * time_scale
-
-    rows: list[tuple] = [
-        # label, executable, cores, base duration, inputs, outputs, timesteps
-        ("untar-config", "tar", 1, 0.25, untar_in, (), None),
-        ("preprep", "prep", 1, 0.25, params_in, (), None),
-        ("minimize", "md", 8, 0.25, (), (), None),
-        ("equilibrate-nvt", "md", 8, None, (), (), _MD_TIMESTEPS[0]),
-        ("equilibrate-npt-restrained", "md", 8, None, (), (), _MD_TIMESTEPS[1]),
-        ("equilibrate-npt-free", "md", 8, None, (), (), _MD_TIMESTEPS[2]),
-        ("tar-output", "tar", 1, 0.25, (), tar_out, None),
-    ]
-
-    stages: list[StageTemplate] = []
-    for label, executable, cores, base, inputs, outputs, timesteps in rows:
-        if timesteps is not None:
-            base = timesteps * _SECONDS_PER_TIMESTEP
-        dur = duration(base)
-        if kind is TaskKind.NULL_WORKLOAD:
-            # Null workload: immediate-exit command, no data movement.
-            stages.append(
-                StageTemplate(
-                    label=label,
-                    executable="sleep",
-                    arguments=("0",),
-                    cores=cores,
-                    expected_duration=0.0,
-                    timesteps=timesteps,
-                )
-            )
-        elif kind is TaskKind.LOCAL_EXEC:
-            command = (
-                f"sleep {dur} && mkdir -p output && "
-                f"echo {label} r{{replica}} >> output/{label}.log"
-            )
-            stages.append(
-                StageTemplate(
-                    label=label,
-                    executable="/bin/sh",
-                    arguments=("-c", command),
-                    cores=cores,
-                    expected_duration=dur,
-                    inputs=inputs,
-                    outputs=outputs,
-                    timesteps=timesteps,
-                )
-            )
-        else:
-            stages.append(
-                StageTemplate(
-                    label=label,
-                    executable=executable,
-                    arguments=(label,),
-                    cores=cores,
-                    expected_duration=dur,
-                    inputs=inputs,
-                    outputs=outputs,
-                    timesteps=timesteps,
-                )
-            )
-    return ProtocolConfig(
-        name="esmacs", stages=tuple(stages), default_replicas=ESMACS_REPLICAS
-    )
+    protocol = for_workload(_ESMACS, kind, time_scale)
+    if kind is not TaskKind.LOCAL_EXEC:
+        return protocol
+    stages = []
+    for stage in protocol.stages:
+        command = (
+            f"sleep {stage.expected_duration} && mkdir -p output && "
+            f"echo {stage.label} r{{replica}} >> output/{stage.label}.log"
+        )
+        stages.append(replace(stage, executable="/bin/sh", arguments=("-c", command)))
+    return replace(protocol, stages=tuple(stages))
 
 
 def _substitute(text: str, replica: int, name: str) -> str:

@@ -86,9 +86,9 @@ class WorkflowTracker:
     """Drives stage succession; backends own timing and execution."""
 
     def __init__(self, workflow: Workflow) -> None:
-        result = validate_workflow(workflow)
-        if not result.ok:
-            raise WorkflowValidationError(result.violations)
+        violations = validate_workflow(workflow)
+        if violations:
+            raise WorkflowValidationError(violations)
         self.pipelines: list[PipelineRun] = []
         self._by_task: dict[str, tuple[PipelineRun, list[TaskRecord], TaskRecord]] = {}
         for pipeline in workflow.pipelines:

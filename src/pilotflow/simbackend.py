@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from .latency import LatencyModel, Sampler
 from .model import (
@@ -69,15 +71,6 @@ def check_request(request: ResourceRequest, config: SimBackendConfig) -> None:
         )
 
 
-# Heap event kinds, processed in (time, insertion order).
-_PILOT_ACTIVE = "pilot_active"
-_ENQUEUE = "enqueue"
-_PULL = "pull"
-_OFFER = "offer"
-_SCHED = "sched"
-_UNIT_DONE = "unit_done"
-
-
 class _SimEngine:
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, config: SimBackendConfig
@@ -93,7 +86,8 @@ class _SimEngine:
         self.fs_latency = Sampler(config.fs_latency, seed, "fs")
         self.translate_cost = Sampler(config.translate_cost, seed, "translate")
         self.duration_noise = Sampler(config.duration_noise, seed, "noise")
-        self._heap: list[tuple[float, int, str, object]] = []
+        # (time, seq, handler, payload); seq is unique, so handlers never compare.
+        self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = itertools.count()
         self._pending_pulls: set[float] = set()
         self._pending_scheds: set[float] = set()
@@ -104,8 +98,8 @@ class _SimEngine:
 
     # -- helpers ---------------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: object = None) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+    def _push(self, time: float, handler: Callable, payload: Any = None) -> None:
+        heapq.heappush(self._heap, (time, next(self._seq), handler, payload))
 
     def _schedule_pull(self, time: float) -> None:
         # The agent exists only once the pilot is active.
@@ -113,13 +107,13 @@ class _SimEngine:
         if time in self._pending_pulls:
             return
         self._pending_pulls.add(time)
-        self._push(time, _PULL)
+        self._push(time, self._handle_pull)
 
     def _schedule_sched(self, time: float) -> None:
         if time in self._pending_scheds:
             return
         self._pending_scheds.add(time)
-        self._push(time, _SCHED)
+        self._push(time, self._handle_sched)
 
     # -- manager side ------------------------------------------------------
 
@@ -133,15 +127,18 @@ class _SimEngine:
                 record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
             self.core.translated(record, unit, start, end)
-            self._push(end, _ENQUEUE, unit)
+            self._push(end, self._handle_enqueue, unit)
 
     # -- agent side --------------------------------------------------------
+
+    def _handle_pilot_active(self, time: float, _: None) -> None:
+        self.core.activate(time)
 
     def _handle_enqueue(self, time: float, unit: UnitDescription) -> None:
         self.core.enqueue(unit, time)
         self._schedule_pull(time)
 
-    def _handle_pull(self, time: float) -> None:
+    def _handle_pull(self, time: float, _: None) -> None:
         self._pending_pulls.discard(time)
         store = self.core.store
         if store.pending_count() == 0:
@@ -153,7 +150,7 @@ class _SimEngine:
             # Reading the unit description off the shared filesystem.
             io_end = pull_end + self.fs_latency.sample()
             self.core.unit_read(unit, pull_end, io_end)
-            self._push(io_end, _OFFER, unit)
+            self._push(io_end, self._handle_offer, unit)
         if store.pending_count() > 0:
             # Bulk limit hit; the agent turns around and pulls again.
             self._schedule_pull(pull_end)
@@ -162,7 +159,7 @@ class _SimEngine:
         self.core.scheduler.offer(unit)
         self._schedule_sched(time)
 
-    def _handle_sched(self, time: float) -> None:
+    def _handle_sched(self, time: float, _: None) -> None:
         self._pending_scheds.discard(time)
         for unit, _placement in self.core.scheduler.place_ready():
             self._launch(time, unit)
@@ -204,7 +201,7 @@ class _SimEngine:
         advance_task_state(
             record, TaskState.DONE, sink=self.core.sink, time=stage_out_end
         )
-        self._push(stage_out_end, _UNIT_DONE, unit)
+        self._push(stage_out_end, self._handle_unit_done, unit)
 
     def _handle_unit_done(self, time: float, unit: UnitDescription) -> None:
         record = self.core.release(unit.uid)
@@ -218,29 +215,18 @@ class _SimEngine:
         wait = self.queue_wait.sample()
         self._active_at = wait
         self._deadline = wait + self.request.walltime
-        self._push(wait, _PILOT_ACTIVE)
+        self._push(wait, self._handle_pilot_active)
         self._translate(self.core.tracker.initial_ready(), 0.0)
 
         finish = None
         now = 0.0
         while self._heap:
-            time, _seq, kind, payload = heapq.heappop(self._heap)
+            time, _seq, handler, payload = heapq.heappop(self._heap)
             if time > self._deadline:
                 finish = self._deadline
                 break
             now = time
-            if kind == _PILOT_ACTIVE:
-                self.core.activate(time)
-            elif kind == _ENQUEUE:
-                self._handle_enqueue(time, payload)
-            elif kind == _PULL:
-                self._handle_pull(time)
-            elif kind == _OFFER:
-                self._handle_offer(time, payload)
-            elif kind == _SCHED:
-                self._handle_sched(time)
-            elif kind == _UNIT_DONE:
-                self._handle_unit_done(time, payload)
+            handler(time, payload)
         if finish is None:
             finish = max(now, self._finish_floor)
         return self.core.close(finish, "sim", self.config.seed, {})

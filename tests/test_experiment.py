@@ -26,13 +26,16 @@ from pilotflow.model import TaskKind
 from pilotflow.protocols import (
     UnknownProtocolError,
     esmacs_protocol,
+    for_workload,
     load_protocol,
     protocol_to_dict,
+    protocol_to_workflow,
 )
 from pilotflow.simbackend import SimBackendConfig
 
 from helpers import generate_esmacs
 
+CONFIGS = Path(__file__).parent.parent / "configs"
 SIM_BACKEND = {
     "backend": "sim",
     "queue_wait": 2.0,
@@ -239,14 +242,12 @@ def test_keys_and_values_that_would_not_be_read_are_rejected(overrides, named):
 
 
 def test_every_shipped_config_loads():
-    configs = Path(__file__).parent.parent / "configs"
-    assert sorted(path.name for path in configs.iterdir()) == [
+    assert sorted(path.name for path in CONFIGS.iterdir()) == [
         "esmacs.json",
         "overhead_local.json",
         "weak_scaling_sim.json",
     ]
-    assert load_protocol(configs / "esmacs.json") == esmacs_protocol()
-    weak = ExperimentConfig.load(configs / "weak_scaling_sim.json")
+    weak = ExperimentConfig.load(CONFIGS / "weak_scaling_sim.json")
     assert weak.backend == SimBackendConfig(
         queue_wait=LatencyModel.constant(2.0),
         pull_latency=LatencyModel.constant(0.25),
@@ -257,9 +258,19 @@ def test_every_shipped_config_loads():
         (2, 4, 8, 16),
         3,
     )
-    overhead = ExperimentConfig.load(configs / "overhead_local.json")
+    overhead = ExperimentConfig.load(CONFIGS / "overhead_local.json")
     assert overhead.backend == LocalBackendConfig()
     assert (overhead.workload, overhead.trials, overhead.walltime) == ("NULL", 5, 600.0)
+
+
+@pytest.mark.parametrize("kind", [TaskKind.SIMULATED, TaskKind.NULL_WORKLOAD])
+@pytest.mark.parametrize("time_scale", [0.0, 0.5, 1.0])
+def test_esmacs_file_is_the_builtin_under_every_workload(kind, time_scale):
+    loaded = for_workload(load_protocol(CONFIGS / "esmacs.json"), kind, time_scale)
+    assert loaded == esmacs_protocol(kind, time_scale)
+    assert protocol_to_workflow(loaded, 3, kind) == generate_esmacs(
+        replicas=3, kind=kind, time_scale=time_scale
+    )
 
 
 def test_load_missing_file_rejected(tmp_path):
@@ -462,6 +473,57 @@ def test_cli_describe(capsys):
     out = capsys.readouterr().out
     assert "replicas: 8" in out
     assert "peak core demand: 64" in out
+
+
+def test_cli_describe_protocol_file_under_null_workload(capsys):
+    protocol = str(CONFIGS / "esmacs.json")
+    assert main(["describe", "--protocol", protocol, "--workload", "NULL"]) == 0
+    rows = capsys.readouterr().out.split("duration_s\n")[1].splitlines()
+    assert len(rows) == 7
+    assert all(row.endswith(" 0.000") for row in rows)
+
+
+def trial_ttx(out: Path) -> float:
+    with open(out / "trials.csv", newline="") as handle:
+        [row] = csv.DictReader(handle)
+    return float(row["ttx_s"])
+
+
+@pytest.mark.parametrize(
+    "workload, time_scale, ttx",
+    [("SIM", 1.0, 7.5), ("SIM", 0.5, 3.75), ("NULL", 1.0, 0.0), ("NULL", 0.5, 0.0)],
+)
+def test_cli_run_protocol_file_honours_workload_and_time_scale(
+    tmp_path, workload, time_scale, ttx
+):
+    # The file and the built-in run alike: 2 pipelines on a latency-free
+    # simulator take the sum of one pipeline's scaled stage durations.
+    for position, protocol in enumerate((str(CONFIGS / "esmacs.json"), "esmacs")):
+        config = write_config(
+            tmp_path,
+            protocol=protocol,
+            workload=workload,
+            time_scale=time_scale,
+            backend={"backend": "sim"},
+        )
+        out = tmp_path / f"out{position}"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert trial_ttx(out) == ttx
+
+
+def test_protocol_file_null_workload_runs_locally(tmp_path):
+    config = ExperimentConfig.from_dict(
+        {
+            "name": "local-null-file",
+            "protocol": str(CONFIGS / "esmacs.json"),
+            "workload": "NULL",
+            "pipeline_counts": [2],
+            "trials": 1,
+            "backend": {"backend": "local"},
+        }
+    )
+    [report] = run_experiment(config, tmp_path / "out").reports
+    assert (report.status, report.done_tasks) == ("DONE", 14)
 
 
 def test_cli_describe_unknown_protocol(capsys):

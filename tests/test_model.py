@@ -58,13 +58,13 @@ def make_workflow(widths_per_pipeline: list[list[list[int]]]) -> Workflow:
 
 def test_valid_workflow_passes():
     wf = make_workflow([[[1], [2, 2]], [[4]]])
-    assert validate_workflow(wf).ok
+    assert validate_workflow(wf) == ()
 
 
 def test_empty_workflow_rejected():
-    result = validate_workflow(Workflow(name="empty", pipelines=[]))
-    assert not result.ok
-    assert any("no pipelines" in v for v in result.violations)
+    violations = validate_workflow(Workflow(name="empty", pipelines=[]))
+    assert violations
+    assert any("no pipelines" in v for v in violations)
 
 
 def test_empty_stage_rejected():
@@ -72,8 +72,8 @@ def test_empty_stage_rejected():
         name="wf",
         pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[])])],
     )
-    result = validate_workflow(wf)
-    assert any("empty stage" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("empty stage" in v for v in violations)
 
 
 def test_duplicate_task_id_rejected():
@@ -86,8 +86,8 @@ def test_duplicate_task_id_rejected():
             )
         ],
     )
-    result = validate_workflow(wf)
-    assert any("duplicate task id 'dup'" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("duplicate task id 'dup'" in v for v in violations)
 
 
 def test_duplicate_pipeline_id_rejected():
@@ -98,8 +98,8 @@ def test_duplicate_pipeline_id_rejected():
             Pipeline(id="p", stages=[Stage(index=0, tasks=[make_task("b")])]),
         ],
     )
-    result = validate_workflow(wf)
-    assert any("duplicate pipeline id" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("duplicate pipeline id" in v for v in violations)
 
 
 def test_stage_index_must_match_position():
@@ -107,8 +107,8 @@ def test_stage_index_must_match_position():
         name="wf",
         pipelines=[Pipeline(id="p", stages=[Stage(index=3, tasks=[make_task("a")])])],
     )
-    result = validate_workflow(wf)
-    assert any("does not match position" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("does not match position" in v for v in violations)
 
 
 def test_nonpositive_cores_rejected():
@@ -118,8 +118,8 @@ def test_nonpositive_cores_rejected():
             Pipeline(id="p", stages=[Stage(index=0, tasks=[make_task("a", cores=0)])])
         ],
     )
-    result = validate_workflow(wf)
-    assert any("cores must be >= 1" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("cores must be >= 1" in v for v in violations)
 
 
 def test_negative_duration_rejected():
@@ -133,8 +133,8 @@ def test_negative_duration_rejected():
     wf = Workflow(
         name="wf", pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[bad])])]
     )
-    result = validate_workflow(wf)
-    assert any("expected_duration" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("expected_duration" in v for v in violations)
 
 
 @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
@@ -148,8 +148,8 @@ def test_non_finite_duration_rejected(duration):
             )
         ],
     )
-    result = validate_workflow(wf)
-    assert any("expected_duration must be finite" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("expected_duration must be finite" in v for v in violations)
 
 
 def test_empty_staging_path_rejected():
@@ -162,8 +162,8 @@ def test_empty_staging_path_rejected():
     wf = Workflow(
         name="wf", pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[bad])])]
     )
-    result = validate_workflow(wf)
-    assert any("empty source/target" in v for v in result.violations)
+    violations = validate_workflow(wf)
+    assert any("empty source/target" in v for v in violations)
 
 
 def test_all_violations_collected():
@@ -174,8 +174,8 @@ def test_all_violations_collected():
             Pipeline(id="p", stages=[Stage(index=0, tasks=[])]),
         ],
     )
-    result = validate_workflow(wf)
-    assert len(result.violations) >= 3
+    violations = validate_workflow(wf)
+    assert len(violations) >= 3
 
 
 # --- peak core demand -----------------------------------------------------

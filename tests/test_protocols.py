@@ -17,10 +17,13 @@ from pilotflow.model import (
 )
 from pilotflow.protocols import (
     ESMACS_REPLICAS,
+    ProtocolConfig,
     ProtocolSchemaError,
+    StageTemplate,
     UnknownProtocolError,
     builtin_protocol,
     esmacs_protocol,
+    for_workload,
     load_protocol,
     protocol_from_dict,
     protocol_to_dict,
@@ -112,7 +115,7 @@ def test_task_ids_follow_the_naming_scheme():
 
 
 def test_expansion_always_validates():
-    assert validate_workflow(generate_esmacs(replicas=5)).ok
+    assert validate_workflow(generate_esmacs(replicas=5)) == ()
 
 
 def test_time_scale_scales_durations():
@@ -128,6 +131,38 @@ def test_time_scale_scales_durations():
     ]
     with pytest.raises(ValueError):
         esmacs_protocol(time_scale=-1.0)
+
+
+@pytest.mark.parametrize("time_scale", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_time_scale_rejected(time_scale):
+    for kind in TaskKind:
+        with pytest.raises(ValueError, match="time_scale"):
+            esmacs_protocol(kind, time_scale)
+        with pytest.raises(ValueError, match="time_scale"):
+            for_workload(esmacs_protocol(), kind, time_scale)
+
+
+def test_for_workload_applies_to_any_protocol():
+    staged = StageTemplate(
+        "run",
+        "engine",
+        ("--fast",),
+        cores=4,
+        expected_duration=2.0,
+        inputs=esmacs_protocol().stages[1].inputs,
+        timesteps=100,
+    )
+    protocol = ProtocolConfig(name="p", stages=(staged,), default_replicas=3)
+    # Other kinds run the stages as written, only scaled in time.
+    for kind in (TaskKind.SIMULATED, TaskKind.LOCAL_EXEC):
+        [scaled] = for_workload(protocol, kind, 0.25).stages
+        assert scaled == StageTemplate(
+            "run", "engine", ("--fast",), 4, 0.5, staged.inputs, timesteps=100
+        )
+    # NULL keeps the resource shape and drops the work and the data movement.
+    null = for_workload(protocol, TaskKind.NULL_WORKLOAD, 3.0)
+    assert (null.name, null.default_replicas) == ("p", 3)
+    assert null.stages == (StageTemplate("run", "sleep", ("0",), 4, timesteps=100),)
 
 
 def test_replicas_must_be_positive():
