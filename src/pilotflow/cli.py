@@ -17,14 +17,13 @@ import sys
 from pathlib import Path
 
 from .experiment import (
-    WORKLOAD_KINDS,
     ExperimentConfig,
     ExperimentConfigError,
     describe,
     run_experiment,
     write_plot_files,
 )
-from .model import WorkflowValidationError
+from .model import TaskKind, WorkflowValidationError
 from .protocols import UnknownProtocolError
 from .runtime import PilotRequestError
 from .scheduler import UnschedulableError
@@ -58,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     desc.add_argument(
         "--workload",
         default="SIM",
-        choices=sorted(WORKLOAD_KINDS),
-        help="task kind used for the expansion",
+        choices=sorted(kind.value for kind in TaskKind),
+        help="workload kind used for the expansion",
     )
 
     plot = sub.add_parser("plot", help="write plottable .dat series from a run dir")

@@ -45,26 +45,11 @@ from .protocols import (
 from .scheduler import UnschedulableError
 from .simbackend import SimBackendConfig, check_request, sim_run
 
-WORKLOAD_KINDS = {
-    "NULL": TaskKind.NULL_WORKLOAD,
-    "SIM": TaskKind.SIMULATED,
-    "LOCAL": TaskKind.LOCAL_EXEC,
-}
-
-
-def _workload_kind(name: str) -> TaskKind:
-    if name not in WORKLOAD_KINDS:
-        raise ExperimentConfigError(
-            f"unknown workload {name!r}; expected one of {sorted(WORKLOAD_KINDS)}"
-        )
-    return WORKLOAD_KINDS[name]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str = ""
     protocol: str = "esmacs"
-    workload: str = "SIM"
+    workload: TaskKind = TaskKind.SIMULATED
     pipeline_counts: tuple[int, ...] = ()
     trials: int = 2
     cores: str | tuple[int, ...] = "peak"
@@ -77,7 +62,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.name:
             raise ExperimentConfigError("experiment needs a name")
-        _workload_kind(self.workload)
+        if self.workload is TaskKind.SIMULATED and isinstance(
+            self.backend, LocalBackendConfig
+        ):
+            # Only the simulator can honour a SIM duration without running
+            # the command; locally the stand-in commands run as LOCAL.
+            raise ExperimentConfigError(
+                "workload SIM runs only on the sim backend; on the local backend "
+                "use workload LOCAL with a small time_scale "
+                "(see configs/esmacs_local.json)"
+            )
         if not self.pipeline_counts:
             raise ExperimentConfigError("pipeline_counts must be non-empty")
         if any(count < 1 for count in self.pipeline_counts):
@@ -217,8 +211,9 @@ def run_experiment(
     """Run every (pipeline count, trial) cell and write the report files."""
     config.validate()
     base_seed = config.seed if seed is None else seed
-    kind = _workload_kind(config.workload)
-    protocol = resolve_protocol(config.protocol, kind, config.time_scale)
+    protocol = resolve_protocol(config.protocol, config.workload, config.time_scale)
+    # The kind's plain name: str() of a str-valued Enum is not its value.
+    workload = config.workload.value
     requests = _cell_requests(config, protocol)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,10 +221,10 @@ def run_experiment(
     reports: list[RunReport] = []
     for count, request in zip(config.pipeline_counts, requests):
         workflow = protocol_to_workflow(
-            protocol, replicas=count, kind=kind, name=f"{protocol.name}{count}"
+            protocol, replicas=count, name=f"{protocol.name}{count}"
         )
         for trial in range(config.trials):
-            trial_id = f"{config.workload.lower()}-p{count}-t{trial}"
+            trial_id = f"{workload.lower()}-p{count}-t{trial}"
             backend = config.backend
             if isinstance(backend, SimBackendConfig):
                 backend = replace(backend, seed=base_seed + trial)
@@ -240,7 +235,7 @@ def run_experiment(
                     backend = replace(backend, data_root=str(data_root))
                 materialize_inputs(workflow, Path(backend.data_root))
                 log = local_run(workflow, request, backend)
-            report = compute_report(log, trial_id=trial_id, workload=config.workload)
+            report = compute_report(log, trial_id=trial_id, workload=workload)
             reports.append(report)
             if config.save_events:
                 events_dir = out / "events"
@@ -259,10 +254,9 @@ def run_experiment(
 
 def describe(protocol_name: str, replicas: int | None = None, workload: str = "SIM") -> str:
     """Human-readable summary of an expanded protocol."""
-    kind = _workload_kind(workload)
-    protocol = resolve_protocol(protocol_name, kind, time_scale=1.0)
+    protocol = resolve_protocol(protocol_name, TaskKind(workload), time_scale=1.0)
     count = protocol.default_replicas if replicas is None else replicas
-    workflow = protocol_to_workflow(protocol, replicas=count, kind=kind)
+    workflow = protocol_to_workflow(protocol, replicas=count)
     peak = peak_core_demand(workflow)
     tasks = len(workflow.tasks())
     lines = [

@@ -36,7 +36,6 @@ from .model import (
     ResourceRequest,
     StagingDirective,
     StagingMode,
-    TaskKind,
     TaskRecord,
     TaskState,
     Workflow,
@@ -139,13 +138,15 @@ def _execute_unit(
     sandbox: Path,
     data_root: Path,
     clock,
-    timeout: float,
+    deadline: float,
 ) -> _UnitResult:
     """Run one unit: stage in, execute, stage out.
 
-    Returns the completed phase intervals; on failure only phases that
-    actually finished are reported, so the event log never contains a
-    dangling interval.
+    The command gets what is left of the walltime when it starts, so a unit
+    that waited in the pool gets no more than one that did not. Returns the
+    completed phase intervals; on failure only phases that actually
+    finished are reported, so the event log never contains a dangling
+    interval.
     """
     result = _UnitResult(uid=unit.uid, ok=False)
     try:
@@ -156,11 +157,11 @@ def _execute_unit(
             _stage_one(directive, sandbox, data_root)
         result.phases.append(_Phase("stage_in", begin, clock()))
 
-        if unit.kind is TaskKind.SIMULATED:
-            argv = [_resolve_executable("sleep"), str(unit.expected_duration)]
-        else:
-            argv = [_resolve_executable(unit.executable), *unit.arguments]
+        argv = [_resolve_executable(unit.executable), *unit.arguments]
         begin = clock()
+        timeout = deadline - begin
+        if timeout <= 0:
+            raise subprocess.TimeoutExpired(argv, 0.0)
         proc = subprocess.run(
             argv,
             cwd=sandbox,
@@ -189,7 +190,7 @@ def _execute_unit(
         return result
     except subprocess.TimeoutExpired:
         result.end_time = clock()
-        result.diagnostic = f"walltime exceeded after {timeout:.1f}s"
+        result.diagnostic = f"walltime exceeded after {deadline:.1f}s"
         return result
     except (StagingError, FileNotFoundError) as exc:
         result.end_time = clock()
@@ -297,15 +298,10 @@ class _LocalEngine:
                         advance_task_state(
                             record, TaskState.SCHEDULED, sink=core.sink, time=now
                         )
-                        timeout = max(0.01, deadline - now)
                         pool.submit(
-                            lambda u=unit, t=timeout: self._results.put(
+                            lambda u=unit: self._results.put(
                                 _execute_unit(
-                                    u,
-                                    run_dir / u.uid,
-                                    data_root,
-                                    self._now,
-                                    t,
+                                    u, run_dir / u.uid, data_root, self._now, deadline
                                 )
                             )
                         )

@@ -21,9 +21,15 @@ from .profiling import ProfileEvent, ProfileSink
 
 
 class TaskKind(str, Enum):
-    NULL_WORKLOAD = "NULL_WORKLOAD"
-    SIMULATED = "SIMULATED"
-    LOCAL_EXEC = "LOCAL_EXEC"
+    """An experiment's workload kind, by the name its config gives it.
+
+    Only :func:`pilotflow.protocols.for_workload` and the built-in esmacs
+    protocol act on it; tasks and units do not carry it.
+    """
+
+    NULL_WORKLOAD = "NULL"
+    SIMULATED = "SIM"
+    LOCAL_EXEC = "LOCAL"
 
 
 class StagingMode(str, Enum):
@@ -51,12 +57,11 @@ class StagingDirective:
 class TaskSpec:
     """Smallest unit of work: an executable plus its data dependencies.
 
-    ``expected_duration`` (seconds) drives the simulated backend only;
-    ``executable`` is informational for SIMULATED tasks.
+    ``expected_duration`` (seconds) drives the simulated backend only; the
+    local backend runs ``executable`` with ``arguments``.
     """
 
     id: str
-    kind: TaskKind
     executable: str
     arguments: tuple[str, ...] = ()
     cores: int = 1

@@ -44,12 +44,7 @@ class UnknownProtocolError(Exception):
 
 @dataclass(frozen=True)
 class StageTemplate:
-    """Recipe for one stage of one pipeline.
-
-    ``timesteps`` is descriptive metadata for simulation stages;
-    data-movement stages leave it unset. It never sets a duration: every
-    protocol, built-in or file, states ``expected_duration`` itself.
-    """
+    """Recipe for one stage of one pipeline."""
 
     label: str
     executable: str
@@ -58,7 +53,6 @@ class StageTemplate:
     expected_duration: float = 0.0
     inputs: tuple[StagingDirective, ...] = ()
     outputs: tuple[StagingDirective, ...] = ()
-    timesteps: int | None = None
 
 
 @dataclass(frozen=True)
@@ -74,17 +68,15 @@ def for_workload(
     """Apply a workload kind and a time scale to any protocol.
 
     NULL_WORKLOAD turns every stage into ``sleep 0`` lasting 0.0 s with no
-    data movement; cores and timesteps are kept, so overheads are measured at
-    the protocol's real resource shape. Every other kind keeps the stages as
+    data movement; cores are kept, so overheads are measured at the
+    protocol's real resource shape. Every other kind keeps the stages as
     written and multiplies each expected duration by ``time_scale``.
     """
     if not math.isfinite(time_scale) or time_scale < 0:
         raise ValueError("time_scale must be finite and >= 0")
     if kind is TaskKind.NULL_WORKLOAD:
         stages = tuple(
-            StageTemplate(
-                stage.label, "sleep", ("0",), stage.cores, timesteps=stage.timesteps
-            )
+            StageTemplate(stage.label, "sleep", ("0",), stage.cores)
             for stage in protocol.stages
         )
     else:
@@ -105,8 +97,7 @@ _TAR_OUT = (
 )
 
 # The built-in esmacs protocol in its SIM form, the form configs/esmacs.json
-# holds. Simulation stages last one ten-thousandth of a second per timestep,
-# so the middle stage dominates, as it should.
+# holds. The restrained equilibration dominates, as it should.
 _ESMACS = ProtocolConfig(
     name="esmacs",
     stages=(
@@ -115,25 +106,11 @@ _ESMACS = ProtocolConfig(
         ),
         StageTemplate("preprep", "prep", ("preprep",), 1, 0.25, inputs=_PARAMS_IN),
         StageTemplate("minimize", "md", ("minimize",), 8, 0.25),
+        StageTemplate("equilibrate-nvt", "md", ("equilibrate-nvt",), 8, 0.5),
         StageTemplate(
-            "equilibrate-nvt", "md", ("equilibrate-nvt",), 8, 0.5, timesteps=5000
+            "equilibrate-npt-restrained", "md", ("equilibrate-npt-restrained",), 8, 5.5
         ),
-        StageTemplate(
-            "equilibrate-npt-restrained",
-            "md",
-            ("equilibrate-npt-restrained",),
-            8,
-            5.5,
-            timesteps=55000,
-        ),
-        StageTemplate(
-            "equilibrate-npt-free",
-            "md",
-            ("equilibrate-npt-free",),
-            8,
-            0.5,
-            timesteps=5000,
-        ),
+        StageTemplate("equilibrate-npt-free", "md", ("equilibrate-npt-free",), 8, 0.5),
         StageTemplate("tar-output", "tar", ("tar-output",), 1, 0.25, outputs=_TAR_OUT),
     ),
     default_replicas=ESMACS_REPLICAS,
@@ -182,13 +159,16 @@ def _expand_directives(
 def protocol_to_workflow(
     protocol: ProtocolConfig,
     replicas: int,
-    kind: TaskKind = TaskKind.SIMULATED,
+    kind: object = None,
     name: str | None = None,
 ) -> Workflow:
     """Expand a protocol into one pipeline per replica.
 
     Replicas and stages are numbered from 1 in ids; stage indices inside
-    the model stay 0-based positions.
+    the model stay 0-based positions. ``kind`` is ignored: a workload kind
+    acts once, when :func:`for_workload` builds the protocol, and tasks do
+    not carry it. The argument stays only because the benchmark under
+    ``perfbench/`` still passes it.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -199,7 +179,6 @@ def protocol_to_workflow(
         for position, template in enumerate(protocol.stages):
             task = TaskSpec(
                 id=f"{workflow_name}-p{replica}-s{position + 1}",
-                kind=kind,
                 executable=template.executable,
                 arguments=tuple(
                     _substitute(a, replica, workflow_name)

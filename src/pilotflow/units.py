@@ -3,7 +3,10 @@
 Translation turns an application-level task into a self-contained unit
 description: everything a pilot agent needs to run the work without seeing
 the pipeline/stage structure. Descriptions cross the manager/agent boundary
-as JSON. The wire round trip is paid where it is measured: the local backend
+as JSON: one object with the unit's fields, keys sorted. It says what to
+run, on how many cores and with which staging, never the experiment's
+workload kind, which has already shaped the command when the protocol was
+built. The wire round trip is paid where it is measured: the local backend
 serializes and parses each unit inside its timed translate interval, while
 the simulator models translation with its ``translate_cost`` sampler and
 uses the description as built.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from . import codec
 from .latency import Sampler
-from .model import StagingDirective, TaskKind, TaskSpec
+from .model import StagingDirective, TaskSpec
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class UnitDescription:
     task_id: str
     pipeline_id: str
     stage_index: int
-    kind: TaskKind
     executable: str
     arguments: tuple[str, ...]
     cores: int
@@ -75,7 +77,6 @@ def translate_task(
         task_id=task.id,
         pipeline_id=pipeline_id,
         stage_index=stage_index,
-        kind=task.kind,
         executable=task.executable,
         arguments=task.arguments,
         cores=task.cores,

@@ -16,6 +16,5 @@ def generate_esmacs(
     return protocol_to_workflow(
         esmacs_protocol(kind=kind, time_scale=time_scale),
         replicas=replicas,
-        kind=kind,
         name=name,
     )

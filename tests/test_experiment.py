@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import tarfile
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,18 @@ def test_bad_configs_rejected():
         sim_config(walltime=0.0)
     with pytest.raises(ExperimentConfigError):
         ExperimentConfig.from_dict({"name": "no-pipeline-counts"})
+    with pytest.raises(ExperimentConfigError, match="LOCAL"):
+        sim_config(backend={"backend": "local"})
+
+
+@pytest.mark.parametrize("workload", ["NULL", "SIM", "LOCAL"])
+def test_every_workload_is_read_for_the_simulator_and_all_but_sim_for_local(
+    workload,
+):
+    assert sim_config(workload=workload).workload is TaskKind(workload)
+    if workload != "SIM":
+        local = sim_config(workload=workload, backend={"backend": "local"})
+        assert (local.workload, local.backend) == (workload, LocalBackendConfig())
 
 
 @pytest.mark.parametrize(
@@ -244,6 +257,7 @@ def test_keys_and_values_that_would_not_be_read_are_rejected(overrides, named):
 def test_every_shipped_config_loads():
     assert sorted(path.name for path in CONFIGS.iterdir()) == [
         "esmacs.json",
+        "esmacs_local.json",
         "overhead_local.json",
         "weak_scaling_sim.json",
     ]
@@ -261,14 +275,19 @@ def test_every_shipped_config_loads():
     overhead = ExperimentConfig.load(CONFIGS / "overhead_local.json")
     assert overhead.backend == LocalBackendConfig()
     assert (overhead.workload, overhead.trials, overhead.walltime) == ("NULL", 5, 600.0)
+    local = ExperimentConfig.load(CONFIGS / "esmacs_local.json")
+    assert local.backend == LocalBackendConfig()
+    assert (local.workload, local.pipeline_counts) == (TaskKind.LOCAL_EXEC, (2,))
 
 
-@pytest.mark.parametrize("kind", [TaskKind.SIMULATED, TaskKind.NULL_WORKLOAD])
+@pytest.mark.parametrize(
+    "kind", [TaskKind.SIMULATED, TaskKind.NULL_WORKLOAD], ids=attrgetter("name")
+)
 @pytest.mark.parametrize("time_scale", [0.0, 0.5, 1.0])
 def test_esmacs_file_is_the_builtin_under_every_workload(kind, time_scale):
     loaded = for_workload(load_protocol(CONFIGS / "esmacs.json"), kind, time_scale)
     assert loaded == esmacs_protocol(kind, time_scale)
-    assert protocol_to_workflow(loaded, 3, kind) == generate_esmacs(
+    assert protocol_to_workflow(loaded, 3) == generate_esmacs(
         replicas=3, kind=kind, time_scale=time_scale
     )
 
@@ -401,6 +420,8 @@ def test_cli_run_invalid_config_exits_2(tmp_path, capsys):
                                         "mean": -1.0, "stddev": 0.0}}},
             "mean must be >= 0",
         ),
+        # Only the simulator runs SIM; the line points to LOCAL instead.
+        ({"backend": {"backend": "local"}}, "workload LOCAL with a small time_scale"),
     ],
 )
 def test_cli_run_bad_config_exits_2_before_writing(tmp_path, capsys, overrides, named):
@@ -435,7 +456,8 @@ def write_protocol(tmp_path, stage_keys, top_keys):
         ({"arguments": "abc"}, {}, "stages[0].arguments"),
         ({"core": 8}, {}, "'core'"),
         ({"label": 5}, {}, "stages[0].label"),
-        ({"timesteps": "many"}, {}, "stages[0].timesteps"),
+        # Stages state their durations; a timestep count is not read.
+        ({"timesteps": 5000}, {}, "'timesteps'"),
         ({"cores": True}, {}, "stages[0].cores"),
         ({}, {"replicas": 3}, "'replicas'"),
     ],

@@ -24,7 +24,12 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
-from pilotflow.units import TaskStore, UnitDescription
+from pilotflow.units import (
+    TaskStore,
+    UnitDescription,
+    UnitIdAllocator,
+    translate_task,
+)
 
 from helpers import generate_esmacs
 
@@ -32,7 +37,6 @@ from helpers import generate_esmacs
 def shell_task(tid: str, command: str, cores: int = 1, **kwargs) -> TaskSpec:
     return TaskSpec(
         id=tid,
-        kind=TaskKind.LOCAL_EXEC,
         executable="/bin/sh",
         arguments=("-c", command),
         cores=cores,
@@ -155,19 +159,6 @@ def test_exec_interval_brackets_real_sleep():
     assert report.ttc_s >= 0.2
 
 
-def test_simulated_kind_runs_a_timed_stand_in():
-    task = TaskSpec(
-        id="sim",
-        kind=TaskKind.SIMULATED,
-        executable="md",
-        expected_duration=0.2,
-    )
-    log = run_local(one_stage_workflow(task))
-    execs = {e.name: e.time for e in log.events if e.name.startswith("exec")}
-    assert execs["exec_end"] - execs["exec_begin"] >= 0.2
-    assert compute_report(log).done_tasks == 1
-
-
 def test_nonzero_exit_fails_the_task_with_diagnostic():
     wf = one_stage_workflow(shell_task("bad", "echo boom >&2; exit 3"))
     log = run_local(wf)
@@ -180,9 +171,7 @@ def test_nonzero_exit_fails_the_task_with_diagnostic():
 
 
 def test_missing_executable_fails_with_diagnostic():
-    task = TaskSpec(
-        id="ghost", kind=TaskKind.LOCAL_EXEC, executable="no-such-binary-xyz"
-    )
+    task = TaskSpec(id="ghost", executable="no-such-binary-xyz")
     log = run_local(one_stage_workflow(task))
     assert "executable not found" in log.extras["diagnostics"]["ghost"]
     assert compute_report(log).failed_tasks == 1
@@ -329,6 +318,31 @@ def test_walltime_kills_overrunning_tasks():
     assert "walltime" in log.extras["diagnostics"]["runaway"]
 
 
+def test_a_unit_that_waited_in_the_pool_gets_only_the_walltime_left():
+    # One worker: the second unit waits about 1 s for the first, then has
+    # about 0.5 s of the 1.5 s walltime left for its 1 s sleep.
+    wf = one_stage_workflow(
+        shell_task("first", "sleep 1"), shell_task("second", "sleep 1")
+    )
+    log = run_local(wf, walltime=1.5, max_workers=1)
+    terminal = {e.entity: e for e in log.events if e.name in ("done", "failed")}
+    assert terminal["first"].name == "done"
+    assert terminal["second"].name == "failed"
+    assert "walltime exceeded" in log.extras["diagnostics"]["second"]
+    assert terminal["second"].time < 1.5 + 0.4
+
+
+def test_a_unit_that_starts_after_the_walltime_fails_without_running(tmp_path):
+    unit = translate_task(shell_task("late", "touch ran"), "p0", 0, UnitIdAllocator())
+    result = localbackend._execute_unit(
+        unit, tmp_path / "sandbox", tmp_path, lambda: 2.0, deadline=1.0
+    )
+    assert not result.ok
+    assert result.diagnostic == "walltime exceeded after 1.0s"
+    assert [phase.name for phase in result.phases] == ["stage_in"]
+    assert not (tmp_path / "sandbox" / "ran").exists()
+
+
 def test_sandboxes_kept_on_request(tmp_path):
     root = tmp_path / "sandboxes"
     wf = one_stage_workflow(shell_task("writer", "echo hi > marker.txt"))
@@ -386,7 +400,12 @@ def test_config_dict_round_trip():
         "bulk": 4,
         "max_workers": 2,
     }
-    data = {"name": "x", "pipeline_counts": [1], "backend": backend}
+    data = {
+        "name": "x",
+        "workload": "LOCAL",
+        "pipeline_counts": [1],
+        "backend": backend,
+    }
     assert ExperimentConfig.from_dict(data).backend == LocalBackendConfig(
         sandbox_root="/tmp/x", keep_sandboxes=True, bulk=4, max_workers=2
     )

@@ -15,7 +15,6 @@ from pilotflow.model import (
     Stage,
     StagingDirective,
     StagingMode,
-    TaskKind,
     TaskRecord,
     TaskSpec,
     TaskState,
@@ -31,7 +30,6 @@ from pilotflow.profiling import ProfileSink
 def make_task(tid: str, cores: int = 1, duration: float = 0.0) -> TaskSpec:
     return TaskSpec(
         id=tid,
-        kind=TaskKind.NULL_WORKLOAD,
         executable="sleep",
         arguments=("0",),
         cores=cores,
@@ -126,7 +124,6 @@ def test_negative_duration_rejected():
     task = make_task("a")
     bad = TaskSpec(
         id="a",
-        kind=task.kind,
         executable=task.executable,
         expected_duration=-1.0,
     )
@@ -155,7 +152,6 @@ def test_non_finite_duration_rejected(duration):
 def test_empty_staging_path_rejected():
     bad = TaskSpec(
         id="a",
-        kind=TaskKind.SIMULATED,
         executable="md",
         inputs=(StagingDirective("", "target", StagingMode.COPY_IN),),
     )

@@ -57,12 +57,7 @@ def test_stage_labels_and_order():
     ]
 
 
-def test_simulation_stage_timesteps():
-    timesteps = [t.timesteps for t in esmacs_protocol().stages]
-    assert timesteps == [None, None, None, 5000, 55000, 5000, None]
-
-
-def test_expected_durations_follow_timesteps():
+def test_esmacs_stage_durations():
     durations = [t.expected_duration for t in esmacs_protocol().stages]
     assert durations == [0.25, 0.25, 0.25, 0.5, 5.5, 0.5, 0.25]
 
@@ -90,7 +85,6 @@ def test_eight_replica_ensemble_needs_64_cores():
 def test_null_variant_runs_sleep_zero_without_staging():
     wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
     for task in wf.tasks():
-        assert task.kind is TaskKind.NULL_WORKLOAD
         assert task.executable == "sleep"
         assert task.arguments == ("0",)
         assert task.expected_duration == 0.0
@@ -150,19 +144,18 @@ def test_for_workload_applies_to_any_protocol():
         cores=4,
         expected_duration=2.0,
         inputs=esmacs_protocol().stages[1].inputs,
-        timesteps=100,
     )
     protocol = ProtocolConfig(name="p", stages=(staged,), default_replicas=3)
     # Other kinds run the stages as written, only scaled in time.
     for kind in (TaskKind.SIMULATED, TaskKind.LOCAL_EXEC):
         [scaled] = for_workload(protocol, kind, 0.25).stages
         assert scaled == StageTemplate(
-            "run", "engine", ("--fast",), 4, 0.5, staged.inputs, timesteps=100
+            "run", "engine", ("--fast",), 4, 0.5, staged.inputs
         )
     # NULL keeps the resource shape and drops the work and the data movement.
     null = for_workload(protocol, TaskKind.NULL_WORKLOAD, 3.0)
     assert (null.name, null.default_replicas) == ("p", 3)
-    assert null.stages == (StageTemplate("run", "sleep", ("0",), 4, timesteps=100),)
+    assert null.stages == (StageTemplate("run", "sleep", ("0",), 4),)
 
 
 def test_replicas_must_be_positive():
@@ -204,7 +197,7 @@ def test_loaded_protocol_expands_identically(tmp_path):
 
 # sha256 of json.dumps(protocol_to_dict(esmacs LOCAL), sort_keys=True).
 ESMACS_LOCAL_DICT_DIGEST = (
-    "6220716385de8f2cca235200745485c179f320435063c8046a9788cc245e5126"
+    "fd78568a05b991b843a0ca8639e4a6672b9e0f1134b7368fabef9c2251fa4d11"
 )
 
 
@@ -214,10 +207,10 @@ def test_dict_round_trip():
     assert protocol_from_dict(data) == protocol
     text = json.dumps(data, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == ESMACS_LOCAL_DICT_DIGEST
-    # A file's timesteps are stored, not turned into a duration.
+    # A stage states its duration; there is no timestep count to read.
     stage = {"label": "md", "executable": "md", "timesteps": 50000}
-    [read] = protocol_from_dict({"name": "p", "stages": [stage]}).stages
-    assert (read.timesteps, read.expected_duration) == (50000, 0.0)
+    with pytest.raises(ProtocolSchemaError, match="'timesteps'"):
+        protocol_from_dict({"name": "p", "stages": [stage]})
 
 
 def test_missing_name_rejected():

@@ -34,7 +34,6 @@ from helpers import generate_esmacs
 def null_task(tid: str, duration: float = 0.0) -> TaskSpec:
     return TaskSpec(
         id=tid,
-        kind=TaskKind.SIMULATED,
         executable="md",
         expected_duration=duration,
     )
@@ -196,7 +195,6 @@ def test_local_run_logs_the_local_backend():
                         tasks=[
                             TaskSpec(
                                 id="t",
-                                kind=TaskKind.NULL_WORKLOAD,
                                 executable="sleep",
                                 arguments=("0",),
                             )

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow.model import TaskKind
 from pilotflow.scheduler import CoreMap, FirstFitScheduler, UnschedulableError
 from pilotflow.units import UnitDescription
 
@@ -17,7 +16,6 @@ def make_unit(uid: str, cores: int) -> UnitDescription:
         task_id=uid,
         pipeline_id="p",
         stage_index=0,
-        kind=TaskKind.NULL_WORKLOAD,
         executable="sleep",
         arguments=("0",),
         cores=cores,

@@ -59,7 +59,6 @@ STANDARD = SimBackendConfig(
 def single_task_workflow(duration: float, cores: int = 1) -> Workflow:
     task = TaskSpec(
         id="only",
-        kind=TaskKind.SIMULATED,
         executable="md",
         cores=cores,
         expected_duration=duration,
@@ -248,10 +247,8 @@ def test_walltime_truncates_and_cancels():
 
 def test_walltime_cancels_queued_later_stages():
     tasks = [
-        TaskSpec(id="short", kind=TaskKind.SIMULATED, executable="md",
-                 expected_duration=3.0),
-        TaskSpec(id="long", kind=TaskKind.SIMULATED, executable="md",
-                 expected_duration=100.0),
+        TaskSpec(id="short", executable="md", expected_duration=3.0),
+        TaskSpec(id="long", executable="md", expected_duration=100.0),
     ]
     wf = Workflow(
         name="two",

@@ -29,7 +29,6 @@ from helpers import generate_esmacs
 def make_task(tid: str = "t1") -> TaskSpec:
     return TaskSpec(
         id=tid,
-        kind=TaskKind.SIMULATED,
         executable="md",
         arguments=("equilibrate",),
         cores=8,
@@ -45,7 +44,6 @@ def test_translate_carries_every_field():
     assert unit.task_id == "t1"
     assert unit.pipeline_id == "pipe-1"
     assert unit.stage_index == 4
-    assert unit.kind is TaskKind.SIMULATED
     assert unit.executable == "md"
     assert unit.arguments == ("equilibrate",)
     assert unit.cores == 8
@@ -66,7 +64,7 @@ def test_allocator_ids_are_sequential():
 ESMACS_TAR_OUT_WIRE = (
     '{"arguments": ["-c", "sleep 0.25 && mkdir -p output && echo tar-output r2 '
     '>> output/tar-output.log"], "cores": 1, "executable": "/bin/sh", '
-    '"expected_duration": 0.25, "inputs": [], "kind": "LOCAL_EXEC", "outputs": '
+    '"expected_duration": 0.25, "inputs": [], "outputs": '
     '[{"mode": "TAR_OUT", "source": "output", "target": "output/results-r2.tar"}], '
     '"pipeline_id": "esmacs-p2", "stage_index": 6, "task_id": "esmacs-p2-s7", '
     '"uid": "unit.000000"}'
@@ -100,7 +98,6 @@ durations = st.one_of(
     task=st.builds(
         TaskSpec,
         id=st.text(),
-        kind=st.sampled_from(TaskKind),
         executable=st.text(),
         arguments=st.lists(st.text(), max_size=4).map(tuple),
         cores=st.integers(min_value=1, max_value=2**40),
