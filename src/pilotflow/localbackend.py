@@ -142,14 +142,17 @@ def _execute_unit(
 ) -> _UnitResult:
     """Run one unit: stage in, execute, stage out.
 
-    The command gets what is left of the walltime when it starts, so a unit
-    that waited in the pool gets no more than one that did not. Returns the
-    completed phase intervals; on failure only phases that actually
-    finished are reported, so the event log never contains a dangling
-    interval.
+    A unit that a worker starts at or after the walltime fails before it
+    stages anything in. The command gets what is left of the walltime when
+    it starts, so a unit that waited in the pool gets no more than one that
+    did not. Returns the completed phase intervals; on failure only phases
+    that actually finished are reported, so the event log never contains a
+    dangling interval.
     """
     result = _UnitResult(uid=unit.uid, ok=False)
     try:
+        if clock() >= deadline:
+            raise subprocess.TimeoutExpired(unit.executable, 0.0)
         sandbox.mkdir(parents=True, exist_ok=True)
 
         begin = clock()

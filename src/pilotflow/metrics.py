@@ -37,7 +37,7 @@ import statistics
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .profiling import INTERVAL_STEMS, EventLog, ProfileEvent
+from .profiling import INTERVAL_STEMS, EventLog, Row
 
 TERMINAL_EVENTS = ("done", "failed", "canceled")
 
@@ -115,7 +115,7 @@ def compute_report(
     log always raises the same first error.
     """
     first: dict[str, float] = {}
-    terminal: list[ProfileEvent] = []
+    terminal: list[Row] = []
     # Running sums, not lists of times: floats and ints are not tracked by
     # the cyclic GC, so these dicts add no GC work however many entities a
     # log has.
@@ -127,28 +127,27 @@ def compute_report(
     # Stage windows: first staging start to last completion, per pipeline.
     window_begin: dict[tuple[str, int], float] = {}
     window_end: dict[tuple[str, int], float] = {}
-    for event in log.events:
-        name = event.name
+    for row in log.events.rows:
+        time, entity, name, pipeline, stage = row
         side = sides.get(name)
         if side is not None:
             totals, counts = side
-            entity = event.entity
             # Seeded with the int 0, so the first sum is the time itself and
             # later times add left to right, in log order.
-            totals[entity] = totals.get(entity, 0) + event.time
+            totals[entity] = totals.get(entity, 0) + time
             counts[entity] = counts.get(entity, 0) + 1
-            if name == "stage_in_begin" and event.stage >= 0 and event.pipeline:
-                key = (event.pipeline, event.stage)
-                if key not in window_begin or event.time < window_begin[key]:
-                    window_begin[key] = event.time
+            if name == "stage_in_begin" and stage >= 0 and pipeline:
+                key = (pipeline, stage)
+                if key not in window_begin or time < window_begin[key]:
+                    window_begin[key] = time
         elif name in TERMINAL_EVENTS:
-            terminal.append(event)
-            if name == "done" and event.stage >= 0 and event.pipeline:
-                key = (event.pipeline, event.stage)
-                if key not in window_end or event.time > window_end[key]:
-                    window_end[key] = event.time
+            terminal.append(row)
+            if name == "done" and stage >= 0 and pipeline:
+                key = (pipeline, stage)
+                if key not in window_end or time > window_end[key]:
+                    window_end[key] = time
         elif (name == "submit" or name == "pilot_active") and name not in first:
-            first[name] = event.time
+            first[name] = time
 
     submit = _first_time(first, "submit")
     active = _first_time(first, "pilot_active")
@@ -158,15 +157,15 @@ def compute_report(
     if not terminal:
         raise MalformedProfileError("log has no terminal task events")
     seen: set[str] = set()
-    for event in terminal:
-        if event.entity in seen:
+    for _, entity, _, _, _ in terminal:
+        if entity in seen:
             raise MalformedProfileError(
-                f"task {event.entity!r} has more than one terminal event"
+                f"task {entity!r} has more than one terminal event"
             )
-        seen.add(event.entity)
+        seen.add(entity)
 
     tq = active - submit
-    ttc = max(e.time for e in terminal) - submit
+    ttc = max(row[0] for row in terminal) - submit
     ttx = ttc - tq
 
     # Every interval kind must pair up, including the ones no metric sums.
@@ -190,10 +189,10 @@ def compute_report(
         for index, widths in sorted(stage_windows.items())
     }
 
-    done = sum(1 for e in terminal if e.name == "done")
-    failed = sum(1 for e in terminal if e.name == "failed")
-    canceled = sum(1 for e in terminal if e.name == "canceled")
-    pipelines = len({e.pipeline for e in terminal if e.pipeline})
+    done = sum(1 for row in terminal if row[2] == "done")
+    failed = sum(1 for row in terminal if row[2] == "failed")
+    canceled = sum(1 for row in terminal if row[2] == "canceled")
+    pipelines = len({row[3] for row in terminal if row[3]})
     status = log.extras.get("status", "DONE" if failed == canceled == 0 else "FAILED")
 
     return RunReport(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .profiling import ProfileEvent, ProfileSink
+from .profiling import ProfileSink
 
 
 class TaskKind(str, Enum):
@@ -171,12 +171,12 @@ def advance_task_state(
     record.state = state
     if sink is not None:
         sink.append(
-            ProfileEvent(
-                time=time,
-                entity=record.task.id,
-                name=_STATE_ENTRY_EVENT[state],
-                pipeline=record.pipeline_id,
-                stage=record.stage_index,
+            (
+                time,
+                record.task.id,
+                _STATE_ENTRY_EVENT[state],
+                record.pipeline_id,
+                record.stage_index,
             )
         )
     return record

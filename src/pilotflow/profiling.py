@@ -17,14 +17,23 @@ Event names, by the entity they are keyed on:
               ``done``, ``failed``, ``canceled``
 
 All timestamps are seconds relative to pilot submission (time 0.0).
+
+Engines store each event as a plain row, the exact tuple ``(time, entity,
+name, pipeline, stage)``, never as a :class:`ProfileEvent`. CPython's cyclic
+collector stops tracking an exact tuple that holds only numbers and strings,
+but it never untracks an instance of a tuple subclass such as a NamedTuple,
+so a log of ``ProfileEvent`` objects would be traversed by every full
+collection for as long as it lives. :class:`EventView` is how callers read a
+log: it builds a ``ProfileEvent`` for each row it hands out.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +57,8 @@ class ProfileEvent(NamedTuple):
     """One timestamped occurrence attributed to an entity.
 
     ``pipeline`` and ``stage`` carry attribution for per-stage metrics; they
-    are empty for pilot-level events.
+    are empty for pilot-level events. Logs store the same five fields as a
+    plain tuple row and build this record only when a caller reads one.
     """
 
     time: float
@@ -58,8 +68,53 @@ class ProfileEvent(NamedTuple):
     stage: int = -1
 
 
+# One stored event: (time, entity, name, pipeline, stage).
+Row = tuple[float, str, str, str, int]
+
+
+class EventView(Sequence[ProfileEvent]):
+    """Read-only sequence of ``ProfileEvent`` over a list of rows.
+
+    Each event is built when it is read and is not kept, so iterating over
+    a log or taking its length never holds a second copy of it. Two views,
+    or a view and a list, are equal when their rows are; ``rows`` is the
+    list itself, which the metrics and the CSV writer read directly.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[Row]) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(ProfileEvent._make, self.rows[index]))
+        return ProfileEvent._make(self.rows[index])
+
+    def __iter__(self):
+        return map(ProfileEvent._make, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventView):
+            other = other.rows
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.rows == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class ProfileSink:
-    """Append-only event collector.
+    """Append-only row collector.
+
+    Rows are plain tuples, not ``ProfileEvent`` instances, so that the
+    cyclic collector stops tracking them (it never untracks a tuple
+    subclass). ``events`` hands them back sorted, in an :class:`EventView`
+    that builds a ``ProfileEvent`` for each row a caller reads.
 
     It takes no lock: only the engine's own thread appends (the local
     backend's workers hand their results back through a queue), and
@@ -67,25 +122,29 @@ class ProfileSink:
     """
 
     def __init__(self) -> None:
-        self._events: list[ProfileEvent] = []
+        self._rows: list[Row] = []
 
-    def append(self, event: ProfileEvent) -> None:
-        self._events.append(event)
+    def append(self, row: Row) -> None:
+        self._rows.append(row)
 
-    def events(self) -> list[ProfileEvent]:
+    def events(self) -> EventView:
         """Events ordered by time, ties broken by append order (the sort is
         stable)."""
-        return sorted(self._events, key=attrgetter("time"))
+        return EventView(sorted(self._rows, key=itemgetter(0)))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
 
 @dataclass
 class EventLog:
-    """Finished run: the ordered event list plus run-level context."""
+    """Finished run: the ordered events plus run-level context.
 
-    events: list[ProfileEvent]
+    ``events`` reads as a sequence of ``ProfileEvent``, each built on access
+    from the view's plain-tuple rows.
+    """
+
+    events: EventView
     pilot_id: str
     pilot_cores: int
     backend: str
@@ -93,7 +152,8 @@ class EventLog:
     extras: dict = field(default_factory=dict)
 
     def by_name(self, name: str) -> list[ProfileEvent]:
-        return [e for e in self.events if e.name == name]
+        make = ProfileEvent._make
+        return [make(row) for row in self.events.rows if row[2] == name]
 
     def write_csv(self, path: str | Path) -> None:
         """Three-column export: time_s, entity, event.
@@ -118,13 +178,13 @@ class EventLog:
             quoted[text] = field
             return field
 
-        events = self.events
+        rows = self.events.rows
         last_time = stamp = None
         with open(path, "w", newline="") as handle:
             handle.write("time_s,entity,event\r\n")
-            for start in range(0, len(events), _CSV_CHUNK_ROWS):
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
                 lines = []
-                chunk = events[start : start + _CSV_CHUNK_ROWS]
+                chunk = rows[start : start + _CSV_CHUNK_ROWS]
                 for time, entity, name, _, _ in chunk:
                     # Sorted events often share a time object; reuse its repr.
                     # Identity, not equality: 0.0 == -0.0 but their reprs differ.

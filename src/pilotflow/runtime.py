@@ -37,7 +37,7 @@ from .model import (
     advance_task_state,
     validate_workflow,
 )
-from .profiling import EventLog, ProfileEvent, ProfileSink
+from .profiling import EventLog, ProfileSink
 from .scheduler import FirstFitScheduler
 from .units import TaskStore, UnitDescription, UnitIdAllocator
 
@@ -68,7 +68,7 @@ def submit_pilot(
     if not math.isfinite(request.walltime) or request.walltime <= 0:
         raise PilotRequestError("pilot walltime must be positive and finite")
     pilot = Pilot(uid=uid, request=request)
-    sink.append(ProfileEvent(time=time, entity=uid, name="submit"))
+    sink.append((time, uid, "submit", "", -1))
     return pilot
 
 
@@ -188,14 +188,14 @@ class EngineCore:
 
     def activate(self, time: float) -> None:
         """The pilot's allocation came up."""
-        self.sink.append(ProfileEvent(time, self.pilot.uid, "pilot_active"))
+        self.sink.append((time, self.pilot.uid, "pilot_active", "", -1))
 
     def translated(
         self, record: TaskRecord, unit: UnitDescription, begin: float, end: float
     ) -> None:
         """The manager translated ``record``'s task into ``unit``."""
         self.sink.append(
-            ProfileEvent(
+            (
                 begin,
                 record.task.id,
                 "translate_begin",
@@ -210,25 +210,21 @@ class EngineCore:
         """The manager handed ``unit`` to the store."""
         self.store.enqueue(unit)
         self.sink.append(
-            ProfileEvent(time, unit.uid, "enqueue", unit.pipeline_id, unit.stage_index)
+            (time, unit.uid, "enqueue", unit.pipeline_id, unit.stage_index)
         )
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
-        self.sink.append(ProfileEvent(begin, self.pilot.uid, "pull_begin"))
-        self.sink.append(ProfileEvent(end, self.pilot.uid, "pull_end"))
+        self.sink.append((begin, self.pilot.uid, "pull_begin", "", -1))
+        self.sink.append((end, self.pilot.uid, "pull_end", "", -1))
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent read one pulled unit's description."""
         self.sink.append(
-            ProfileEvent(
-                begin, unit.uid, "unit_io_begin", unit.pipeline_id, unit.stage_index
-            )
+            (begin, unit.uid, "unit_io_begin", unit.pipeline_id, unit.stage_index)
         )
         self.sink.append(
-            ProfileEvent(
-                end, unit.uid, "unit_io_end", unit.pipeline_id, unit.stage_index
-            )
+            (end, unit.uid, "unit_io_end", unit.pipeline_id, unit.stage_index)
         )
 
     def phase(self, record: TaskRecord, stem: str, begin: float, end: float) -> None:
@@ -237,9 +233,7 @@ class EngineCore:
         entry, end_name = _PHASES[stem]
         advance_task_state(record, entry, sink=self.sink, time=begin)
         self.sink.append(
-            ProfileEvent(
-                end, record.task.id, end_name, record.pipeline_id, record.stage_index
-            )
+            (end, record.task.id, end_name, record.pipeline_id, record.stage_index)
         )
 
     def release(self, uid: str) -> TaskRecord:
@@ -264,7 +258,7 @@ class EngineCore:
         for record in self.tracker.all_records():
             if not record.state.is_terminal:
                 self.terminate(record, TaskState.CANCELED, finish)
-        self.sink.append(ProfileEvent(finish, self.pilot.uid, "pilot_done"))
+        self.sink.append((finish, self.pilot.uid, "pilot_done", "", -1))
         return EventLog(
             events=self.sink.events(),
             pilot_id=self.pilot.uid,

@@ -333,13 +333,20 @@ def test_a_unit_that_waited_in_the_pool_gets_only_the_walltime_left():
 
 
 def test_a_unit_that_starts_after_the_walltime_fails_without_running(tmp_path):
-    unit = translate_task(shell_task("late", "touch ran"), "p0", 0, UnitIdAllocator())
+    (tmp_path / "params.dat").write_text("k=1\n")
+    task = shell_task(
+        "late",
+        "touch ran",
+        inputs=(StagingDirective("params.dat", "params.dat", StagingMode.COPY_IN),),
+    )
+    unit = translate_task(task, "p0", 0, UnitIdAllocator())
     result = localbackend._execute_unit(
         unit, tmp_path / "sandbox", tmp_path, lambda: 2.0, deadline=1.0
     )
     assert not result.ok
     assert result.diagnostic == "walltime exceeded after 1.0s"
-    assert [phase.name for phase in result.phases] == ["stage_in"]
+    assert result.phases == []
+    assert not (tmp_path / "sandbox" / "params.dat").exists()
     assert not (tmp_path / "sandbox" / "ran").exists()
 
 

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import csv
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow.profiling import _CSV_CHUNK_ROWS, EventLog, ProfileEvent, ProfileSink
+from pilotflow.latency import LatencyModel
+from pilotflow.model import ResourceRequest, peak_core_demand
+from pilotflow.profiling import (
+    _CSV_CHUNK_ROWS,
+    EventLog,
+    EventView,
+    ProfileEvent,
+    ProfileSink,
+)
+from pilotflow.simbackend import SimBackendConfig, sim_run
+
+from helpers import generate_esmacs
 
 
 @given(
@@ -44,6 +56,51 @@ def test_profile_event_is_immutable():
     assert event.pipeline == "" and event.stage == -1
 
 
+def small_sim_log() -> EventLog:
+    workflow = generate_esmacs(replicas=3)
+    config = SimBackendConfig(
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=7,
+    )
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1e6)
+    return sim_run(workflow, request, config)
+
+
+def test_stored_rows_are_plain_tuples_the_collector_untracks():
+    """A NamedTuple is never untracked by CPython's cyclic collector; an
+    exact tuple of numbers and strings is, once a collection has seen it."""
+    log = small_sim_log()
+    gc.collect()
+    rows = log.events.rows
+    assert rows
+    assert all(type(row) is tuple for row in rows)
+    assert not any(gc.is_tracked(row) for row in rows)
+
+
+def test_event_view_reads_rows_as_profile_events():
+    log = small_sim_log()
+    events, rows = log.events, log.events.rows
+    assert len(events) == len(rows)
+    first_pass, second_pass = list(events), list(events)
+    assert first_pass == second_pass
+    for event, row in zip(first_pass, rows):
+        assert type(event) is ProfileEvent
+        fields = (event.time, event.entity, event.name, event.pipeline, event.stage)
+        assert fields == row
+    assert events[0] == first_pass[0] and events[0].name == "submit"
+    assert events[-1] == first_pass[-1] and events[-1].name == "pilot_done"
+    assert type(events[0]) is ProfileEvent and type(events[-1]) is ProfileEvent
+    assert events[1:3] == first_pass[1:3]
+    assert events == first_pass and events == EventView(list(rows))
+    assert repr(events) == repr(first_pass)
+    done = log.by_name("done")
+    assert len(done) == 3 * 7
+    assert done == [event for event in first_pass if event.name == "done"]
+    assert all(type(event) is ProfileEvent for event in done)
+
+
 def reference_csv(events, path):
     """Oracle: the rows written through csv.writer, one call per row."""
     with open(path, "w", newline="") as handle:
@@ -53,7 +110,9 @@ def reference_csv(events, path):
 
 
 def assert_matches_reference(events, tmp_path):
-    log = EventLog(events=events, pilot_id="pilot.0000", pilot_cores=1, backend="sim")
+    log = EventLog(
+        events=EventView(events), pilot_id="pilot.0000", pilot_cores=1, backend="sim"
+    )
     log.write_csv(tmp_path / "got.csv")
     reference_csv(events, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
