@@ -75,7 +75,7 @@ class _Phase:
 
 @dataclass
 class _UnitResult:
-    uid: str
+    unit: UnitDescription
     ok: bool
     phases: list[_Phase] = field(default_factory=list)
     end_time: float = 0.0
@@ -149,7 +149,7 @@ def _execute_unit(
     that actually finished are reported, so the event log never contains a
     dangling interval.
     """
-    result = _UnitResult(uid=unit.uid, ok=False)
+    result = _UnitResult(unit=unit, ok=False)
     try:
         if clock() >= deadline:
             raise subprocess.TimeoutExpired(unit.executable, 0.0)
@@ -210,7 +210,6 @@ class _LocalEngine:
         self, workflow: Workflow, request: ResourceRequest, config: LocalBackendConfig
     ) -> None:
         self.config = config
-        self.request = request
         self.core = EngineCore(
             workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")
         )
@@ -231,7 +230,7 @@ class _LocalEngine:
             # is part of the measured translation.
             unit = UnitDescription.from_wire(unit.to_wire())
             end = self._now()
-            self.core.translated(record, unit, begin, end)
+            self.core.translated(record, begin, end)
             self.core.enqueue(unit, end)
 
     def _pull_pending(self) -> None:
@@ -241,14 +240,14 @@ class _LocalEngine:
         units, _ = self.core.store.pull(self.config.bulk)
         self.core.pulled(begin, self._now())
         for unit in units:
-            # Re-read the description from its wire form, as the agent does.
+            # The unit in the store is already the decoded wire form, so the
+            # agent's intake of it is the offer to the scheduler.
             io_begin = self._now()
-            UnitDescription.from_wire(unit.to_wire())
-            self.core.unit_read(unit, io_begin, self._now())
             self.core.scheduler.offer(unit)
+            self.core.unit_read(unit, io_begin, self._now())
 
     def _apply_result(self, result: _UnitResult) -> None:
-        record = self.core.release(result.uid)
+        record = self.core.release(result.unit)
         for phase in result.phases:
             self.core.phase(record, phase.name, phase.begin, phase.end)
         if result.ok:
@@ -277,26 +276,24 @@ class _LocalEngine:
         )
         data_root.mkdir(parents=True, exist_ok=True)
 
+        core = self.core
         workers = self.config.max_workers
         if workers is None:
-            workers = max(1, min(self.request.cores, 128))
-        deadline = self.request.walltime
+            workers = max(1, min(core.request.cores, 128))
+        deadline = core.request.walltime
         in_flight = 0
-        core = self.core
 
         self._translate(core.tracker.initial_ready())
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 while True:
                     self._pull_pending()
-                    for unit, _placement in core.scheduler.place_ready():
-                        record = core.records[unit.uid]
+                    for unit, _offset in core.scheduler.place_ready():
+                        record = core.tracker.record_for(unit.task_id)
                         now = self._now()
-                        failed = core.tracker.pipeline_failed(record.task.id)
+                        failed = core.tracker.pipeline_failed(unit.task_id)
                         if failed or now > deadline:
-                            core.terminate(
-                                core.release(unit.uid), TaskState.CANCELED, now
-                            )
+                            core.terminate(core.release(unit), TaskState.CANCELED, now)
                             continue
                         advance_task_state(
                             record, TaskState.SCHEDULED, sink=core.sink, time=now
@@ -316,9 +313,11 @@ class _LocalEngine:
                     ):
                         break
                     if in_flight > 0:
-                        # Apply every result already waiting too, so that the
-                        # units they make ready share the next pull.
-                        result = self._results.get(timeout=deadline + 60.0)
+                        # Every worker reports back (_execute_unit catches every
+                        # exception), so the wait needs no timeout. Apply every
+                        # result already waiting too, so that the units they
+                        # make ready share the next pull.
+                        result = self._results.get()
                         while True:
                             in_flight -= 1
                             self._apply_result(result)

@@ -12,9 +12,11 @@ Definitions, all in seconds:
   engine overhead   total time spent translating tasks into unit
                     descriptions (workflow manager side).
   runtime overhead  total time spent pulling unit descriptions from the
-                    store plus reading/writing them on the filesystem
-                    (pilot agent side). Placement decisions are counted as
-                    instantaneous.
+                    store plus the agent's intake of each pulled unit
+                    (pilot agent side): a filesystem read in the
+                    simulator, the offer to the scheduler in the local
+                    backend, which parses no JSON here. Placement
+                    decisions are counted as instantaneous.
 
 Per-stage execution time reports, for each stage position, the widest
 window from first input-staging start to last completion across pipelines,

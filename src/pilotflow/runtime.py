@@ -4,9 +4,10 @@ A pilot is a placeholder job: it acquires a block of cores first and binds
 work to them later, so task scheduling happens inside the allocation rather
 than in the machine's batch queue. The workflow manager translates ready
 tasks into unit descriptions and enqueues them; the pilot agent pulls them
-in bulk and places them on cores. A :class:`Pilot` is just its uid and its
-resource request; its life shows in the log as the ``submit``,
-``pilot_active`` and ``pilot_done`` events.
+in bulk and places them on cores. A run has one pilot: its uid is
+:data:`PILOT_UID`, its resource request is held by :class:`EngineCore`, and
+its life shows in the log as the ``submit``, ``pilot_active`` and
+``pilot_done`` events.
 
 :class:`WorkflowTracker` holds the structural rules both backends share:
 stage k+1 of a pipeline becomes ready only when every task of stage k is
@@ -46,30 +47,7 @@ class PilotRequestError(Exception):
     """The resource request cannot describe a runnable pilot."""
 
 
-@dataclass
-class Pilot:
-    uid: str
-    request: ResourceRequest
-
-
-def submit_pilot(
-    request: ResourceRequest,
-    sink: ProfileSink,
-    uid: str = "pilot.0000",
-    time: float = 0.0,
-) -> Pilot:
-    """Validate a resource request and enter it into the queue.
-
-    Emits the ``submit`` point event; the backend emits ``pilot_active``
-    once the allocation comes up.
-    """
-    if request.cores < 1:
-        raise PilotRequestError("pilot needs at least one core")
-    if not math.isfinite(request.walltime) or request.walltime <= 0:
-        raise PilotRequestError("pilot walltime must be positive and finite")
-    pilot = Pilot(uid=uid, request=request)
-    sink.append((time, uid, "submit", "", -1))
-    return pilot
+PILOT_UID = "pilot.0000"
 
 
 @dataclass
@@ -171,29 +149,35 @@ class EngineCore:
 
     A backend decides when each step of a unit's life happens and calls the
     matching method with that time; the core applies the step to the store,
-    scheduler and tracker and writes its events. ``records`` maps each unit
-    id to the record of the task it was translated from.
+    scheduler and tracker and writes its events. A unit finds its task's
+    record through ``tracker.record_for(unit.task_id)``.
+
+    Building the core validates the workflow, then the pilot's request, and
+    enters the pilot into the queue: the ``submit`` event at time 0.0. The
+    backend emits ``pilot_active`` once the allocation comes up.
     """
 
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, pull_latency: Sampler
     ) -> None:
         self.tracker = WorkflowTracker(workflow)
+        if request.cores < 1:
+            raise PilotRequestError("pilot needs at least one core")
+        if not math.isfinite(request.walltime) or request.walltime <= 0:
+            raise PilotRequestError("pilot walltime must be positive and finite")
+        self.request = request
         self.sink = ProfileSink()
-        self.pilot = submit_pilot(request, self.sink)
+        self.sink.append((0.0, PILOT_UID, "submit", "", -1))
         self.store = TaskStore(pull_latency)
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()
-        self.records: dict[str, TaskRecord] = {}
 
     def activate(self, time: float) -> None:
         """The pilot's allocation came up."""
-        self.sink.append((time, self.pilot.uid, "pilot_active", "", -1))
+        self.sink.append((time, PILOT_UID, "pilot_active", "", -1))
 
-    def translated(
-        self, record: TaskRecord, unit: UnitDescription, begin: float, end: float
-    ) -> None:
-        """The manager translated ``record``'s task into ``unit``."""
+    def translated(self, record: TaskRecord, begin: float, end: float) -> None:
+        """The manager translated ``record``'s task into a unit."""
         self.sink.append(
             (
                 begin,
@@ -204,7 +188,6 @@ class EngineCore:
             )
         )
         advance_task_state(record, TaskState.TRANSLATED, sink=self.sink, time=end)
-        self.records[unit.uid] = record
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:
         """The manager handed ``unit`` to the store."""
@@ -215,11 +198,11 @@ class EngineCore:
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
-        self.sink.append((begin, self.pilot.uid, "pull_begin", "", -1))
-        self.sink.append((end, self.pilot.uid, "pull_end", "", -1))
+        self.sink.append((begin, PILOT_UID, "pull_begin", "", -1))
+        self.sink.append((end, PILOT_UID, "pull_end", "", -1))
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
-        """The agent read one pulled unit's description."""
+        """The agent took in one pulled unit."""
         self.sink.append(
             (begin, unit.uid, "unit_io_begin", unit.pipeline_id, unit.stage_index)
         )
@@ -236,11 +219,11 @@ class EngineCore:
             (end, record.task.id, end_name, record.pipeline_id, record.stage_index)
         )
 
-    def release(self, uid: str) -> TaskRecord:
+    def release(self, unit: UnitDescription) -> TaskRecord:
         """Free a finished unit's cores; returns its task's record."""
-        self.scheduler.release(uid)
-        self.store.complete(uid)
-        return self.records[uid]
+        self.scheduler.release(unit.uid)
+        self.store.complete(unit.uid)
+        return self.tracker.record_for(unit.task_id)
 
     def terminate(
         self, record: TaskRecord, state: TaskState, time: float
@@ -258,11 +241,11 @@ class EngineCore:
         for record in self.tracker.all_records():
             if not record.state.is_terminal:
                 self.terminate(record, TaskState.CANCELED, finish)
-        self.sink.append((finish, self.pilot.uid, "pilot_done", "", -1))
+        self.sink.append((finish, PILOT_UID, "pilot_done", "", -1))
         return EventLog(
             events=self.sink.events(),
-            pilot_id=self.pilot.uid,
-            pilot_cores=self.pilot.request.cores,
+            pilot_id=PILOT_UID,
+            pilot_cores=self.request.cores,
             backend=backend,
             seed=seed,
             extras={"status": self.tracker.status(), **extras},

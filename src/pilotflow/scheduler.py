@@ -18,20 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 
 from .units import UnitDescription
 
 
 class UnschedulableError(Exception):
     """A unit requests more cores than the pilot has in total."""
-
-
-@dataclass(frozen=True)
-class Placement:
-    uid: str
-    core_offset: int
-    cores: int
 
 
 class CoreMap:
@@ -105,9 +97,10 @@ class CoreMap:
 class FirstFitScheduler:
     """FIFO first-fit placement over a pilot's core map.
 
-    ``offer`` queues units, ``place_ready`` returns every placement that
-    fits right now. A skipped unit keeps its queue position, so freeing
-    cores can only ever help units behind it, never reorder them.
+    ``offer`` queues units, ``place_ready`` places every unit that fits
+    right now and returns each as a ``(unit, core offset)`` pair, in queue
+    order. A skipped unit keeps its queue position, so freeing cores can
+    only ever help units behind it, never reorder them.
     """
 
     def __init__(self, total_cores: int) -> None:
@@ -125,8 +118,8 @@ class FirstFitScheduler:
     def waiting_count(self) -> int:
         return len(self._waiting)
 
-    def place_ready(self) -> list[tuple[UnitDescription, Placement]]:
-        placed: list[tuple[UnitDescription, Placement]] = []
+    def place_ready(self) -> list[tuple[UnitDescription, int]]:
+        placed: list[tuple[UnitDescription, int]] = []
         widest = self.cores.widest_free()
         if not widest:
             return placed
@@ -136,8 +129,7 @@ class FirstFitScheduler:
             if unit.cores > widest:
                 still_waiting.append(unit)
                 continue
-            offset = self.cores.allocate(unit.uid, unit.cores)
-            placed.append((unit, Placement(unit.uid, offset, unit.cores)))
+            placed.append((unit, self.cores.allocate(unit.uid, unit.cores)))
             widest = self.cores.widest_free()
         still_waiting.extend(self._waiting)
         self._waiting = still_waiting

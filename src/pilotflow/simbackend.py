@@ -77,12 +77,14 @@ class _SimEngine:
     ) -> None:
         check_request(request, config)
         self.config = config
-        self.request = request
         seed = config.seed
         self.core = EngineCore(
             workflow, request, Sampler(config.pull_latency, seed, "pull")
         )
-        self.queue_wait = Sampler(config.queue_wait, seed, "queue")
+        # The pilot comes up after one batch-queue wait and dies at its
+        # walltime limit, counted from then.
+        self._active_at = Sampler(config.queue_wait, seed, "queue").sample()
+        self._deadline = self._active_at + request.walltime
         self.fs_latency = Sampler(config.fs_latency, seed, "fs")
         self.translate_cost = Sampler(config.translate_cost, seed, "translate")
         self.duration_noise = Sampler(config.duration_noise, seed, "noise")
@@ -92,8 +94,6 @@ class _SimEngine:
         self._pending_pulls: set[float] = set()
         self._pending_scheds: set[float] = set()
         self._manager_free_at = 0.0
-        self._active_at: float | None = None
-        self._deadline: float | None = None
         self._finish_floor = 0.0
 
     # -- helpers ---------------------------------------------------------
@@ -103,7 +103,7 @@ class _SimEngine:
 
     def _schedule_pull(self, time: float) -> None:
         # The agent exists only once the pilot is active.
-        time = max(time, self._active_at if self._active_at is not None else 0.0)
+        time = max(time, self._active_at)
         if time in self._pending_pulls:
             return
         self._pending_pulls.add(time)
@@ -126,7 +126,7 @@ class _SimEngine:
             unit = translate_task(
                 record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
-            self.core.translated(record, unit, start, end)
+            self.core.translated(record, start, end)
             self._push(end, self._handle_enqueue, unit)
 
     # -- agent side --------------------------------------------------------
@@ -161,14 +161,13 @@ class _SimEngine:
 
     def _handle_sched(self, time: float, _: None) -> None:
         self._pending_scheds.discard(time)
-        for unit, _placement in self.core.scheduler.place_ready():
+        for unit, _offset in self.core.scheduler.place_ready():
             self._launch(time, unit)
 
     def _launch(self, time: float, unit: UnitDescription) -> None:
         """Lay out the unit's full timeline; truncate at the walltime limit."""
-        record = self.core.records[unit.uid]
+        record = self.core.tracker.record_for(unit.task_id)
         deadline = self._deadline
-        assert deadline is not None
         advance_task_state(record, TaskState.SCHEDULED, sink=self.core.sink, time=time)
 
         stage_in_end = time
@@ -204,7 +203,7 @@ class _SimEngine:
         self._push(stage_out_end, self._handle_unit_done, unit)
 
     def _handle_unit_done(self, time: float, unit: UnitDescription) -> None:
-        record = self.core.release(unit.uid)
+        record = self.core.release(unit)
         if self.core.scheduler.waiting_count() > 0:
             self._schedule_sched(time)
         self._translate(self.core.tracker.on_terminal(record), time)
@@ -212,10 +211,7 @@ class _SimEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> EventLog:
-        wait = self.queue_wait.sample()
-        self._active_at = wait
-        self._deadline = wait + self.request.walltime
-        self._push(wait, self._handle_pilot_active)
+        self._push(self._active_at, self._handle_pilot_active)
         self._translate(self.core.tracker.initial_ready(), 0.0)
 
         finish = None

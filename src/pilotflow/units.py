@@ -6,10 +6,11 @@ the pipeline/stage structure. Descriptions cross the manager/agent boundary
 as JSON: one object with the unit's fields, keys sorted. It says what to
 run, on how many cores and with which staging, never the experiment's
 workload kind, which has already shaped the command when the protocol was
-built. The wire round trip is paid where it is measured: the local backend
-serializes and parses each unit inside its timed translate interval, while
-the simulator models translation with its ``translate_cost`` sampler and
-uses the description as built.
+built. The wire round trip is paid once per unit, where it is measured:
+the local manager serializes and parses each unit inside its timed
+translate interval and enqueues the decoded form, which the agent takes in
+as it is. The simulator models translation with its ``translate_cost``
+sampler and uses the description as built.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from pilotflow.latency import LatencyModel
+from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
@@ -20,11 +20,11 @@ from pilotflow.model import (
     advance_task_state,
     peak_core_demand,
 )
-from pilotflow.profiling import ProfileSink
 from pilotflow.runtime import (
+    PILOT_UID,
+    EngineCore,
     PilotRequestError,
     WorkflowTracker,
-    submit_pilot,
 )
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
@@ -61,25 +61,34 @@ def two_stage_workflow() -> Workflow:
 # --- pilot submission -----------------------------------------------------
 
 
-def test_submit_pilot_queues_and_records_the_event():
-    sink = ProfileSink()
-    pilot = submit_pilot(ResourceRequest(cores=8, walltime=60.0), sink, time=1.5)
-    assert pilot.request == ResourceRequest(cores=8, walltime=60.0)
-    events = sink.events()
+def engine_core(request: ResourceRequest, workflow: Workflow | None = None):
+    pull = Sampler(LatencyModel.constant(0.0), 0, "pull")
+    workflow = two_stage_workflow() if workflow is None else workflow
+    return EngineCore(workflow, request, pull)
+
+
+def test_engine_core_submits_the_pilot_at_time_zero():
+    core = engine_core(ResourceRequest(cores=8, walltime=60.0))
+    assert core.request == ResourceRequest(cores=8, walltime=60.0)
+    events = core.sink.events()
     assert len(events) == 1
-    assert events[0].name == "submit" and events[0].time == 1.5
+    assert events[0].name == "submit" and events[0].time == 0.0
+    assert events[0].entity == PILOT_UID
 
 
-def test_submit_pilot_rejects_bad_requests():
-    sink = ProfileSink()
+def test_engine_core_rejects_bad_requests():
     with pytest.raises(PilotRequestError):
-        submit_pilot(ResourceRequest(cores=0, walltime=60.0), sink)
+        engine_core(ResourceRequest(cores=0, walltime=60.0))
     with pytest.raises(PilotRequestError):
-        submit_pilot(ResourceRequest(cores=4, walltime=0.0), sink)
+        engine_core(ResourceRequest(cores=4, walltime=0.0))
     for walltime in (float("nan"), float("inf")):
         with pytest.raises(PilotRequestError, match="finite"):
-            submit_pilot(ResourceRequest(cores=4, walltime=walltime), sink)
-    assert sink.events() == []
+            engine_core(ResourceRequest(cores=4, walltime=walltime))
+    # An invalid workflow is reported before an invalid request.
+    with pytest.raises(WorkflowValidationError):
+        engine_core(
+            ResourceRequest(cores=0, walltime=60.0), Workflow(name="bad", pipelines=[])
+        )
 
 
 # --- tracker ----------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_eight_wide_units_pack_a_64_core_pilot():
     for i in range(8):
         scheduler.offer(make_unit(f"u{i}", 8))
     placements = scheduler.place_ready()
-    offsets = [p.core_offset for _, p in placements]
+    offsets = [offset for _, offset in placements]
     assert offsets == [0, 8, 16, 24, 32, 40, 48, 56]
 
 
@@ -71,7 +71,7 @@ def test_units_beyond_capacity_wait_in_order():
     scheduler.release("u0")
     placements = scheduler.place_ready()
     assert [u.uid for u, _ in placements] == ["u2"]
-    assert placements[0][1].core_offset == 0
+    assert placements[0][1] == 0
 
 
 def test_wider_than_pilot_is_rejected_outright():
@@ -90,13 +90,13 @@ def test_small_unit_fills_gap_before_queue_head():
     scheduler.offer(make_unit("u2", 4))
     placements = scheduler.place_ready()
     assert [u.uid for u, _ in placements] == ["u2"]
-    assert placements[0][1].core_offset == 8
+    assert placements[0][1] == 8
     # freeing u0 lets the queue head in at the lowest offset
     scheduler.release("u0")
     scheduler.release("u2")
     placements = scheduler.place_ready()
     assert [u.uid for u, _ in placements] == ["u1"]
-    assert placements[0][1].core_offset == 0
+    assert placements[0][1] == 0
 
 
 def test_release_reuses_lowest_offset():
@@ -108,7 +108,7 @@ def test_release_reuses_lowest_offset():
     scheduler.release("b")
     scheduler.offer(make_unit("d", 2))
     placements = scheduler.place_ready()
-    assert placements[0][1].core_offset == 2
+    assert placements[0][1] == 2
 
 
 def test_core_map_rejects_empty():
@@ -157,8 +157,8 @@ def test_placements_never_overlap(widths):
     for i, width in enumerate(widths):
         scheduler.offer(make_unit(f"u{i}", width))
     occupied: set[int] = set()
-    for unit, placement in scheduler.place_ready():
-        block = set(range(placement.core_offset, placement.core_offset + unit.cores))
+    for unit, offset in scheduler.place_ready():
+        block = set(range(offset, offset + unit.cores))
         assert not (block & occupied)
         assert max(block) < 24
         occupied |= block
@@ -224,8 +224,8 @@ def test_place_ready_matches_fifo_reference(script):
                 slow.release(uid)
         else:
             placed = [
-                (unit.uid, placement.core_offset, placement.cores)
-                for unit, placement in fast.place_ready()
+                (unit.uid, offset, unit.cores)
+                for unit, offset in fast.place_ready()
             ]
             assert placed == slow.place_ready()
             assert fast.waiting_count() == len(slow.waiting)
