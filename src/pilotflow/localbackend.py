@@ -234,17 +234,17 @@ class _LocalEngine:
             self.core.enqueue(unit, end)
 
     def _pull_pending(self) -> None:
-        if self.core.store.pending_count() == 0:
-            return
-        begin = self._now()
-        units, _ = self.core.store.pull(self.config.bulk)
-        self.core.pulled(begin, self._now())
-        for unit in units:
-            # The unit in the store is already the decoded wire form, so the
-            # agent's intake of it is the offer to the scheduler.
-            io_begin = self._now()
-            self.core.scheduler.offer(unit)
-            self.core.unit_read(unit, io_begin, self._now())
+        """Pull until the store is empty, at most ``bulk`` units a pull."""
+        while self.core.store.pending_count():
+            begin = self._now()
+            units, _ = self.core.store.pull(self.config.bulk)
+            self.core.pulled(begin, self._now())
+            for unit in units:
+                # The unit in the store is already the decoded wire form, so
+                # the agent's intake of it is the offer to the scheduler.
+                io_begin = self._now()
+                self.core.scheduler.offer(unit)
+                self.core.unit_read(unit, io_begin, self._now())
 
     def _apply_result(self, result: _UnitResult) -> None:
         record = self.core.release(result.unit)

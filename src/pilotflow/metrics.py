@@ -18,6 +18,12 @@ Definitions, all in seconds:
                     backend, which parses no JSON here. Placement
                     decisions are counted as instantaneous.
 
+A run's status is DONE when no terminal event is ``failed`` or
+``canceled``, and FAILED otherwise; this is the only place it is decided.
+Both engines cancel every unfinished task when they close the log, so each
+task has exactly one terminal event, and a run is DONE exactly when every
+pipeline finished its last stage.
+
 Per-stage execution time reports, for each stage position, the widest
 window from first input-staging start to last completion across pipelines,
 plus the mean across pipelines.
@@ -195,7 +201,6 @@ def compute_report(
     failed = sum(1 for row in terminal if row[2] == "failed")
     canceled = sum(1 for row in terminal if row[2] == "canceled")
     pipelines = len({row[3] for row in terminal if row[3]})
-    status = log.extras.get("status", "DONE" if failed == canceled == 0 else "FAILED")
 
     return RunReport(
         trial_id=trial_id,
@@ -214,7 +219,7 @@ def compute_report(
         done_tasks=done,
         failed_tasks=failed,
         canceled_tasks=canceled,
-        status=status,
+        status="DONE" if failed == canceled == 0 else "FAILED",
         workload=workload,
         backend=log.backend,
         seed=log.seed,

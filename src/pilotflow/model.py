@@ -95,13 +95,6 @@ _TERMINAL_TASK_STATES = frozenset(
 )
 
 
-class PipelineState(str, Enum):
-    NEW = "NEW"
-    ACTIVE = "ACTIVE"
-    DONE = "DONE"
-    FAILED = "FAILED"
-
-
 # The forward chain a task walks; FAILED and CANCELED may follow any
 # non-terminal state.
 _FORWARD_CHAIN = (
@@ -184,9 +177,11 @@ def advance_task_state(
 
 @dataclass
 class Stage:
-    """Set of tasks with no mutual dependencies; they may run concurrently."""
+    """Set of tasks with no mutual dependencies; they may run concurrently.
 
-    index: int
+    A stage's index is its position in its pipeline's ``stages`` list.
+    """
+
     tasks: list[TaskSpec]
 
 
@@ -244,10 +239,6 @@ def validate_workflow(workflow: Workflow) -> tuple[str, ...]:
             violations.append(f"{where}: empty stage list")
         for position, stage in enumerate(pipeline.stages):
             swhere = f"{where} stage {position}"
-            if stage.index != position:
-                violations.append(
-                    f"{swhere}: index {stage.index} does not match position"
-                )
             if not stage.tasks:
                 violations.append(f"{swhere}: empty stage")
             for task in stage.tasks:

@@ -145,7 +145,6 @@ class EventLog:
     """
 
     events: EventView
-    pilot_id: str
     pilot_cores: int
     backend: str
     seed: int | None = None

@@ -189,7 +189,7 @@ def protocol_to_workflow(
                 inputs=_expand_directives(template.inputs, replica, workflow_name),
                 outputs=_expand_directives(template.outputs, replica, workflow_name),
             )
-            stages.append(Stage(index=position, tasks=[task]))
+            stages.append(Stage(tasks=[task]))
         pipelines.append(
             Pipeline(id=f"{workflow_name}-p{replica}", stages=stages)
         )

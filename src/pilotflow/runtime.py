@@ -12,8 +12,10 @@ its life shows in the log as the ``submit``, ``pilot_active`` and
 :class:`WorkflowTracker` holds the structural rules both backends share:
 stage k+1 of a pipeline becomes ready only when every task of stage k is
 done, pipelines never wait for each other, and a failed task fails only its
-own pipeline. It keeps one state per pipeline and each stage as the list
-of its task records.
+own pipeline. It keeps, per pipeline, each stage as the list of its task
+records, the position of the current stage and whether the pipeline has
+failed. Whether the run succeeded is not kept here: it follows from the
+terminal events of the log (:func:`pilotflow.metrics.compute_report`).
 
 :class:`EngineCore` is the manager/agent story both backends tell: it owns
 the store, the scheduler and the tracker, moves each task through its
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 from .latency import Sampler
 from .model import (
-    PipelineState,
     ResourceRequest,
     TaskRecord,
     TaskState,
@@ -52,12 +53,13 @@ PILOT_UID = "pilot.0000"
 
 @dataclass
 class PipelineRun:
-    """One pipeline's progress: the task records of each stage, in order."""
+    """One pipeline's progress: the task records of each stage, in order,
+    the position of the current stage and whether the pipeline failed."""
 
     id: str
     stages: list[list[TaskRecord]]
     current: int = 0
-    state: PipelineState = PipelineState.NEW
+    failed: bool = False
 
 
 class WorkflowTracker:
@@ -71,11 +73,9 @@ class WorkflowTracker:
         self._by_task: dict[str, tuple[PipelineRun, list[TaskRecord], TaskRecord]] = {}
         for pipeline in workflow.pipelines:
             run = PipelineRun(id=pipeline.id, stages=[])
-            for stage in pipeline.stages:
+            for index, stage in enumerate(pipeline.stages):
                 records = [
-                    TaskRecord(
-                        task=task, pipeline_id=pipeline.id, stage_index=stage.index
-                    )
+                    TaskRecord(task=task, pipeline_id=pipeline.id, stage_index=index)
                     for task in stage.tasks
                 ]
                 run.stages.append(records)
@@ -88,18 +88,14 @@ class WorkflowTracker:
 
     def pipeline_failed(self, task_id: str) -> bool:
         """Whether the pipeline that owns ``task_id`` has failed."""
-        return self._by_task[task_id][0].state is PipelineState.FAILED
+        return self._by_task[task_id][0].failed
 
     def all_records(self) -> list[TaskRecord]:
         return [entry[2] for entry in self._by_task.values()]
 
     def initial_ready(self) -> list[TaskRecord]:
-        """First stage of every pipeline; marks them active."""
-        ready: list[TaskRecord] = []
-        for pipeline in self.pipelines:
-            pipeline.state = PipelineState.ACTIVE
-            ready.extend(pipeline.stages[0])
-        return ready
+        """The records of every pipeline's first stage."""
+        return [record for pipeline in self.pipelines for record in pipeline.stages[0]]
 
     def on_terminal(self, record: TaskRecord) -> list[TaskRecord]:
         """React to a task reaching a terminal state.
@@ -112,9 +108,9 @@ class WorkflowTracker:
             raise ValueError(f"task {record.task.id} is not terminal")
         pipeline, stage, _ = self._by_task[record.task.id]
         if record.state is not TaskState.DONE:
-            pipeline.state = PipelineState.FAILED
+            pipeline.failed = True
             return []
-        if pipeline.state is PipelineState.FAILED:
+        if pipeline.failed:
             # A sibling already failed the pipeline; this late completion
             # does not resurrect it.
             return []
@@ -123,15 +119,7 @@ class WorkflowTracker:
         if pipeline.current + 1 < len(pipeline.stages):
             pipeline.current += 1
             return list(pipeline.stages[pipeline.current])
-        pipeline.state = PipelineState.DONE
         return []
-
-    def status(self) -> str:
-        return (
-            "DONE"
-            if all(p.state is PipelineState.DONE for p in self.pipelines)
-            else "FAILED"
-        )
 
 
 # The state a unit enters as each execution phase opens, and the name of
@@ -237,16 +225,15 @@ class EngineCore:
         self, finish: float, backend: str, seed: int | None, extras: dict
     ) -> EventLog:
         """Cancel every unfinished task, end the pilot at ``finish`` and
-        build the run's log; ``extras`` follow the run's status."""
+        build the run's log, which gives each task one terminal event."""
         for record in self.tracker.all_records():
             if not record.state.is_terminal:
                 self.terminate(record, TaskState.CANCELED, finish)
         self.sink.append((finish, PILOT_UID, "pilot_done", "", -1))
         return EventLog(
             events=self.sink.events(),
-            pilot_id=PILOT_UID,
             pilot_cores=self.request.cores,
             backend=backend,
             seed=seed,
-            extras={"status": self.tracker.status(), **extras},
+            extras=extras,
         )

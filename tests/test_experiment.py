@@ -372,6 +372,16 @@ def test_cli_run_succeeds(tmp_path, capsys):
     assert (out / "trials.csv").exists()
 
 
+def test_cli_run_with_a_failed_trial_exits_1(tmp_path, capsys):
+    """A walltime shorter than the esmacs stages cuts the run: the trial is
+    written, reported FAILED and named on stderr."""
+    config = write_config(tmp_path, walltime=5.0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["failed trials: sim-p2-t0"]
+    assert (out / "trials.csv").exists()
+
+
 def test_cli_run_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

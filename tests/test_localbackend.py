@@ -47,7 +47,7 @@ def shell_task(tid: str, command: str, cores: int = 1, **kwargs) -> TaskSpec:
 def one_stage_workflow(*tasks: TaskSpec) -> Workflow:
     return Workflow(
         name="wf",
-        pipelines=[Pipeline(id="p0", stages=[Stage(index=0, tasks=list(tasks))])],
+        pipelines=[Pipeline(id="p0", stages=[Stage(tasks=list(tasks))])],
     )
 
 
@@ -122,7 +122,7 @@ def test_results_already_waiting_share_one_pull(monkeypatch):
             Pipeline(
                 id=f"p{i}",
                 stages=[
-                    Stage(index=s, tasks=[shell_task(f"p{i}-s{s}", "true")])
+                    Stage(tasks=[shell_task(f"p{i}-s{s}", "true")])
                     for s in range(2)
                 ],
             )
@@ -132,6 +132,27 @@ def test_results_already_waiting_share_one_pull(monkeypatch):
     log = run_local(wf, cores=width, max_workers=width)
     assert compute_report(log).done_tasks == 2 * width
     assert pulled == [width, width]
+
+
+def test_units_past_the_bulk_limit_are_pulled_at_once():
+    """The agent pulls again while units wait in the store, so the bulk limit
+    never leaves cores idle until an unrelated task finishes."""
+    width, bulk = 6, 2
+    # Each task outlasts the scheduling of all six by far.
+    tasks = [shell_task(f"t{i}", "sleep 0.2") for i in range(width)]
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id=f"p{i}", stages=[Stage(tasks=[task])])
+            for i, task in enumerate(tasks)
+        ],
+    )
+    log = run_local(wf, cores=width, max_workers=width, bulk=bulk)
+    assert compute_report(log).done_tasks == width
+    names = [event.name for event in log.events]
+    last_schedule = max(i for i, name in enumerate(names) if name == "schedule")
+    assert last_schedule < names.index("done")
+    assert names.count("pull_begin") == names.count("pull_end") == width // bulk
 
 
 def test_waiting_for_results_never_times_out(monkeypatch):
@@ -202,15 +223,15 @@ def test_failure_stops_own_pipeline_but_not_others(tmp_path):
     broken = Pipeline(
         id="broken",
         stages=[
-            Stage(index=0, tasks=[shell_task("b1", "exit 1")]),
-            Stage(index=1, tasks=[shell_task("b2", "true")]),
+            Stage(tasks=[shell_task("b1", "exit 1")]),
+            Stage(tasks=[shell_task("b2", "true")]),
         ],
     )
     healthy = Pipeline(
         id="healthy",
         stages=[
-            Stage(index=0, tasks=[shell_task("h1", "true")]),
-            Stage(index=1, tasks=[shell_task("h2", "true")]),
+            Stage(tasks=[shell_task("h1", "true")]),
+            Stage(tasks=[shell_task("h2", "true")]),
         ],
     )
     wf = Workflow(name="mixed", pipelines=[broken, healthy])

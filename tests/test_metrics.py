@@ -72,11 +72,9 @@ def make_log(events) -> EventLog:
         sink.append(event)
     return EventLog(
         events=sink.events(),
-        pilot_id="pilot.0000",
         pilot_cores=2,
         backend="sim",
         seed=0,
-        extras={"status": "DONE"},
     )
 
 
@@ -94,6 +92,20 @@ def test_headline_metrics_from_synthetic_log():
     assert report.tasks == 2
     assert report.cores == 2
     assert report.status == "DONE"
+
+
+@pytest.mark.parametrize(
+    "b_end, status", [("done", "DONE"), ("failed", "FAILED"), ("canceled", "FAILED")]
+)
+def test_status_is_done_only_when_every_task_is_done(b_end, status):
+    """The log's terminal events alone decide the run's status."""
+    events = [
+        e._replace(name=b_end) if (e.entity, e.name) == ("b", "done") else e
+        for e in synthetic_events()
+    ]
+    report = compute_report(make_log(events))
+    assert report.status == status
+    assert (report.done_tasks, report.tasks) == (1 + (b_end == "done"), 2)
 
 
 def test_per_stage_windows_take_max_and_mean_across_pipelines():

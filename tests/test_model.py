@@ -46,7 +46,7 @@ def make_workflow(widths_per_pipeline: list[list[list[int]]]) -> Workflow:
             tasks = [
                 make_task(f"t-{p}-{s}-{i}", cores=w) for i, w in enumerate(widths)
             ]
-            stage_objs.append(Stage(index=s, tasks=tasks))
+            stage_objs.append(Stage(tasks=tasks))
         pipelines.append(Pipeline(id=f"p-{p}", stages=stage_objs))
     return Workflow(name="wf", pipelines=pipelines)
 
@@ -68,7 +68,7 @@ def test_empty_workflow_rejected():
 def test_empty_stage_rejected():
     wf = Workflow(
         name="wf",
-        pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[])])],
+        pipelines=[Pipeline(id="p", stages=[Stage(tasks=[])])],
     )
     violations = validate_workflow(wf)
     assert any("empty stage" in v for v in violations)
@@ -80,7 +80,7 @@ def test_duplicate_task_id_rejected():
         pipelines=[
             Pipeline(
                 id="p",
-                stages=[Stage(index=0, tasks=[make_task("dup"), make_task("dup")])],
+                stages=[Stage(tasks=[make_task("dup"), make_task("dup")])],
             )
         ],
     )
@@ -92,28 +92,19 @@ def test_duplicate_pipeline_id_rejected():
     wf = Workflow(
         name="wf",
         pipelines=[
-            Pipeline(id="p", stages=[Stage(index=0, tasks=[make_task("a")])]),
-            Pipeline(id="p", stages=[Stage(index=0, tasks=[make_task("b")])]),
+            Pipeline(id="p", stages=[Stage(tasks=[make_task("a")])]),
+            Pipeline(id="p", stages=[Stage(tasks=[make_task("b")])]),
         ],
     )
     violations = validate_workflow(wf)
     assert any("duplicate pipeline id" in v for v in violations)
 
 
-def test_stage_index_must_match_position():
-    wf = Workflow(
-        name="wf",
-        pipelines=[Pipeline(id="p", stages=[Stage(index=3, tasks=[make_task("a")])])],
-    )
-    violations = validate_workflow(wf)
-    assert any("does not match position" in v for v in violations)
-
-
 def test_nonpositive_cores_rejected():
     wf = Workflow(
         name="wf",
         pipelines=[
-            Pipeline(id="p", stages=[Stage(index=0, tasks=[make_task("a", cores=0)])])
+            Pipeline(id="p", stages=[Stage(tasks=[make_task("a", cores=0)])])
         ],
     )
     violations = validate_workflow(wf)
@@ -128,7 +119,7 @@ def test_negative_duration_rejected():
         expected_duration=-1.0,
     )
     wf = Workflow(
-        name="wf", pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[bad])])]
+        name="wf", pipelines=[Pipeline(id="p", stages=[Stage(tasks=[bad])])]
     )
     violations = validate_workflow(wf)
     assert any("expected_duration" in v for v in violations)
@@ -141,7 +132,7 @@ def test_non_finite_duration_rejected(duration):
         pipelines=[
             Pipeline(
                 id="p",
-                stages=[Stage(index=0, tasks=[make_task("a", duration=duration)])],
+                stages=[Stage(tasks=[make_task("a", duration=duration)])],
             )
         ],
     )
@@ -156,7 +147,7 @@ def test_empty_staging_path_rejected():
         inputs=(StagingDirective("", "target", StagingMode.COPY_IN),),
     )
     wf = Workflow(
-        name="wf", pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[bad])])]
+        name="wf", pipelines=[Pipeline(id="p", stages=[Stage(tasks=[bad])])]
     )
     violations = validate_workflow(wf)
     assert any("empty source/target" in v for v in violations)
@@ -167,7 +158,7 @@ def test_all_violations_collected():
         name="wf",
         pipelines=[
             Pipeline(id="p", stages=[]),
-            Pipeline(id="p", stages=[Stage(index=0, tasks=[])]),
+            Pipeline(id="p", stages=[Stage(tasks=[])]),
         ],
     )
     violations = validate_workflow(wf)

@@ -110,9 +110,7 @@ def reference_csv(events, path):
 
 
 def assert_matches_reference(events, tmp_path):
-    log = EventLog(
-        events=EventView(events), pilot_id="pilot.0000", pilot_cores=1, backend="sim"
-    )
+    log = EventLog(events=EventView(events), pilot_cores=1, backend="sim")
     log.write_csv(tmp_path / "got.csv")
     reference_csv(events, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -9,7 +9,6 @@ from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
     Pipeline,
-    PipelineState,
     ResourceRequest,
     Stage,
     TaskKind,
@@ -46,13 +45,13 @@ def two_stage_workflow() -> Workflow:
             Pipeline(
                 id="pa",
                 stages=[
-                    Stage(index=0, tasks=[null_task("a1"), null_task("a2")]),
-                    Stage(index=1, tasks=[null_task("a3")]),
+                    Stage(tasks=[null_task("a1"), null_task("a2")]),
+                    Stage(tasks=[null_task("a3")]),
                 ],
             ),
             Pipeline(
                 id="pb",
-                stages=[Stage(index=0, tasks=[null_task("b1")])],
+                stages=[Stage(tasks=[null_task("b1")])],
             ),
         ],
     )
@@ -111,7 +110,7 @@ def test_initial_ready_is_every_first_stage():
     tracker = WorkflowTracker(two_stage_workflow())
     ready = tracker.initial_ready()
     assert sorted(r.task.id for r in ready) == ["a1", "a2", "b1"]
-    assert all(p.state is PipelineState.ACTIVE for p in tracker.pipelines)
+    assert not any(p.failed for p in tracker.pipelines)
 
 
 def test_stage_advances_only_when_all_tasks_done():
@@ -129,9 +128,12 @@ def test_last_stage_completion_finishes_pipeline():
     tracker.initial_ready()
     assert finish(tracker, tracker.record_for("b1")) == []
     pb = next(p for p in tracker.pipelines if p.id == "pb")
-    assert pb.state is PipelineState.DONE
-    pa = next(p for p in tracker.pipelines if p.id == "pa")
-    assert pa.state is PipelineState.ACTIVE
+    assert pb.current == 0 and not pb.failed
+    # The other pipeline goes on: its stages still advance.
+    finish(tracker, tracker.record_for("a1"))
+    assert [r.task.id for r in finish(tracker, tracker.record_for("a2"))] == ["a3"]
+    assert finish(tracker, tracker.record_for("a3")) == []
+    assert not any(p.failed for p in tracker.pipelines)
 
 
 def test_failure_fails_stage_and_pipeline_only():
@@ -142,8 +144,7 @@ def test_failure_fails_stage_and_pipeline_only():
     assert tracker.on_terminal(record) == []
     pa = next(p for p in tracker.pipelines if p.id == "pa")
     pb = next(p for p in tracker.pipelines if p.id == "pb")
-    assert pa.state is PipelineState.FAILED
-    assert pb.state is PipelineState.ACTIVE
+    assert pa.failed and not pb.failed
     assert tracker.pipeline_failed("a2") and tracker.pipeline_failed("a3")
     assert not tracker.pipeline_failed("b1")
 
@@ -156,18 +157,7 @@ def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
     ready = finish(tracker, tracker.record_for("a2"))
     assert ready == []
     pa = next(p for p in tracker.pipelines if p.id == "pa")
-    assert pa.state is PipelineState.FAILED
-
-
-def test_status_reflects_outcomes():
-    tracker = WorkflowTracker(two_stage_workflow())
-    tracker.initial_ready()
-    finish(tracker, tracker.record_for("a1"))
-    finish(tracker, tracker.record_for("a2"))
-    finish(tracker, tracker.record_for("a3"))
-    finish(tracker, tracker.record_for("b1"))
-    assert all(p.state is PipelineState.DONE for p in tracker.pipelines)
-    assert tracker.status() == "DONE"
+    assert pa.failed and pa.current == 0
 
 
 def test_tracker_rejects_invalid_workflows():
@@ -200,7 +190,6 @@ def test_local_run_logs_the_local_backend():
                 id="p",
                 stages=[
                     Stage(
-                        index=0,
                         tasks=[
                             TaskSpec(
                                 id="t",
@@ -242,9 +231,8 @@ def test_both_backends_write_the_same_events_per_entity():
     assert len(sim) == 1 + 2 * 14  # the pilot, then a task and a unit per task
     # How often the agent pulls depends on when units become ready, which
     # is each backend's timing; the pilot's vocabulary and order still match.
-    pilot = sim_log.pilot_id
-    assert list(dict.fromkeys(sim.pop(pilot))) == list(
-        dict.fromkeys(local.pop(pilot))
+    assert list(dict.fromkeys(sim.pop(PILOT_UID))) == list(
+        dict.fromkeys(local.pop(PILOT_UID))
     )
     assert sim == local
 
@@ -263,7 +251,7 @@ def test_pipelines_do_not_interfere_under_full_provisioning():
                 Pipeline(
                     id=pid,
                     stages=[
-                        Stage(index=k, tasks=[null_task(f"{pid}-{k}", d)])
+                        Stage(tasks=[null_task(f"{pid}-{k}", d)])
                         for k, d in enumerate(durations[pid])
                     ],
                 )

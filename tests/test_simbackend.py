@@ -65,7 +65,7 @@ def single_task_workflow(duration: float, cores: int = 1) -> Workflow:
     )
     return Workflow(
         name="single",
-        pipelines=[Pipeline(id="p", stages=[Stage(index=0, tasks=[task])])],
+        pipelines=[Pipeline(id="p", stages=[Stage(tasks=[task])])],
     )
 
 
@@ -256,8 +256,8 @@ def test_walltime_cancels_queued_later_stages():
             Pipeline(
                 id="p",
                 stages=[
-                    Stage(index=0, tasks=[tasks[0]]),
-                    Stage(index=1, tasks=[tasks[1]]),
+                    Stage(tasks=[tasks[0]]),
+                    Stage(tasks=[tasks[1]]),
                 ],
             )
         ],

@@ -76,7 +76,7 @@ def test_wire_round_trip_is_lossless():
     assert UnitDescription.from_wire(unit.to_wire()) == unit
     pipeline = generate_esmacs(replicas=2, kind=TaskKind.LOCAL_EXEC).pipelines[1]
     stage = pipeline.stages[6]
-    unit = translate_task(stage.tasks[0], pipeline.id, stage.index, UnitIdAllocator())
+    unit = translate_task(stage.tasks[0], pipeline.id, 6, UnitIdAllocator())
     assert unit.to_wire() == ESMACS_TAR_OUT_WIRE
     assert UnitDescription.from_wire(ESMACS_TAR_OUT_WIRE) == unit
 
