@@ -168,7 +168,8 @@ def _execute_unit(
         proc = subprocess.run(
             argv,
             cwd=sandbox,
-            capture_output=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             text=True,
             timeout=timeout,
         )

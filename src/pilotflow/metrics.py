@@ -30,10 +30,14 @@ plus the mean across pipelines.
 
 Interval sums pair each ``*_begin`` with its ``*_end`` per entity; a log
 with mismatched pairs is rejected loudly rather than silently mis-summed.
-The pass keeps, per interval name and entity, a running sum of the times
-and their count, not the times themselves. Each running sum adds left to
-right in log order, starting from 0, and the per-entity differences are
-then added in sorted entity order. The order is written out rather than
+The pass keeps, per interval name, one dict from entity to the running
+sum of its times, not the times themselves. An entity's first time is
+stored as it is and later ones add to it left to right, in log order; only
+an entity seen more than once under a name gets a count, in a small side
+dict (in the engines' logs, only the pilot's ``pull``). The per-entity
+differences are then added in sorted entity order, starting from 0.0, which
+erases the sign of a zero, the one thing a first time stored as it is
+rather than as ``0 + time`` can change. The order is written out rather than
 left to ``sum()``, which is compensated from Python 3.12 on, so trials.csv
 is byte-identical on Python 3.10 through 3.13.
 """
@@ -78,7 +82,8 @@ class RunReport:
     seed: int | None = None
 
 
-# One interval event name's times: entity -> running sum, entity -> count.
+# One interval event name's times: entity -> running sum, and entity -> count
+# for the entities seen more than once (any other entity's count is 1).
 _Side = tuple[dict[str, float], dict[str, int]]
 
 
@@ -89,19 +94,19 @@ def _interval_sum(stem: str, opened: _Side, closed: _Side) -> float:
     The sum is invariant to how same-entity pairs interleave, so equal
     begin/end counts per entity are all that is checked.
     """
-    opened_sum, opened_count = opened
-    closed_sum, closed_count = closed
-    if opened_count != closed_count:
-        for entity in sorted(opened_count.keys() | closed_count.keys()):
-            begins = opened_count.get(entity, 0)
-            ends = closed_count.get(entity, 0)
+    opened_sum, opened_repeats = opened
+    closed_sum, closed_repeats = closed
+    if opened_sum.keys() != closed_sum.keys() or opened_repeats != closed_repeats:
+        for entity in sorted(opened_sum.keys() | closed_sum.keys()):
+            begins = opened_repeats.get(entity, 1) if entity in opened_sum else 0
+            ends = closed_repeats.get(entity, 1) if entity in closed_sum else 0
             if begins != ends:
                 raise MalformedProfileError(
                     f"entity {entity!r}: {begins} {stem}_begin events "
                     f"but {ends} {stem}_end events"
                 )
     total = 0.0
-    for entity in sorted(opened_count):
+    for entity in sorted(opened_sum):
         total += closed_sum[entity] - opened_sum[entity]
     return total
 
@@ -139,11 +144,16 @@ def compute_report(
         time, entity, name, pipeline, stage = row
         side = sides.get(name)
         if side is not None:
-            totals, counts = side
-            # Seeded with the int 0, so the first sum is the time itself and
-            # later times add left to right, in log order.
-            totals[entity] = totals.get(entity, 0) + time
-            counts[entity] = counts.get(entity, 0) + 1
+            totals, repeats = side
+            # An entity's first time is stored as the row's own float, so
+            # most entities cost a dict slot and no new object; later times
+            # add left to right, in log order.
+            total = totals.get(entity)
+            if total is None:
+                totals[entity] = time
+            else:
+                totals[entity] = total + time
+                repeats[entity] = repeats.get(entity, 1) + 1
             if name == "stage_in_begin" and stage >= 0 and pipeline:
                 key = (pipeline, stage)
                 if key not in window_begin or time < window_begin[key]:

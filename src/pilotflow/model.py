@@ -128,7 +128,7 @@ class IllegalTransitionError(Exception):
     """Raised when a task cannot move to the requested state."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Mutable runtime record for one task, owned by the execution engine."""
 

@@ -113,8 +113,10 @@ class ProfileSink:
 
     Rows are plain tuples, not ``ProfileEvent`` instances, so that the
     cyclic collector stops tracking them (it never untracks a tuple
-    subclass). ``events`` hands them back sorted, in an :class:`EventView`
-    that builds a ``ProfileEvent`` for each row a caller reads.
+    subclass). ``events`` is the closing step: it sorts the sink's own list
+    and hands it over in an :class:`EventView` that builds a
+    ``ProfileEvent`` for each row a caller reads, so a finished run holds
+    its rows once.
 
     It takes no lock: only the engine's own thread appends (the local
     backend's workers hand their results back through a queue), and
@@ -128,9 +130,11 @@ class ProfileSink:
         self._rows.append(row)
 
     def events(self) -> EventView:
-        """Events ordered by time, ties broken by append order (the sort is
-        stable)."""
-        return EventView(sorted(self._rows, key=itemgetter(0)))
+        """Sort the rows in place by time, ties in append order (the sort is
+        stable), and hand the sink's list over: the closing step, after
+        which the engine appends nothing."""
+        self._rows.sort(key=itemgetter(0))
+        return EventView(self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

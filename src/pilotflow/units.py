@@ -114,15 +114,16 @@ class TaskStore:
         units: list[UnitDescription] = []
         while self._pending and len(units) < max_bulk:
             unit = self._pending.popleft()
-            if unit.uid in self._pulled:
+            if unit.uid in self._pulled or unit.uid in self._completed:
                 raise RuntimeError(f"unit {unit.uid} pulled twice")
             self._pulled.add(unit.uid)
             units.append(unit)
         return units, self._pull_latency.sample()
 
     def complete(self, uid: str) -> None:
-        if uid not in self._pulled:
-            raise RuntimeError(f"completion for unit {uid} that was never pulled")
         if uid in self._completed:
             raise RuntimeError(f"duplicate completion for unit {uid}")
+        if uid not in self._pulled:
+            raise RuntimeError(f"completion for unit {uid} that was never pulled")
+        self._pulled.remove(uid)
         self._completed.add(uid)

@@ -212,6 +212,14 @@ def test_nonzero_exit_fails_the_task_with_diagnostic():
     assert "boom" in diagnostic
 
 
+def test_diagnostic_names_the_last_stderr_line_after_heavy_stdout():
+    """Stdout goes to the null device; only stderr is piped back."""
+    command = "head -c 4000000 /dev/zero; echo first >&2; echo last words >&2; exit 5"
+    log = run_local(one_stage_workflow(shell_task("chatty", command)))
+    diagnostic = log.extras["diagnostics"]["chatty"]
+    assert diagnostic == "command exited with status 5: last words"
+
+
 def test_missing_executable_fails_with_diagnostic():
     task = TaskSpec(id="ghost", executable="no-such-binary-xyz")
     log = run_local(one_stage_workflow(task))

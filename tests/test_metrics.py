@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow.latency import LatencyModel
 from pilotflow.metrics import (
     MalformedProfileError,
     aggregate_trials,
@@ -17,12 +20,16 @@ from pilotflow.metrics import (
     compute_report,
     reports_to_csv,
 )
+from pilotflow.model import ResourceRequest, peak_core_demand
 from pilotflow.profiling import (
     INTERVAL_STEMS,
     EventLog,
     ProfileEvent,
     ProfileSink,
 )
+from pilotflow.simbackend import SimBackendConfig, sim_run
+
+from helpers import generate_esmacs
 
 
 def ev(time, entity, name, pipeline="", stage=-1):
@@ -189,8 +196,10 @@ def list_based_interval_sums(log: EventLog) -> dict[str, float]:
 
 # Decimal fractions and thirds are not dyadic, so the order in which they
 # are added changes the last bits of a sum; a small pool also makes ties.
+# -0.0 is there for the sign of a zero, which a running sum seeded with an
+# entity's first time keeps and one seeded with 0 does not.
 TIMES = st.one_of(
-    st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.1, 2.9]),
+    st.sampled_from([-0.0, 0.0, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.1, 2.9]),
     st.integers(0, 10**6).map(lambda n: n / 1000),
     st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False),
 )
@@ -199,7 +208,9 @@ TIMES = st.one_of(
 @st.composite
 def interval_logs(draw):
     """A valid run frame around begin/end pairs of generated entities,
-    possibly missing one ``*_end`` event."""
+    possibly missing one ``*_end`` event and possibly with one extra
+    ``*_begin``: an entity can go missing on one side of a stem, or have
+    more events on one side than on the other."""
     events = [
         ev(0.0, "pilot.0000", "submit"),
         ev(0.5, "pilot.0000", "pilot_active"),
@@ -222,6 +233,10 @@ def interval_logs(draw):
     if draw(st.booleans()):
         ends = [i for i, e in enumerate(events) if e.name.endswith("_end")]
         del events[draw(st.sampled_from(ends))]
+    if draw(st.booleans()):
+        entity = draw(st.sampled_from(entities))
+        stem = draw(st.sampled_from(INTERVAL_STEMS))
+        events.append(ev(draw(TIMES), entity, f"{stem}_begin"))
     # The sink orders by time; the append order decides how ties interleave.
     return make_log(draw(st.permutations(events)))
 
@@ -251,6 +266,53 @@ def test_interval_sums_match_list_based_oracle(log):
     )
     # repr, so that a last-bit difference or a sign of zero shows.
     assert [repr(value) for value in got] == [repr(value) for value in want]
+
+
+def test_zero_length_interval_ending_at_negative_zero_sums_to_zero():
+    """The end's running sum is the row's own -0.0, so the entity's
+    difference is -0.0; the total starts at 0.0 and reads 0.0, as the
+    oracle's does."""
+    events = [
+        ev(0.0, "pilot.0000", "submit"),
+        ev(0.0, "t", "translate_begin", "p", 0),
+        ev(-0.0, "t", "translate_end", "p", 0),
+        ev(0.5, "pilot.0000", "pilot_active"),
+        ev(1.0, "t", "done", "p", 0),
+    ]
+    log = make_log(events)
+    report = compute_report(log)
+    assert repr(report.engine_overhead_s) == "0.0"
+    assert repr(list_based_interval_sums(log)["translate"]) == "0.0"
+
+
+def test_report_working_memory_stays_well_below_the_log():
+    """compute_report's traced peak above a finished log is at most 0.6 of
+    the log's own traced size: its per-entity running sums reuse the rows'
+    floats rather than building a reduction nearly as large as the log."""
+    workflow = generate_esmacs(replicas=64)
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.0),
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=1,
+    )
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1e6)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = sim_run(workflow, request, config)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute_report(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - held <= 0.6 * (held - before)
 
 
 def test_missing_submit_is_rejected():
