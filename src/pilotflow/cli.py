@@ -7,7 +7,7 @@ Three subcommands:
   bench plot --from DIR
 
 Exit codes: 0 on success, 1 when a run executed but a trial failed,
-2 for unusable configuration or arguments.
+2 for unusable configuration or arguments, 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .scheduler import UnschedulableError
 EXIT_OK = 0
 EXIT_RUN_FAILED = 1
 EXIT_BAD_CONFIG = 2
+EXIT_INTERRUPTED = 130
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -5,8 +5,16 @@ requested and the queue-time metric is exactly zero. Everything else keeps
 the same shape as the simulated path: tasks are translated to unit
 descriptions, pulled from the store in bulk, pushed through the first-fit
 core scheduler (cores here are bookkeeping slots, not pinned CPUs), and
-executed in a thread pool that runs one subprocess per unit inside a
-private sandbox directory.
+executed as child processes, one per unit in a private sandbox directory.
+
+The engine's own thread holds every child: it stages a unit in, starts the
+command with ``Popen`` in a new session and waits with one selector, timed
+to the walltime, on every stderr pipe, or on a pidfd (Linux) once a child
+closed it early; the exit ends the exec phase and stage-out follows. At most
+``max_workers`` children run; placed units beyond that wait in order. Every
+kill goes to the child's process group before the child is reaped: at the
+walltime (they fail), when a sibling task fails (they are canceled) and on
+``KeyboardInterrupt``, which also removes the run's sandboxes and propagates.
 
 All timestamps come from one monotonic clock anchored at pilot submission,
 and every duration in the log is genuinely measured, which is what makes
@@ -14,21 +22,23 @@ this backend useful for measuring engine overheads.
 
 The bookkeeping and the events of each step belong to
 :class:`~pilotflow.runtime.EngineCore`. This module owns only the
-execution: the clock, the thread pool, the sandboxes and staging, and the
+execution: the clock, the children, the sandboxes and staging, and the
 failure diagnostics.
 """
 
 from __future__ import annotations
 
 import os
-import queue
+import queue  # unused here, but perfbench/tracing.py swaps this name
+import selectors
 import shutil
+import signal
 import subprocess
 import tarfile
 import tempfile
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 from .latency import LatencyModel, Sampler
@@ -66,28 +76,7 @@ class StagingError(Exception):
     pass
 
 
-@dataclass
-class _Phase:
-    name: str
-    begin: float
-    end: float
-
-
-@dataclass
-class _UnitResult:
-    unit: UnitDescription
-    ok: bool
-    phases: list[_Phase] = field(default_factory=list)
-    end_time: float = 0.0
-    diagnostic: str = ""
-
-
 def _resolve_executable(executable: str) -> str:
-    if "/" in executable:
-        path = Path(executable)
-        if path.exists() and os.access(path, os.X_OK):
-            return str(path)
-        raise FileNotFoundError(f"executable not found: {executable}")
     found = shutil.which(executable)
     if found is None:
         raise FileNotFoundError(f"executable not found: {executable}")
@@ -133,77 +122,10 @@ def _stage_one(
             archive.add(source, arcname=source.name)
 
 
-def _execute_unit(
-    unit: UnitDescription,
-    sandbox: Path,
-    data_root: Path,
-    clock,
-    deadline: float,
-) -> _UnitResult:
-    """Run one unit: stage in, execute, stage out.
-
-    A unit that a worker starts at or after the walltime fails before it
-    stages anything in. The command gets what is left of the walltime when
-    it starts, so a unit that waited in the pool gets no more than one that
-    did not. Returns the completed phase intervals; on failure only phases
-    that actually finished are reported, so the event log never contains a
-    dangling interval.
-    """
-    result = _UnitResult(unit=unit, ok=False)
-    try:
-        if clock() >= deadline:
-            raise subprocess.TimeoutExpired(unit.executable, 0.0)
-        sandbox.mkdir(parents=True, exist_ok=True)
-
-        begin = clock()
-        for directive in unit.inputs:
-            _stage_one(directive, sandbox, data_root)
-        result.phases.append(_Phase("stage_in", begin, clock()))
-
-        argv = [_resolve_executable(unit.executable), *unit.arguments]
-        begin = clock()
-        timeout = deadline - begin
-        if timeout <= 0:
-            raise subprocess.TimeoutExpired(argv, 0.0)
-        proc = subprocess.run(
-            argv,
-            cwd=sandbox,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            timeout=timeout,
-        )
-        end = clock()
-        result.phases.append(_Phase("exec", begin, end))
-        if proc.returncode != 0:
-            stderr = proc.stderr.strip().splitlines()
-            tail = stderr[-1] if stderr else ""
-            result.end_time = end
-            result.diagnostic = (
-                f"command exited with status {proc.returncode}"
-                + (f": {tail}" if tail else "")
-            )
-            return result
-
-        begin = clock()
-        for directive in unit.outputs:
-            _stage_one(directive, sandbox, data_root)
-        result.phases.append(_Phase("stage_out", begin, clock()))
-        result.ok = True
-        result.end_time = result.phases[-1].end
-        return result
-    except subprocess.TimeoutExpired:
-        result.end_time = clock()
-        result.diagnostic = f"walltime exceeded after {deadline:.1f}s"
-        return result
-    except (StagingError, FileNotFoundError) as exc:
-        result.end_time = clock()
-        result.diagnostic = str(exc)
-        return result
-    except Exception as exc:  # defensive: a worker must always report back
-        result.end_time = clock()
-        result.diagnostic = f"{type(exc).__name__}: {exc}"
-        return result
+def _diagnostic(exc: Exception) -> str:
+    """The diagnostic of a unit whose staging or start raised ``exc``."""
+    known = isinstance(exc, (StagingError, FileNotFoundError))
+    return str(exc) if known else f"{type(exc).__name__}: {exc}"
 
 
 class _LocalEngine:
@@ -214,9 +136,15 @@ class _LocalEngine:
         self.core = EngineCore(
             workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")
         )
-        self._results: queue.Queue[_UnitResult] = queue.Queue()
+        self._deadline = request.walltime
+        self._walltime = f"walltime exceeded after {request.walltime:.1f}s"
         self._diagnostics: dict[str, str] = {}
         self._epoch = 0.0
+        # Running children: stderr pipe -> (unit, Popen, exec begin, stderr).
+        self._children = selectors.DefaultSelector()
+        # Placed units waiting for a free max_workers slot, in placement order.
+        self._placed: deque[UnitDescription] = deque()
+        self._run_dir = self._data_root = Path()
 
     def _now(self) -> float:
         return _time.perf_counter() - self._epoch
@@ -247,86 +175,153 @@ class _LocalEngine:
                 self.core.scheduler.offer(unit)
                 self.core.unit_read(unit, io_begin, self._now())
 
-    def _apply_result(self, result: _UnitResult) -> None:
-        record = self.core.release(result.unit)
-        for phase in result.phases:
-            self.core.phase(record, phase.name, phase.begin, phase.end)
-        if result.ok:
-            state = TaskState.DONE
-        else:
-            self._diagnostics[record.task.id] = result.diagnostic
-            state = TaskState.FAILED
-        self._translate(self.core.terminate(record, state, result.end_time))
+    def _end(
+        self, unit: UnitDescription, state: TaskState, time: float, diagnostic: str = ""
+    ) -> None:
+        """Free ``unit``'s cores and end its task in ``state``: translate the
+        stage this completes, or cancel the rest of a failed task's stage."""
+        record = self.core.release(unit)
+        if diagnostic:
+            self._diagnostics[record.task.id] = diagnostic
+        self._translate(self.core.terminate(record, state, time))
+        if state is TaskState.FAILED:
+            reason = f"canceled: sibling task {record.task.id} failed"
+            for key in list(self._children.get_map().values()):
+                if key.data[0].pipeline_id == unit.pipeline_id:
+                    self._end(self._kill(key), TaskState.CANCELED, self._now(), reason)
+            waiting = [u for u in self._placed if u.pipeline_id == unit.pipeline_id]
+            for sibling in waiting:
+                self._placed.remove(sibling)
+                self._end(sibling, TaskState.CANCELED, self._now(), reason)
+
+    def _start(self, unit: UnitDescription) -> None:
+        """Stage ``unit`` in and start its command, or fail the unit."""
+        begin = self._now()
+        if begin >= self._deadline:
+            self._end(unit, TaskState.FAILED, begin, self._walltime)
+            return
+        sandbox = self._run_dir / unit.uid
+        try:
+            sandbox.mkdir(parents=True, exist_ok=True)
+            for directive in unit.inputs:
+                _stage_one(directive, sandbox, self._data_root)
+            record = self.core.tracker.record_for(unit.task_id)
+            self.core.phase(record, "stage_in", begin, self._now())
+            argv = [_resolve_executable(unit.executable), *unit.arguments]
+            begin = self._now()
+            proc = subprocess.Popen(
+                argv,
+                cwd=sandbox,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        except Exception as exc:  # the unit fails, the run goes on
+            self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+            return
+        data = (unit, proc, begin, bytearray())
+        self._children.register(proc.stderr, selectors.EVENT_READ, data)
+
+    def _kill(self, key: selectors.SelectorKey) -> UnitDescription:
+        """Kill a child's process group before reaping it; returns its unit."""
+        os.killpg(key.data[1].pid, signal.SIGKILL)
+        self._children.unregister(key.fileobj)
+        key.fileobj.close()
+        key.data[1].wait()
+        return key.data[0]
+
+    def _exited(self, key: selectors.SelectorKey) -> None:
+        """A child's stderr closed or its pidfd fired: once it has exited,
+        end its exec phase, then stage out."""
+        unit, proc, begin, stderr = key.data
+        self._children.unregister(key.fileobj)
+        key.fileobj.close()
+        returncode = proc.poll()
+        if returncode is None:
+            # Still running, perhaps with its stderr closed early: wait on a pidfd.
+            pidfd = open(os.pidfd_open(proc.pid), "rb", buffering=0)
+            self._children.register(pidfd, selectors.EVENT_READ, key.data)
+            return
+        end = self._now()
+        record = self.core.tracker.record_for(unit.task_id)
+        self.core.phase(record, "exec", begin, end)
+        if returncode != 0:
+            tail = stderr.decode(errors="replace").strip().splitlines()[-1:]
+            diagnostic = ": ".join([f"command exited with status {returncode}", *tail])
+            self._end(unit, TaskState.FAILED, end, diagnostic)
+            return
+        begin = self._now()
+        try:
+            for directive in unit.outputs:
+                _stage_one(directive, self._run_dir / unit.uid, self._data_root)
+        except Exception as exc:  # the unit fails, the run goes on
+            self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+            return
+        end = self._now()
+        self.core.phase(record, "stage_out", begin, end)
+        self._end(unit, TaskState.DONE, end)
 
     def run(self) -> EventLog:
         self._epoch = _time.perf_counter()
         # The allocation is this process: active the instant it is requested.
         self.core.activate(0.0)
 
-        owns_root = self.config.sandbox_root is None
-        if owns_root:
-            root = Path(tempfile.mkdtemp(prefix="pilotflow-"))
-        else:
-            root = Path(self.config.sandbox_root)
-            root.mkdir(parents=True, exist_ok=True)
-        run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=root))
-        data_root = (
-            Path(self.config.data_root)
-            if self.config.data_root is not None
-            else run_dir / "data"
-        )
-        data_root.mkdir(parents=True, exist_ok=True)
+        given = self.config.sandbox_root
+        owns_root = given is None
+        root = Path(tempfile.mkdtemp(prefix="pilotflow-") if owns_root else given)
+        root.mkdir(parents=True, exist_ok=True)
+        run_dir = self._run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=root))
+        data_root = self.config.data_root
+        self._data_root = run_dir / "data" if data_root is None else Path(data_root)
+        self._data_root.mkdir(parents=True, exist_ok=True)
 
         core = self.core
+        children = self._children
         workers = self.config.max_workers
         if workers is None:
             workers = max(1, min(core.request.cores, 128))
-        deadline = core.request.walltime
-        in_flight = 0
 
         self._translate(core.tracker.initial_ready())
         try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                while True:
-                    self._pull_pending()
-                    for unit, _offset in core.scheduler.place_ready():
-                        record = core.tracker.record_for(unit.task_id)
-                        now = self._now()
-                        failed = core.tracker.pipeline_failed(unit.task_id)
-                        if failed or now > deadline:
-                            core.terminate(core.release(unit), TaskState.CANCELED, now)
-                            continue
-                        advance_task_state(
-                            record, TaskState.SCHEDULED, sink=core.sink, time=now
-                        )
-                        pool.submit(
-                            lambda u=unit: self._results.put(
-                                _execute_unit(
-                                    u, run_dir / u.uid, data_root, self._now, deadline
-                                )
-                            )
-                        )
-                        in_flight += 1
-                    if (
-                        in_flight == 0
-                        and core.store.pending_count() == 0
-                        and core.scheduler.waiting_count() == 0
-                    ):
-                        break
-                    if in_flight > 0:
-                        # Every worker reports back (_execute_unit catches every
-                        # exception), so the wait needs no timeout. Apply every
-                        # result already waiting too, so that the units they
-                        # make ready share the next pull.
-                        result = self._results.get()
-                        while True:
-                            in_flight -= 1
-                            self._apply_result(result)
-                            try:
-                                result = self._results.get_nowait()
-                            except queue.Empty:
-                                break
+            while True:
+                self._pull_pending()
+                for unit, _offset in core.scheduler.place_ready():
+                    now = self._now()
+                    failed = core.tracker.pipeline_failed(unit.task_id)
+                    if failed or now > self._deadline:
+                        core.terminate(core.release(unit), TaskState.CANCELED, now)
+                        continue
+                    record = core.tracker.record_for(unit.task_id)
+                    advance_task_state(record, TaskState.SCHEDULED, core.sink, now)
+                    self._placed.append(unit)
+                while self._placed and len(children.get_map()) < workers:
+                    self._start(self._placed.popleft())
+                if not children.get_map():
+                    if core.store.pending_count() or core.scheduler.waiting_count():
+                        continue
+                    break
+                # epoll refuses a wait of 25 days or more: wait an hour at most.
+                timeout = min(self._deadline - self._now(), 3600.0)
+                # Apply every child the selector reports, so that the units
+                # they make ready share the next pull.
+                for key, _ in children.select(timeout):
+                    if key.fileobj.closed:
+                        continue  # killed with a failed sibling
+                    piped = key.fileobj is key.data[1].stderr
+                    chunk = os.read(key.fd, 65536) if piped else b""
+                    if chunk:
+                        key.data[3].extend(chunk)
+                    else:
+                        self._exited(key)
+                if self._now() >= self._deadline and children.get_map():
+                    live = list(children.get_map().values())
+                    for unit in [self._kill(key) for key in live]:
+                        self._end(unit, TaskState.FAILED, self._now(), self._walltime)
         finally:
+            # Children are left only after an interrupt or an error.
+            for key in list(children.get_map().values()):
+                self._kill(key)
+            children.close()
             if not self.config.keep_sandboxes:
                 shutil.rmtree(root if owns_root else run_dir, ignore_errors=True)
 
@@ -341,5 +336,6 @@ class _LocalEngine:
 def local_run(
     workflow: Workflow, request: ResourceRequest, config: LocalBackendConfig
 ) -> EventLog:
-    """Execute the workflow with real processes on this machine."""
+    """Execute the workflow with real processes on this machine. On
+    ``KeyboardInterrupt`` the children are killed and no log is returned."""
     return _LocalEngine(workflow, request, config).run()

@@ -119,8 +119,7 @@ class ProfileSink:
     its rows once.
 
     It takes no lock: only the engine's own thread appends (the local
-    backend's workers hand their results back through a queue), and
-    ``list.append`` is atomic in any case.
+    backend runs no other thread), and ``list.append`` is atomic anyway.
     """
 
     def __init__(self) -> None:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from pilotflow import cli
 from pilotflow.cli import main
 from pilotflow.experiment import (
     ExperimentConfig,
@@ -380,6 +381,15 @@ def test_cli_run_with_a_failed_trial_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["failed trials: sim-p2-t0"]
     assert (out / "trials.csv").exists()
+
+
+def test_cli_run_interrupted_exits_130(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 130
+    assert capsys.readouterr().err.splitlines() == ["interrupted"]
 
 
 def test_cli_run_missing_config_exits_2(tmp_path, capsys):

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import io
-import queue
+import os
+import selectors
+import signal
+import subprocess
+import sys
 import tarfile
 import threading
+import time
 import types
+from pathlib import Path
 
 from pilotflow import localbackend
 from pilotflow.experiment import ExperimentConfig
@@ -24,14 +30,12 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
-from pilotflow.units import (
-    TaskStore,
-    UnitDescription,
-    UnitIdAllocator,
-    translate_task,
-)
+from pilotflow.units import TaskStore, UnitDescription
 
 from helpers import generate_esmacs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TERMINAL = ("done", "failed", "canceled")
 
 
 def shell_task(tid: str, command: str, cores: int = 1, **kwargs) -> TaskSpec:
@@ -68,44 +72,52 @@ def test_null_ensemble_completes_with_zero_queue_time():
 
 
 def test_only_the_engine_thread_appends_events(monkeypatch):
-    """The sink takes no lock: worker threads must hand results back instead."""
+    """The sink takes no lock: the engine's own thread starts, waits on and
+    applies every child, and no other thread runs during the run."""
     appenders: set[int] = set()
+    threads: set[int] = set()
     append = ProfileSink.append
 
     def recording_append(self, event):
         appenders.add(threading.get_ident())
+        threads.add(threading.active_count())
         append(self, event)
 
     monkeypatch.setattr(ProfileSink, "append", recording_append)
+    before = threading.active_count()
     wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
     log = run_local(wf, cores=peak_core_demand(wf), max_workers=4)
     assert compute_report(log).done_tasks == 14
     assert appenders == {threading.get_ident()}
+    assert threads == {before}
 
 
 def test_results_already_waiting_share_one_pull(monkeypatch):
-    """Every result queued before the engine wakes is applied before it pulls
-    again, so the second stages those results unblock arrive in one pull."""
+    """Every child the selector reports at once is applied before the engine
+    pulls again, so the second stages those children unblock arrive in one
+    pull."""
     width = 6
 
-    class GatedQueue(queue.Queue):
-        # The engine's first blocking get returns only once every first-stage
-        # result is queued.
+    class GatedSelector(selectors.DefaultSelector):
+        # The engine's first wait returns only once every first-stage child
+        # has closed its stderr.
         gated = True
 
-        def get(self, block=True, timeout=None):
-            if block and self.gated:
+        def select(self, timeout=None):
+            if self.gated:
                 self.gated = False
-                with self.not_empty:
-                    assert self.not_empty.wait_for(
-                        lambda: self._qsize() >= width, timeout=60.0
-                    )
-            return super().get(block, timeout)
+                give_up = time.monotonic() + 60.0
+                while len(super().select(0)) < width:
+                    assert time.monotonic() < give_up
+                    time.sleep(0.01)
+            return super().select(timeout)
 
     monkeypatch.setattr(
         localbackend,
-        "queue",
-        types.SimpleNamespace(Queue=GatedQueue, Empty=queue.Empty),
+        "selectors",
+        types.SimpleNamespace(
+            DefaultSelector=GatedSelector, EVENT_READ=selectors.EVENT_READ
+        ),
     )
     pulled: list[int] = []
     pull = TaskStore.pull
@@ -153,27 +165,6 @@ def test_units_past_the_bulk_limit_are_pulled_at_once():
     last_schedule = max(i for i, name in enumerate(names) if name == "schedule")
     assert last_schedule < names.index("done")
     assert names.count("pull_begin") == names.count("pull_end") == width // bulk
-
-
-def test_waiting_for_results_never_times_out(monkeypatch):
-    """The engine waits for results without a timeout: every worker reports
-    back, so a timeout could only end the run with ``queue.Empty``."""
-
-    class ExpiringQueue(queue.Queue):
-        # Any blocking get with a timeout behaves as if it had expired.
-        def get(self, block=True, timeout=None):
-            if block and timeout is not None:
-                raise queue.Empty
-            return super().get(block, timeout)
-
-    monkeypatch.setattr(
-        localbackend,
-        "queue",
-        types.SimpleNamespace(Queue=ExpiringQueue, Empty=queue.Empty),
-    )
-    wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
-    log = run_local(wf, cores=peak_core_demand(wf))
-    assert compute_report(log).done_tasks == 14
 
 
 def test_stages_execute_in_order_per_pipeline():
@@ -368,6 +359,11 @@ def test_walltime_kills_overrunning_tasks():
     assert "walltime" in log.extras["diagnostics"]["runaway"]
 
 
+def test_a_walltime_beyond_the_longest_selector_wait_runs_normally():
+    log = run_local(one_stage_workflow(shell_task("t", "true")), walltime=1e7)
+    assert compute_report(log).done_tasks == 1, log.extras["diagnostics"]
+
+
 def test_a_unit_that_waited_in_the_pool_gets_only_the_walltime_left():
     # One worker: the second unit waits about 1 s for the first, then has
     # about 0.5 s of the 1.5 s walltime left for its 1 s sleep.
@@ -383,21 +379,158 @@ def test_a_unit_that_waited_in_the_pool_gets_only_the_walltime_left():
 
 
 def test_a_unit_that_starts_after_the_walltime_fails_without_running(tmp_path):
-    (tmp_path / "params.dat").write_text("k=1\n")
-    task = shell_task(
+    # One worker slot: the walltime kills the first unit, and the second,
+    # in another pipeline, would start only after it.
+    data_root = tmp_path / "data"
+    data_root.mkdir()
+    (data_root / "params.dat").write_text("k=1\n")
+    late = shell_task(
         "late",
         "touch ran",
         inputs=(StagingDirective("params.dat", "params.dat", StagingMode.COPY_IN),),
     )
-    unit = translate_task(task, "p0", 0, UnitIdAllocator())
-    result = localbackend._execute_unit(
-        unit, tmp_path / "sandbox", tmp_path, lambda: 2.0, deadline=1.0
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="p0", stages=[Stage(tasks=[shell_task("first", "sleep 30")])]),
+            Pipeline(id="p1", stages=[Stage(tasks=[late])]),
+        ],
     )
-    assert not result.ok
-    assert result.diagnostic == "walltime exceeded after 1.0s"
-    assert result.phases == []
-    assert not (tmp_path / "sandbox" / "params.dat").exists()
-    assert not (tmp_path / "sandbox" / "ran").exists()
+    log = run_local(
+        wf,
+        walltime=1.0,
+        max_workers=1,
+        data_root=str(data_root),
+        sandbox_root=str(tmp_path / "sandboxes"),
+        keep_sandboxes=True,
+    )
+    terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
+    assert terminal == {"first": "failed", "late": "failed"}
+    assert log.extras["diagnostics"] == {
+        "first": "walltime exceeded after 1.0s",
+        "late": "walltime exceeded after 1.0s",
+    }
+    (uid,) = [e.entity for e in log.by_name("enqueue") if e.pipeline == "p1"]
+    sandbox = Path(log.extras["run_dir"]) / uid
+    assert not (sandbox / "params.dat").exists()
+    assert not (sandbox / "ran").exists()
+    assert [e.entity for e in log.by_name("stage_in_begin")] == ["first"]
+
+
+def process_state(pid: int) -> str | None:
+    """The state letter of process ``pid``, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def test_a_walltime_kill_leaves_no_grandchild_running(tmp_path):
+    """The kill goes to the child's process group, so a command the task
+    started in the background dies with it."""
+    pidfile = tmp_path / "pid"
+    command = f"sleep 30 & echo $! > {pidfile}; wait"
+    log = run_local(one_stage_workflow(shell_task("spawner", command)), walltime=1.0)
+    assert "walltime" in log.extras["diagnostics"]["spawner"]
+    pid = int(pidfile.read_text())
+    give_up = time.monotonic() + 1.0
+    while process_state(pid) not in (None, "Z") and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert process_state(pid) in (None, "Z")
+
+
+def test_a_child_that_closes_its_stderr_early_stalls_no_other_pipeline():
+    """A child still running after EOF on its stderr is waited for on a
+    pidfd, not in a blocking wait."""
+    quiet = Pipeline(
+        id="quiet", stages=[Stage([shell_task("q", "exec 2>&-; sleep 1")])]
+    )
+    chain = Pipeline(
+        id="chain",
+        stages=[Stage([shell_task(f"c{i}", "sleep 0.1")]) for i in range(3)],
+    )
+    log = run_local(Workflow(name="wf", pipelines=[quiet, chain]))
+    done = {e.entity: e.time for e in log.by_name("done")}
+    assert done["c2"] < done["q"]
+    assert done["q"] >= 1.0
+
+
+def test_a_failed_task_cancels_its_running_and_waiting_siblings():
+    wf = one_stage_workflow(
+        shell_task("bad", "exit 1"),
+        shell_task("sleeper", "sleep 5"),
+        shell_task("queued", "true"),
+    )
+    log = run_local(wf, max_workers=2)
+    terminal = {e.entity: e for e in log.events if e.name in TERMINAL}
+    assert {task: e.name for task, e in terminal.items()} == {
+        "bad": "failed",
+        "sleeper": "canceled",
+        "queued": "canceled",
+    }
+    assert terminal["sleeper"].time - terminal["bad"].time < 0.1
+    reason = "canceled: sibling task bad failed"
+    assert log.extras["diagnostics"]["sleeper"] == reason
+    assert log.extras["diagnostics"]["queued"] == reason
+    # The waiting sibling never started.
+    assert "queued" not in {e.entity for e in log.by_name("stage_in_begin")}
+
+
+INTERRUPTED_RUN = """
+import sys
+from pilotflow.localbackend import LocalBackendConfig, local_run
+from pilotflow.model import Pipeline, ResourceRequest, Stage, TaskSpec, Workflow
+
+pids, sandboxes = sys.argv[1:]
+command = f"echo $$ >> {pids}; sleep 2"
+tasks = [
+    TaskSpec(id=f"t{i}", executable="/bin/sh", arguments=("-c", command))
+    for i in range(4)
+]
+workflow = Workflow(name="wf", pipelines=[Pipeline(id="p0", stages=[Stage(tasks)])])
+local_run(
+    workflow,
+    ResourceRequest(cores=4, walltime=60.0),
+    LocalBackendConfig(sandbox_root=sandboxes, max_workers=1),
+)
+"""
+
+
+def test_an_interrupt_kills_the_children_and_ends_the_run_at_once(tmp_path):
+    """Four 2 s units on one worker slot: SIGINT during the first ends the
+    run at once, reaps its child, starts no other unit and removes the
+    run's sandbox."""
+    pids, sandboxes = tmp_path / "pids", tmp_path / "sandboxes"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_RUN, str(pids), str(sandboxes)],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        give_up = time.monotonic() + 60.0
+        while not (pids.exists() and pids.read_text().strip()):
+            assert proc.poll() is None and time.monotonic() < give_up
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, stderr = proc.communicate(timeout=60.0)
+        elapsed = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert elapsed < 0.5
+    assert stderr.rstrip().endswith("KeyboardInterrupt")
+    started = pids.read_text().split()
+    assert len(started) == 1
+    assert process_state(int(started[0])) is None
+    assert list(sandboxes.iterdir()) == []
 
 
 def test_sandboxes_kept_on_request(tmp_path):
