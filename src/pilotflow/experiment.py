@@ -134,7 +134,12 @@ def _read_backend(data: object) -> SimBackendConfig | LocalBackendConfig:
             "top-level 'seed' + t; set the top-level 'seed' instead"
         )
     fields = {key: value for key, value in data.items() if key != "backend"}
-    return codec.read(_BACKENDS[kind], fields, "backend", exclude=("seed",))
+    backend = codec.read(_BACKENDS[kind], fields, "backend", exclude=("seed",))
+    try:
+        backend.validate()
+    except ValueError as exc:
+        raise ExperimentConfigError(f"backend: {exc}") from None
+    return backend
 
 
 def resolve_protocol(name: str, kind: TaskKind, time_scale: float) -> ProtocolConfig:

@@ -62,7 +62,9 @@ class LocalBackendConfig:
 
     ``sandbox_root`` holds per-unit working directories (a temporary
     directory by default); ``data_root`` is where staging sources are read
-    from and staging targets written to.
+    from and staging targets written to. ``bulk`` caps the units one pull
+    takes and ``max_workers`` the children running at once; both must be at
+    least 1.
     """
 
     sandbox_root: str | None = None
@@ -70,6 +72,13 @@ class LocalBackendConfig:
     keep_sandboxes: bool = False
     bulk: int = 1024
     max_workers: int | None = None
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for a setting no run can use."""
+        if self.bulk < 1:
+            raise ValueError(f"bulk must be >= 1, got {self.bulk}")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
 
 
 class StagingError(Exception):
@@ -132,6 +141,7 @@ class _LocalEngine:
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, config: LocalBackendConfig
     ) -> None:
+        config.validate()
         self.config = config
         self.core = EngineCore(
             workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")

@@ -30,26 +30,37 @@ plus the mean across pipelines.
 
 Interval sums pair each ``*_begin`` with its ``*_end`` per entity; a log
 with mismatched pairs is rejected loudly rather than silently mis-summed.
-The pass keeps, per interval name, one dict from entity to the running
-sum of its times, not the times themselves. An entity's first time is
-stored as it is and later ones add to it left to right, in log order; only
-an entity seen more than once under a name gets a count, in a small side
-dict (in the engines' logs, only the pilot's ``pull``). The per-entity
-differences are then added in sorted entity order, starting from 0.0, which
-erases the sign of a zero, the one thing a first time stored as it is
-rather than as ``0 + time`` can change. The order is written out rather than
-left to ``sum()``, which is compensated from Python 3.12 on, so trials.csv
-is byte-identical on Python 3.10 through 3.13.
+The report reads the log's columns, not rows. One pass files each interval
+event's entity and time in its name's own two lists, which hold list slots
+and no new objects. Each interval kind is then reduced on its own: its two
+dicts from entity to the running sum of its times are built, checked and
+summed, and dropped before the next kind's are built, so the working set
+holds one kind's sums, not every kind's. An entity's first time is stored
+as it is and later ones add to it left to right, in log order; only an
+entity seen more than once under a name gets a count, in a small side dict
+(in the engines' logs, only the pilot's ``pull``). The per-entity
+differences are then added in sorted entity order, starting from 0.0,
+which erases the sign of a zero, the one thing a first time stored as it is
+rather than as ``0 + time`` can change. The order is written out rather
+than left to ``sum()``, which is compensated from Python 3.12 on, so
+trials.csv is byte-identical on Python 3.10 through 3.13. Terminal events
+and stage windows are picked out of the columns at C speed, through a
+bytes object holding a one-byte code per event, and kept as the few
+fields the report uses, not as rows.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, fields
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, gt, lt, sub
 from pathlib import Path
 
-from .profiling import INTERVAL_STEMS, EventLog, Row
+from .profiling import INTERVAL_STEMS, EventLog, EventView
 
 TERMINAL_EVENTS = ("done", "failed", "canceled")
 
@@ -87,6 +98,52 @@ class RunReport:
 _Side = tuple[dict[str, float], dict[str, int]]
 
 
+_INTERVAL_NAMES = [
+    f"{stem}_{side}" for stem in INTERVAL_STEMS for side in ("begin", "end")
+]
+
+# A one-byte code for each event name the report selects rows by, other
+# than the interval names; every other name reads as 0. compute_report
+# turns the name column into a bytes object of codes once, and picks out
+# those names' rows with ``itertools.compress`` at C speed.
+_CODE = {
+    name: code
+    for code, name in enumerate(("stage_in_begin",) + TERMINAL_EVENTS, start=1)
+}
+
+
+def _select(codes: bytes, *names: str) -> bytes:
+    """A selector over the log's rows: 1 where the row's name is one of
+    ``names``, 0 elsewhere, for ``itertools.compress``."""
+    table = bytearray(256)
+    for name in names:
+        table[_CODE[name]] = 1
+    return codes.translate(table)
+
+
+def _side(entities: list[str], times: list[float]) -> _Side:
+    """Running sums of one interval event name's times, per entity.
+
+    An entity's first time is stored as the row's own float, so most
+    entities cost a dict slot and no new object; later times add left to
+    right, in log order.
+    """
+    totals = dict(zip(entities, times))
+    if len(totals) == len(entities):
+        return totals, {}
+    # Some entity has several times: add them up in log order.
+    totals = {}
+    repeats: dict[str, int] = {}
+    for entity, time in zip(entities, times):
+        total = totals.get(entity)
+        if total is None:
+            totals[entity] = time
+        else:
+            totals[entity] = total + time
+            repeats[entity] = repeats.get(entity, 1) + 1
+    return totals, repeats
+
+
 def _interval_sum(stem: str, opened: _Side, closed: _Side) -> float:
     """Sum of end minus begin over all pairs of one interval kind.
 
@@ -105,100 +162,120 @@ def _interval_sum(stem: str, opened: _Side, closed: _Side) -> float:
                     f"entity {entity!r}: {begins} {stem}_begin events "
                     f"but {ends} {stem}_end events"
                 )
-    total = 0.0
-    for entity in sorted(opened_sum):
-        total += closed_sum[entity] - opened_sum[entity]
-    return total
+    entities = sorted(opened_sum)
+    ends = map(closed_sum.__getitem__, entities)
+    begins = map(opened_sum.__getitem__, entities)
+    # 0.0 + d1 + d2 + ..., rounded at each step, as a loop would add them.
+    return reduce(add, map(sub, ends, begins), 0.0)
 
 
-def _first_time(first: dict[str, float], name: str) -> float:
-    if name not in first:
-        raise MalformedProfileError(f"log has no {name!r} event")
-    return first[name]
+def _interval_sums(events: EventView) -> dict[str, float]:
+    """Each interval kind's sum, checked and reduced in ``INTERVAL_STEMS``
+    order.
+
+    One pass files each interval event's entity and time in its name's own
+    two lists, which hold list slots and no new objects. Each kind's running
+    sums are then built from its lists and reduced before the next kind's
+    are, and each list is dropped once read.
+    """
+    entities_of: dict[str, list[str]] = {name: [] for name in _INTERVAL_NAMES}
+    times_of: dict[str, list[float]] = {name: [] for name in _INTERVAL_NAMES}
+    add_entity = {name: rows.append for name, rows in entities_of.items()}
+    add_time = {name: rows.append for name, rows in times_of.items()}
+    for entity, time, name in zip(events.entities, events.times, events.names):
+        append = add_entity.get(name)
+        if append is not None:
+            append(entity)
+            add_time[name](time)
+    del add_entity, add_time
+    sums: dict[str, float] = {}
+    for stem in INTERVAL_STEMS:
+        begin, end = f"{stem}_begin", f"{stem}_end"
+        opened = _side(entities_of.pop(begin), times_of.pop(begin))
+        closed = _side(entities_of.pop(end), times_of.pop(end))
+        sums[stem] = _interval_sum(stem, opened, closed)
+    return sums
+
+
+def _first_time(events: EventView, name: str) -> float:
+    try:
+        return events.times[events.names.index(name)]
+    except ValueError:
+        raise MalformedProfileError(f"log has no {name!r} event") from None
+
+
+def _stage_times(
+    events: EventView, selected: bytes, later: Callable[[float, float], bool]
+) -> dict[int, dict[str, float]]:
+    """Per stage, per pipeline: the time of the selected event that
+    ``later`` prefers, over the events that carry a stage and a pipeline."""
+    found: dict[int, dict[str, float]] = {}
+    rows = zip(events.times, events.pipelines, events.stages)
+    for time, pipeline, stage in compress(rows, selected):
+        if stage >= 0 and pipeline:
+            by_pipeline = found.get(stage)
+            if by_pipeline is None:
+                found[stage] = {pipeline: time}
+            elif pipeline not in by_pipeline or later(time, by_pipeline[pipeline]):
+                by_pipeline[pipeline] = time
+    return found
 
 
 def compute_report(
     log: EventLog, trial_id: str = "", workload: str = ""
 ) -> RunReport:
-    """Reduce one event log to a run report in one pass over its events.
+    """Reduce one event log to a run report, reading its columns.
 
-    The pass sums interval times per name and entity, collects terminal
-    events and stage windows, and notes the first ``submit`` and
-    ``pilot_active``; the checks then run in a fixed order, so a malformed
-    log always raises the same first error.
+    The checks run in a fixed order, so a malformed log always raises the
+    same first error: the first ``submit`` and ``pilot_active``, then the
+    terminal events in log order, then each interval kind in
+    ``INTERVAL_STEMS`` order.
     """
-    first: dict[str, float] = {}
-    terminal: list[Row] = []
-    # Running sums, not lists of times: floats and ints are not tracked by
-    # the cyclic GC, so these dicts add no GC work however many entities a
-    # log has.
-    sides: dict[str, _Side] = {
-        f"{stem}_{side}": ({}, {})
-        for stem in INTERVAL_STEMS
-        for side in ("begin", "end")
-    }
-    # Stage windows: first staging start to last completion, per pipeline.
-    window_begin: dict[tuple[str, int], float] = {}
-    window_end: dict[tuple[str, int], float] = {}
-    for row in log.events.rows:
-        time, entity, name, pipeline, stage = row
-        side = sides.get(name)
-        if side is not None:
-            totals, repeats = side
-            # An entity's first time is stored as the row's own float, so
-            # most entities cost a dict slot and no new object; later times
-            # add left to right, in log order.
-            total = totals.get(entity)
-            if total is None:
-                totals[entity] = time
-            else:
-                totals[entity] = total + time
-                repeats[entity] = repeats.get(entity, 1) + 1
-            if name == "stage_in_begin" and stage >= 0 and pipeline:
-                key = (pipeline, stage)
-                if key not in window_begin or time < window_begin[key]:
-                    window_begin[key] = time
-        elif name in TERMINAL_EVENTS:
-            terminal.append(row)
-            if name == "done" and stage >= 0 and pipeline:
-                key = (pipeline, stage)
-                if key not in window_end or time > window_end[key]:
-                    window_end[key] = time
-        elif (name == "submit" or name == "pilot_active") and name not in first:
-            first[name] = time
-
-    submit = _first_time(first, "submit")
-    active = _first_time(first, "pilot_active")
+    events = log.events
+    submit = _first_time(events, "submit")
+    active = _first_time(events, "pilot_active")
     if active < submit:
         raise MalformedProfileError("pilot_active precedes submit")
 
-    if not terminal:
+    codes = bytes(map(_CODE.get, events.names, repeat(0)))
+    terminal = _select(codes, *TERMINAL_EVENTS)
+    tasks = terminal.count(1)
+    if not tasks:
         raise MalformedProfileError("log has no terminal task events")
-    seen: set[str] = set()
-    for _, entity, _, _, _ in terminal:
-        if entity in seen:
-            raise MalformedProfileError(
-                f"task {entity!r} has more than one terminal event"
-            )
-        seen.add(entity)
+    if len(set(compress(events.entities, terminal))) < tasks:
+        seen: set[str] = set()
+        for entity in compress(events.entities, terminal):
+            if entity in seen:
+                raise MalformedProfileError(
+                    f"task {entity!r} has more than one terminal event"
+                )
+            seen.add(entity)
+    pipelines = set(compress(events.pipelines, terminal))
+    pipelines.discard("")
+    # In log order: max() keeps the first of equal times.
+    last = max(compress(events.times, terminal))
+    done, failed, canceled = (codes.count(_CODE[name]) for name in TERMINAL_EVENTS)
+    del terminal
 
     tq = active - submit
-    ttc = max(row[0] for row in terminal) - submit
+    ttc = last - submit
     ttx = ttc - tq
 
     # Every interval kind must pair up, including the ones no metric sums.
-    sums = {
-        stem: _interval_sum(stem, sides[f"{stem}_begin"], sides[f"{stem}_end"])
-        for stem in INTERVAL_STEMS
-    }
+    sums = _interval_sums(events)
     translate = sums["translate"]
     pull = sums["pull"]
     unit_io = sums["unit_io"]
 
+    # Stage windows: first staging start to last completion, per pipeline.
+    window_end = _stage_times(events, _select(codes, "done"), gt)
+    window_begin = _stage_times(events, _select(codes, "stage_in_begin"), lt)
     stage_windows: dict[int, list[float]] = {}
-    for key, begin in window_begin.items():
-        if key in window_end:
-            stage_windows.setdefault(key[1], []).append(window_end[key] - begin)
+    for stage, begins in window_begin.items():
+        ends = window_end.get(stage, {})
+        widths = [ends[p] - begin for p, begin in begins.items() if p in ends]
+        if widths:
+            stage_windows[stage] = widths
     per_stage_max = {
         index + 1: max(widths) for index, widths in sorted(stage_windows.items())
     }
@@ -207,15 +284,10 @@ def compute_report(
         for index, widths in sorted(stage_windows.items())
     }
 
-    done = sum(1 for row in terminal if row[2] == "done")
-    failed = sum(1 for row in terminal if row[2] == "failed")
-    canceled = sum(1 for row in terminal if row[2] == "canceled")
-    pipelines = len({row[3] for row in terminal if row[3]})
-
     return RunReport(
         trial_id=trial_id,
-        pipelines=pipelines,
-        tasks=len(terminal),
+        pipelines=len(pipelines),
+        tasks=tasks,
         cores=log.pilot_cores,
         tq_s=tq,
         ttc_s=ttc,

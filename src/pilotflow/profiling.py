@@ -18,21 +18,33 @@ Event names, by the entity they are keyed on:
 
 All timestamps are seconds relative to pilot submission (time 0.0).
 
-Engines store each event as a plain row, the exact tuple ``(time, entity,
-name, pipeline, stage)``, never as a :class:`ProfileEvent`. CPython's cyclic
-collector stops tracking an exact tuple that holds only numbers and strings,
-but it never untracks an instance of a tuple subclass such as a NamedTuple,
-so a log of ``ProfileEvent`` objects would be traversed by every full
-collection for as long as it lives. :class:`EventView` is how callers read a
-log: it builds a ``ProfileEvent`` for each row it hands out.
+Engines append each event as a plain row, the tuple ``(time, entity, name,
+pipeline, stage)``. A finished log keeps no rows: :class:`ProfileSink`
+moves them into five parallel lists, one per field, which hold the engine's
+own float, str and int objects. A log therefore costs five list slots per
+event and no object of its own, and none of what it holds is tracked by
+CPython's cyclic collector, so no collection walks it. :class:`EventView`
+is how callers read a log: it builds a ``ProfileEvent`` for each event it
+hands out.
+
+The simulator writes rows ahead of its clock (a placed unit's whole
+timeline is written at once), so rows arrive out of time order. After each
+step of its clock it promises the sink that no later row is earlier than
+that step (:meth:`ProfileSink.settle`), and the sink moves the rows before
+it into the columns a few thousand at a time; only the unsettled tail stays
+as tuples. The local backend promises nothing, and its rows are sorted
+once, when the run closes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -52,13 +64,22 @@ INTERVAL_STEMS = (
 # call, small enough that the file is never held in memory whole.
 _CSV_CHUNK_ROWS = 4096
 
+# Rows a sink's tail gains before a settle sorts it and moves its settled
+# part into the columns: large enough that the sort and the five column
+# extends run at C speed, small enough that the tuples waiting in the tail
+# stay a sliver of the log.
+_SETTLE_ROWS = 4096
+
+_TIME = itemgetter(0)
+_FIELDS = tuple(map(itemgetter, range(5)))
+
 
 class ProfileEvent(NamedTuple):
     """One timestamped occurrence attributed to an entity.
 
     ``pipeline`` and ``stage`` carry attribution for per-stage metrics; they
-    are empty for pilot-level events. Logs store the same five fields as a
-    plain tuple row and build this record only when a caller reads one.
+    are empty for pilot-level events. Logs store the same five fields as
+    columns and build this record only when a caller reads one.
     """
 
     time: float
@@ -68,75 +89,127 @@ class ProfileEvent(NamedTuple):
     stage: int = -1
 
 
-# One stored event: (time, entity, name, pipeline, stage).
+# One appended event: (time, entity, name, pipeline, stage).
 Row = tuple[float, str, str, str, int]
 
 
 class EventView(Sequence[ProfileEvent]):
-    """Read-only sequence of ``ProfileEvent`` over a list of rows.
+    """Read-only sequence of ``ProfileEvent`` over five columns.
 
-    Each event is built when it is read and is not kept, so iterating over
-    a log or taking its length never holds a second copy of it. Two views,
-    or a view and a list, are equal when their rows are; ``rows`` is the
-    list itself, which the metrics and the CSV writer read directly.
+    Event ``i`` is ``(times[i], entities[i], names[i], pipelines[i],
+    stages[i])``, built when it is read and not kept, so iterating over a
+    log or taking its length never holds a second copy of it. Two views, or
+    a view and a list of events, are equal when their events are. The
+    metrics and the CSV writer read the columns directly.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("times", "entities", "names", "pipelines", "stages")
 
-    def __init__(self, rows: list[Row]) -> None:
-        self.rows = rows
+    def __init__(
+        self,
+        times: list[float],
+        entities: list[str],
+        names: list[str],
+        pipelines: list[str],
+        stages: list[int],
+    ) -> None:
+        self.times = times
+        self.entities = entities
+        self.names = names
+        self.pipelines = pipelines
+        self.stages = stages
+
+    def _columns(self) -> tuple[list, ...]:
+        return (self.times, self.entities, self.names, self.pipelines, self.stages)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.times)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return list(map(ProfileEvent._make, self.rows[index]))
-        return ProfileEvent._make(self.rows[index])
+            columns = [column[index] for column in self._columns()]
+            return list(map(ProfileEvent, *columns))
+        return ProfileEvent(*[column[index] for column in self._columns()])
 
     def __iter__(self):
-        return map(ProfileEvent._make, self.rows)
+        return map(ProfileEvent, *self._columns())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventView):
-            other = other.rows
-        elif not isinstance(other, list):
+            return self._columns() == other._columns()
+        if not isinstance(other, list):
             return NotImplemented
-        return self.rows == other
+        return list(zip(*self._columns())) == other
 
     def __repr__(self) -> str:
         return repr(list(self))
 
 
 class ProfileSink:
-    """Append-only row collector.
+    """Row collector that settles rows into columns as the clock passes.
 
-    Rows are plain tuples, not ``ProfileEvent`` instances, so that the
-    cyclic collector stops tracking them (it never untracks a tuple
-    subclass). ``events`` is the closing step: it sorts the sink's own list
-    and hands it over in an :class:`EventView` that builds a
-    ``ProfileEvent`` for each row a caller reads, so a finished run holds
-    its rows once.
+    ``append`` adds a row to the tail. ``settle(now)`` is the engine's
+    promise that no row appended after it is earlier than ``now``. Once
+    the tail has gained ``_SETTLE_ROWS`` rows since it was last settled,
+    the call sorts the tail in place by time and moves every row before
+    ``now`` into the columns. Those rows are strictly earlier than every
+    row still to come, and each sort is stable, so the columns end as the
+    stable sort of every row by time: ties stay in append order. A row
+    earlier than the latest time a settle sorted the tail at breaks the
+    promise; the next sort, in ``settle`` or ``events``, raises
+    ``ValueError`` rather than write a mis-sorted log.
+
+    ``events`` is the closing step: it settles every row and hands the
+    columns over in an :class:`EventView`, so a finished run holds each
+    event once.
 
     It takes no lock: only the engine's own thread appends (the local
-    backend runs no other thread), and ``list.append`` is atomic anyway.
+    backend runs no other thread).
     """
 
     def __init__(self) -> None:
-        self._rows: list[Row] = []
+        self._columns: tuple[list, ...] = ([], [], [], [], [])
+        self._tail: list[Row] = []
+        # The latest time a settle sorted the tail at: every row in the
+        # columns is earlier, and no row may be appended earlier.
+        self._settled = -math.inf
+        # The tail length at which the next settle moves rows.
+        self._due = _SETTLE_ROWS
 
     def append(self, row: Row) -> None:
-        self._rows.append(row)
+        self._tail.append(row)
+
+    def settle(self, now: float) -> None:
+        """Promise that no row appended from here on is earlier than ``now``."""
+        if len(self._tail) >= self._due:
+            self._move_before(now)
+
+    def _move_before(self, now: float) -> None:
+        tail = self._tail
+        tail.sort(key=_TIME)
+        if tail and tail[0][0] < self._settled:
+            raise ValueError(
+                f"event {tail[0]!r} is earlier than {self._settled!r}, the "
+                "time the sink was promised no later event would precede"
+            )
+        if now > self._settled:
+            self._settled = now
+        cut = bisect_left(tail, now, key=_TIME)
+        if cut:
+            settled = tail[:cut]
+            for column, get in zip(self._columns, _FIELDS):
+                column.extend(map(get, settled))
+            del settled, tail[:cut]
+        self._due = len(tail) + _SETTLE_ROWS
 
     def events(self) -> EventView:
-        """Sort the rows in place by time, ties in append order (the sort is
-        stable), and hand the sink's list over: the closing step, after
-        which the engine appends nothing."""
-        self._rows.sort(key=itemgetter(0))
-        return EventView(self._rows)
+        """Settle every row and hand the columns over: the closing step,
+        after which the engine appends nothing."""
+        self._move_before(math.inf)
+        return EventView(*self._columns)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns[0]) + len(self._tail)
 
 
 @dataclass
@@ -144,7 +217,7 @@ class EventLog:
     """Finished run: the ordered events plus run-level context.
 
     ``events`` reads as a sequence of ``ProfileEvent``, each built on access
-    from the view's plain-tuple rows.
+    from the view's columns.
     """
 
     events: EventView
@@ -154,8 +227,7 @@ class EventLog:
     extras: dict = field(default_factory=dict)
 
     def by_name(self, name: str) -> list[ProfileEvent]:
-        make = ProfileEvent._make
-        return [make(row) for row in self.events.rows if row[2] == name]
+        return list(compress(self.events, map(name.__eq__, self.events.names)))
 
     def write_csv(self, path: str | Path) -> None:
         """Three-column export: time_s, entity, event.
@@ -180,14 +252,14 @@ class EventLog:
             quoted[text] = field
             return field
 
-        rows = self.events.rows
+        events = self.events
+        rows = zip(events.times, events.entities, events.names)
         last_time = stamp = None
         with open(path, "w", newline="") as handle:
             handle.write("time_s,entity,event\r\n")
-            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            while True:
                 lines = []
-                chunk = rows[start : start + _CSV_CHUNK_ROWS]
-                for time, entity, name, _, _ in chunk:
+                for time, entity, name in islice(rows, _CSV_CHUNK_ROWS):
                     # Sorted events often share a time object; reuse its repr.
                     # Identity, not equality: 0.0 == -0.0 but their reprs differ.
                     if time is not last_time:
@@ -200,4 +272,6 @@ class EventLog:
                     if name_field is None:
                         name_field = quote(name)
                     lines.append(f"{stamp},{entity_field},{name_field}\r\n")
+                if not lines:
+                    break
                 handle.write("".join(lines))

@@ -19,7 +19,8 @@ and unblocks the pipeline's next stage.
 The bookkeeping and the events of each step belong to
 :class:`~pilotflow.runtime.EngineCore`. This module owns only the timing:
 the event heap, the latency samplers, the serialized manager timeline and
-the cut at the walltime limit.
+the cut at the walltime limit. As its clock passes each popped time, it
+lets the sink settle the rows before that time into the log's columns.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class SimBackendConfig:
     seed: int = 0
     bulk: int = 1024
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` for a setting no run can use."""
+        if self.bulk < 1:
+            raise ValueError(f"bulk must be >= 1, got {self.bulk}")
+
 
 def check_request(request: ResourceRequest, config: SimBackendConfig) -> None:
     """Raise ``PilotRequestError`` when the machine cannot hold the pilot."""
@@ -75,6 +81,7 @@ class _SimEngine:
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, config: SimBackendConfig
     ) -> None:
+        config.validate()
         check_request(request, config)
         self.config = config
         seed = config.seed
@@ -216,12 +223,20 @@ class _SimEngine:
 
         finish = None
         now = 0.0
+        # Every handler writes its rows at or after its own time, and the
+        # heap pops in time order, so no row to come is earlier than a
+        # popped time; a time already promised is not promised again. The
+        # cut comes first: close() writes its cancels at the deadline, which
+        # is earlier than a time past it.
+        settle = self.core.sink.settle
         while self._heap:
             time, _seq, handler, payload = heapq.heappop(self._heap)
             if time > self._deadline:
                 finish = self._deadline
                 break
-            now = time
+            if time != now:
+                settle(time)
+                now = time
             handler(time, payload)
         if finish is None:
             finish = max(now, self._finish_floor)

@@ -227,6 +227,27 @@ def test_bad_configs_rejected():
         sim_config(backend={"backend": "local"})
 
 
+@pytest.mark.parametrize(
+    "backend, named",
+    [
+        ({"backend": "sim", "bulk": 0}, "backend: bulk must be >= 1, got 0"),
+        ({"backend": "local", "bulk": 0}, "backend: bulk must be >= 1, got 0"),
+        (
+            {"backend": "local", "max_workers": 0},
+            "backend: max_workers must be >= 1, got 0",
+        ),
+        (
+            {"backend": "local", "max_workers": -3},
+            "backend: max_workers must be >= 1, got -3",
+        ),
+    ],
+)
+def test_unusable_bulk_and_max_workers_are_rejected_at_load(backend, named):
+    with pytest.raises(ExperimentConfigError) as excinfo:
+        sim_config(workload="NULL", backend=backend)
+    assert str(excinfo.value) == named
+
+
 @pytest.mark.parametrize("workload", ["NULL", "SIM", "LOCAL"])
 def test_every_workload_is_read_for_the_simulator_and_all_but_sim_for_local(
     workload,
@@ -260,6 +281,7 @@ def test_every_shipped_config_loads():
         "esmacs.json",
         "esmacs_local.json",
         "overhead_local.json",
+        "paper_scale_sim.json",
         "weak_scaling_sim.json",
     ]
     weak = ExperimentConfig.load(CONFIGS / "weak_scaling_sim.json")
@@ -279,6 +301,18 @@ def test_every_shipped_config_loads():
     local = ExperimentConfig.load(CONFIGS / "esmacs_local.json")
     assert local.backend == LocalBackendConfig()
     assert (local.workload, local.pipeline_counts) == (TaskKind.LOCAL_EXEC, (2,))
+    paper = ExperimentConfig.load(CONFIGS / "paper_scale_sim.json")
+    assert paper.backend == SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.0),
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+    )
+    assert (paper.workload, paper.pipeline_counts, paper.cores) == (
+        "SIM",
+        (4096,),
+        "peak",
+    )
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ import time
 import types
 from pathlib import Path
 
+import pytest
+
 from pilotflow import localbackend
 from pilotflow.experiment import ExperimentConfig
 from pilotflow.localbackend import LocalBackendConfig, local_run
@@ -69,6 +71,25 @@ def test_null_ensemble_completes_with_zero_queue_time():
     assert report.status == "DONE"
     assert report.tq_s == 0.0
     assert report.ttx_s == report.ttc_s
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"bulk": 0}, "bulk must be >= 1, got 0"),
+        ({"max_workers": 0}, "max_workers must be >= 1, got 0"),
+    ],
+)
+def test_unusable_bulk_or_max_workers_is_rejected_before_any_event(
+    monkeypatch, tmp_path, settings, named
+):
+    appended = []
+    monkeypatch.setattr(ProfileSink, "append", lambda self, row: appended.append(row))
+    wf = generate_esmacs(replicas=1, kind=TaskKind.NULL_WORKLOAD)
+    with pytest.raises(ValueError, match=named):
+        run_local(wf, cores=peak_core_demand(wf), sandbox_root=str(tmp_path), **settings)
+    assert appended == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_only_the_engine_thread_appends_events(monkeypatch):

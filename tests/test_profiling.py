@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 import gc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow import profiling
 from pilotflow.latency import LatencyModel
 from pilotflow.model import ResourceRequest, peak_core_demand
 from pilotflow.profiling import (
@@ -49,6 +51,64 @@ def test_events_sort_by_time_then_append_order(draws):
     assert len(sink) == len(appended)
 
 
+# One step of an engine's clock: advance it, settle at the new time, then
+# append rows at or after it, each at clock + offset.
+CLOCK_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=6),
+    ),
+    max_size=30,
+)
+
+
+def run_clock(sink, steps):
+    """Drive ``sink`` through ``steps`` with valid settles; returns the rows
+    appended, in order, and the final clock."""
+    appended = []
+    clock = 0.0
+    for advance, offsets in steps:
+        clock += advance
+        sink.settle(clock)
+        for offset in offsets:
+            row = (clock + offset, "task", f"e{len(appended)}", "p", 0)
+            appended.append(row)
+            sink.append(row)
+    return appended, clock
+
+
+@given(st.integers(1, 9), CLOCK_STEPS)
+@settings(max_examples=300)
+def test_settled_events_equal_the_stable_sort_of_every_row(settle_rows, steps):
+    with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
+        sink = ProfileSink()
+        appended, _ = run_clock(sink, steps)
+        assert len(sink) == len(appended)
+        assert sink.events() == sorted(appended, key=lambda row: row[0])
+
+
+@given(
+    st.integers(1, 9),
+    CLOCK_STEPS,
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([1e-9, 0.25, 0.5]),
+)
+@settings(max_examples=200)
+def test_a_row_before_a_settled_time_raises(settle_rows, steps, advance, early):
+    with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
+        sink = ProfileSink()
+        _, clock = run_clock(sink, steps)
+        # Enough rows that this settle sorts the tail at its time, then a
+        # row that breaks the promise it made.
+        for _ in range(settle_rows):
+            sink.append((clock, "task", "filler", "p", 0))
+        clock += advance
+        sink.settle(clock)
+        sink.append((clock - early, "task", "late", "p", 0))
+        with pytest.raises(ValueError, match="earlier than"):
+            sink.events()
+
+
 def test_profile_event_is_immutable():
     event = ProfileEvent(time=1.0, entity="task.0", name="done")
     with pytest.raises(AttributeError):
@@ -68,24 +128,37 @@ def small_sim_log() -> EventLog:
     return sim_run(workflow, request, config)
 
 
-def test_stored_rows_are_plain_tuples_the_collector_untracks():
-    """A NamedTuple is never untracked by CPython's cyclic collector; an
-    exact tuple of numbers and strings is, once a collection has seen it."""
+def test_a_finished_log_holds_no_tracked_object_per_event():
+    """A log is five lists of the engine's floats, strings and small ints,
+    none of which CPython's cyclic collector tracks, so a collection never
+    walks a log however long it is."""
     log = small_sim_log()
     gc.collect()
-    rows = log.events.rows
-    assert rows
-    assert all(type(row) is tuple for row in rows)
-    assert not any(gc.is_tracked(row) for row in rows)
+    columns = [c for c in gc.get_referents(log.events) if isinstance(c, list)]
+    assert len(columns) == 5 and all(len(c) == len(log.events) > 0 for c in columns)
+    assert not any(gc.is_tracked(value) for column in columns for value in column)
+    assert {type(value) for column in columns for value in column} == {
+        float,
+        str,
+        int,
+    }
 
 
-def test_event_view_reads_rows_as_profile_events():
+def test_event_view_reads_columns_as_profile_events():
     log = small_sim_log()
-    events, rows = log.events, log.events.rows
-    assert len(events) == len(rows)
+    events = log.events
+    columns = (
+        events.times,
+        events.entities,
+        events.names,
+        events.pipelines,
+        events.stages,
+    )
+    assert len(events) == len(events.times)
     first_pass, second_pass = list(events), list(events)
     assert first_pass == second_pass
-    for event, row in zip(first_pass, rows):
+    assert len(first_pass) == len(events)
+    for event, row in zip(first_pass, zip(*columns)):
         assert type(event) is ProfileEvent
         fields = (event.time, event.entity, event.name, event.pipeline, event.stage)
         assert fields == row
@@ -93,7 +166,9 @@ def test_event_view_reads_rows_as_profile_events():
     assert events[-1] == first_pass[-1] and events[-1].name == "pilot_done"
     assert type(events[0]) is ProfileEvent and type(events[-1]) is ProfileEvent
     assert events[1:3] == first_pass[1:3]
-    assert events == first_pass and events == EventView(list(rows))
+    assert all(type(event) is ProfileEvent for event in events[1:3])
+    copied = EventView(*(list(column) for column in columns))
+    assert events == first_pass and events == copied
     assert repr(events) == repr(first_pass)
     done = log.by_name("done")
     assert len(done) == 3 * 7
@@ -109,8 +184,13 @@ def reference_csv(events, path):
         writer.writerows((repr(e.time), e.entity, e.name) for e in events)
 
 
+def view_of(events) -> EventView:
+    """The events, in the order given, as the columns of a view."""
+    return EventView(*([event[k] for event in events] for k in range(5)))
+
+
 def assert_matches_reference(events, tmp_path):
-    log = EventLog(events=EventView(events), pilot_cores=1, backend="sim")
+    log = EventLog(events=view_of(events), pilot_cores=1, backend="sim")
     log.write_csv(tmp_path / "got.csv")
     reference_csv(events, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

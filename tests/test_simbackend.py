@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow import profiling
 from pilotflow.experiment import ExperimentConfig
 from pilotflow.latency import LatencyModel
 from pilotflow.metrics import compute_report, reports_to_csv
@@ -34,6 +35,7 @@ from pilotflow.model import (
     WorkflowValidationError,
     peak_core_demand,
 )
+from pilotflow.profiling import ProfileSink
 from pilotflow.runtime import PilotRequestError
 from pilotflow.scheduler import UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
@@ -208,6 +210,16 @@ def test_request_beyond_machine_capacity_rejected():
         )
 
 
+def test_bulk_below_one_is_rejected_before_any_event(monkeypatch):
+    appended = []
+    monkeypatch.setattr(ProfileSink, "append", lambda self, row: appended.append(row))
+    wf = generate_esmacs(replicas=2)
+    request = ResourceRequest(cores=peak_core_demand(wf), walltime=1e6)
+    with pytest.raises(ValueError, match="bulk must be >= 1, got 0"):
+        sim_run(wf, request, SimBackendConfig(bulk=0))
+    assert appended == []
+
+
 def test_task_wider_than_pilot_rejected():
     with pytest.raises(UnschedulableError):
         sim_run(
@@ -243,6 +255,54 @@ def test_walltime_truncates_and_cancels():
     # the started-but-unfinished execution leaves no dangling interval
     assert log.by_name("exec_begin") == []
     assert log.by_name("pilot_done")[0].time == 10.0
+
+
+@pytest.mark.parametrize("settle_rows", [1, 16, profiling._SETTLE_ROWS])
+def test_walltime_cut_log_is_the_stable_sort_of_its_rows(monkeypatch, settle_rows):
+    """The simulator settles the sink only after its walltime check: the
+    cancels that close() writes at the deadline are earlier than the popped
+    time past it. Settled over many moves into the columns, the log is the
+    stable sort of the rows the engine appended, one terminal per task."""
+    monkeypatch.setattr(profiling, "_SETTLE_ROWS", settle_rows)
+    appended = []
+    append = ProfileSink.append
+
+    def recording_append(self, row):
+        appended.append(row)
+        append(self, row)
+
+    monkeypatch.setattr(ProfileSink, "append", recording_append)
+    moves = 0
+    move_before = ProfileSink._move_before
+
+    def counting_move_before(self, now):
+        nonlocal moves
+        moves += 1
+        move_before(self, now)
+
+    monkeypatch.setattr(ProfileSink, "_move_before", counting_move_before)
+    wf = generate_esmacs(replicas=128)
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.0),
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=3,
+        bulk=32,
+    )
+    # A stage ends just before this deadline, so the next stage's pull is
+    # still on the heap past it when the run is cut.
+    walltime = 28.5
+    request = ResourceRequest(cores=peak_core_demand(wf) // 4, walltime=walltime)
+    log = sim_run(wf, request, config)
+    assert len(log.events) > 2 * profiling._SETTLE_ROWS and moves > 2
+    assert log.events == sorted(appended, key=lambda row: row[0])
+    report = compute_report(log)
+    tasks = sum(len(stage.tasks) for p in wf.pipelines for stage in p.stages)
+    assert report.tasks == tasks
+    assert report.done_tasks > 0 and report.canceled_tasks > 0
+    assert report.ttc_s == 2.0 + walltime
+    assert [event.time for event in log.by_name("pilot_done")] == [2.0 + walltime]
 
 
 def test_walltime_cancels_queued_later_stages():
