@@ -154,16 +154,15 @@ def _cell_requests(
 ) -> list[ResourceRequest]:
     """Each sweep point's pilot request, checked before any output is written.
 
-    Every replica repeats the protocol's stages with one task each, so a
-    pipeline's peak demand is its widest stage and ``peak`` cores are that
-    times the pipeline count: ``peak_core_demand`` of the expanded workflow,
-    found without expanding it.
+    Every replica is one pipeline of the same stages, so ``peak`` cores are
+    the pipeline count times the peak demand of one replica.
     """
     widest = max(protocol.stages, key=attrgetter("cores"))
+    replica = peak_core_demand(protocol_to_workflow(protocol, replicas=1))
     requests: list[ResourceRequest] = []
     for position, count in enumerate(config.pipeline_counts):
         if config.cores == "peak":
-            cores = count * widest.cores
+            cores = count * replica
         else:
             cores = config.cores[position]
         if widest.cores > cores:

@@ -8,13 +8,13 @@ core scheduler (cores here are bookkeeping slots, not pinned CPUs), and
 executed as child processes, one per unit in a private sandbox directory.
 
 The engine's own thread holds every child: it stages a unit in, starts the
-command with ``Popen`` in a new session and waits with one selector, timed
-to the walltime, on every stderr pipe, or on a pidfd (Linux) once a child
-closed it early; the exit ends the exec phase and stage-out follows. At most
-``max_workers`` children run; placed units beyond that wait in order. Every
-kill goes to the child's process group before the child is reaped: at the
-walltime (they fail), when a sibling task fails (they are canceled) and on
-``KeyboardInterrupt``, which also removes the run's sandboxes and propagates.
+command with ``Popen`` in a new session, stderr to an unnamed file, and
+waits on the children's pidfds (Linux 5.3 or later) with one selector timed
+to the walltime. At most ``max_workers`` children run; placed units beyond
+that wait in order. A task's command owns its process group: one reap kills
+the group, then reaps the child, whether it exited (stage-out follows), hit
+the walltime (it fails), lost a sibling task (it is canceled) or the run was
+interrupted (the run's sandbox is removed and ``KeyboardInterrupt`` goes on).
 
 All timestamps come from one monotonic clock anchored at pilot submission,
 and every duration in the log is genuinely measured, which is what makes
@@ -40,6 +40,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 from .latency import LatencyModel, Sampler
 from .model import (
@@ -60,11 +61,12 @@ from .units import UnitDescription, translate_task
 class LocalBackendConfig:
     """Knobs for the local runner.
 
-    ``sandbox_root`` holds per-unit working directories (a temporary
-    directory by default); ``data_root`` is where staging sources are read
-    from and staging targets written to. ``bulk`` caps the units one pull
-    takes and ``max_workers`` the children running at once; both must be at
-    least 1.
+    A run keeps its units' working directories in one ``pilotflow-run-*``
+    directory under ``sandbox_root`` (the system temporary directory by
+    default), removed at the end unless ``keep_sandboxes`` is set.
+    ``data_root`` is where staging sources are read from and staging
+    targets written to. ``bulk`` caps the units one pull takes and
+    ``max_workers`` the children running at once; both must be at least 1.
     """
 
     sandbox_root: str | None = None
@@ -150,10 +152,13 @@ class _LocalEngine:
         self._walltime = f"walltime exceeded after {request.walltime:.1f}s"
         self._diagnostics: dict[str, str] = {}
         self._epoch = 0.0
-        # Running children: stderr pipe -> (unit, Popen, exec begin, stderr).
+        # Running children by pidfd: (unit, Popen, exec begin, stderr file).
         self._children = selectors.DefaultSelector()
         # Placed units waiting for a free max_workers slot, in placement order.
         self._placed: deque[UnitDescription] = deque()
+        # Emptied stderr files; a child takes the last once it has started. A
+        # new file costs a filesystem update, emptying one a truncate.
+        self._spare: list[BinaryIO] = []
         self._run_dir = self._data_root = Path()
 
     def _now(self) -> float:
@@ -195,14 +200,14 @@ class _LocalEngine:
             self._diagnostics[record.task.id] = diagnostic
         self._translate(self.core.terminate(record, state, time))
         if state is TaskState.FAILED:
-            reason = f"canceled: sibling task {record.task.id} failed"
+            why = f"canceled: sibling task {record.task.id} failed"
             for key in list(self._children.get_map().values()):
                 if key.data[0].pipeline_id == unit.pipeline_id:
-                    self._end(self._kill(key), TaskState.CANCELED, self._now(), reason)
+                    self._end(self._reap(key)[0], TaskState.CANCELED, self._now(), why)
             waiting = [u for u in self._placed if u.pipeline_id == unit.pipeline_id]
             for sibling in waiting:
                 self._placed.remove(sibling)
-                self._end(sibling, TaskState.CANCELED, self._now(), reason)
+                self._end(sibling, TaskState.CANCELED, self._now(), why)
 
     def _start(self, unit: UnitDescription) -> None:
         """Stage ``unit`` in and start its command, or fail the unit."""
@@ -211,6 +216,8 @@ class _LocalEngine:
             self._end(unit, TaskState.FAILED, begin, self._walltime)
             return
         sandbox = self._run_dir / unit.uid
+        if not self._spare:
+            self._spare.append(tempfile.TemporaryFile(dir=self._run_dir))
         try:
             sandbox.mkdir(parents=True, exist_ok=True)
             for directive in unit.inputs:
@@ -223,41 +230,38 @@ class _LocalEngine:
                 argv,
                 cwd=sandbox,
                 stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
+                stderr=self._spare[-1],
                 start_new_session=True,
             )
         except Exception as exc:  # the unit fails, the run goes on
             self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
             return
-        data = (unit, proc, begin, bytearray())
-        self._children.register(proc.stderr, selectors.EVENT_READ, data)
+        data = (unit, proc, begin, self._spare.pop())
+        self._children.register(os.pidfd_open(proc.pid), selectors.EVENT_READ, data)
 
-    def _kill(self, key: selectors.SelectorKey) -> UnitDescription:
-        """Kill a child's process group before reaping it; returns its unit."""
-        os.killpg(key.data[1].pid, signal.SIGKILL)
-        self._children.unregister(key.fileobj)
-        key.fileobj.close()
-        key.data[1].wait()
-        return key.data[0]
+    def _reap(self, key: selectors.SelectorKey) -> tuple[UnitDescription, float, str]:
+        """Kill a child's process group while the unreaped child holds its PID,
+        then reap it. Returns the unit, its exec begin and, for a nonzero exit,
+        the status and the last line of the last 4 KiB of stderr."""
+        unit, proc, begin, stderr = key.data
+        os.killpg(proc.pid, signal.SIGKILL)
+        self._children.unregister(key.fd)
+        os.close(key.fd)
+        returncode = proc.wait()
+        stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 4096))
+        tail = stderr.read().decode(errors="replace").strip().splitlines()[-1:]
+        stderr.truncate(stderr.seek(0))
+        self._spare.append(stderr)
+        status = f"command exited with status {returncode}"
+        return unit, begin, ": ".join([status, *tail]) if returncode else ""
 
     def _exited(self, key: selectors.SelectorKey) -> None:
-        """A child's stderr closed or its pidfd fired: once it has exited,
-        end its exec phase, then stage out."""
-        unit, proc, begin, stderr = key.data
-        self._children.unregister(key.fileobj)
-        key.fileobj.close()
-        returncode = proc.poll()
-        if returncode is None:
-            # Still running, perhaps with its stderr closed early: wait on a pidfd.
-            pidfd = open(os.pidfd_open(proc.pid), "rb", buffering=0)
-            self._children.register(pidfd, selectors.EVENT_READ, key.data)
-            return
+        """A child's pidfd fired: reap it, end its exec phase, then stage out."""
+        unit, begin, diagnostic = self._reap(key)
         end = self._now()
         record = self.core.tracker.record_for(unit.task_id)
         self.core.phase(record, "exec", begin, end)
-        if returncode != 0:
-            tail = stderr.decode(errors="replace").strip().splitlines()[-1:]
-            diagnostic = ": ".join([f"command exited with status {returncode}", *tail])
+        if diagnostic:
             self._end(unit, TaskState.FAILED, end, diagnostic)
             return
         begin = self._now()
@@ -276,20 +280,18 @@ class _LocalEngine:
         # The allocation is this process: active the instant it is requested.
         self.core.activate(0.0)
 
-        given = self.config.sandbox_root
-        owns_root = given is None
-        root = Path(tempfile.mkdtemp(prefix="pilotflow-") if owns_root else given)
-        root.mkdir(parents=True, exist_ok=True)
-        run_dir = self._run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=root))
+        root = self.config.sandbox_root
+        if root is not None:
+            Path(root).mkdir(parents=True, exist_ok=True)
+        run_dir = Path(tempfile.mkdtemp(prefix="pilotflow-run-", dir=root))
+        self._run_dir = run_dir
         data_root = self.config.data_root
         self._data_root = run_dir / "data" if data_root is None else Path(data_root)
         self._data_root.mkdir(parents=True, exist_ok=True)
 
         core = self.core
         children = self._children
-        workers = self.config.max_workers
-        if workers is None:
-            workers = max(1, min(core.request.cores, 128))
+        workers = self.config.max_workers or min(core.request.cores, 128)
 
         self._translate(core.tracker.initial_ready())
         try:
@@ -315,25 +317,22 @@ class _LocalEngine:
                 # Apply every child the selector reports, so that the units
                 # they make ready share the next pull.
                 for key, _ in children.select(timeout):
-                    if key.fileobj.closed:
-                        continue  # killed with a failed sibling
-                    piped = key.fileobj is key.data[1].stderr
-                    chunk = os.read(key.fd, 65536) if piped else b""
-                    if chunk:
-                        key.data[3].extend(chunk)
-                    else:
+                    # A child reaped with a failed sibling is gone from the map.
+                    if children.get_map().get(key.fd) is key:
                         self._exited(key)
                 if self._now() >= self._deadline and children.get_map():
                     live = list(children.get_map().values())
-                    for unit in [self._kill(key) for key in live]:
+                    for unit in [self._reap(key)[0] for key in live]:
                         self._end(unit, TaskState.FAILED, self._now(), self._walltime)
         finally:
             # Children are left only after an interrupt or an error.
             for key in list(children.get_map().values()):
-                self._kill(key)
+                self._reap(key)
             children.close()
+            for stderr in self._spare:
+                stderr.close()
             if not self.config.keep_sandboxes:
-                shutil.rmtree(root if owns_root else run_dir, ignore_errors=True)
+                shutil.rmtree(run_dir, ignore_errors=True)
 
         return core.close(
             self._now(),

@@ -126,6 +126,7 @@ class _SimEngine:
 
     def _translate(self, records: list[TaskRecord], now: float) -> None:
         """Serialize translation of ready tasks on the manager timeline."""
+        deadline = self._deadline
         for record in records:
             start = max(now, self._manager_free_at)
             end = start + self.translate_cost.sample()
@@ -133,6 +134,11 @@ class _SimEngine:
             unit = translate_task(
                 record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
+            if end > deadline:
+                # As in _launch: no row past the walltime, and the pilot
+                # stays up to it.
+                self._finish_floor = deadline
+                continue
             self.core.translated(record, start, end)
             self._push(end, self._handle_enqueue, unit)
 
@@ -152,10 +158,17 @@ class _SimEngine:
             return
         units, latency = store.pull(self.config.bulk)
         pull_end = time + latency
-        self.core.pulled(time, pull_end)
+        deadline = self._deadline
+        if pull_end <= deadline:
+            self.core.pulled(time, pull_end)
         for unit in units:
             # Reading the unit description off the shared filesystem.
             io_end = pull_end + self.fs_latency.sample()
+            if io_end > deadline:
+                # As in _launch: no row past the walltime, and the pilot
+                # stays up to it. A cut pull cuts every read after it.
+                self._finish_floor = deadline
+                continue
             self.core.unit_read(unit, pull_end, io_end)
             self._push(io_end, self._handle_offer, unit)
         if store.pending_count() > 0:

@@ -11,6 +11,7 @@ import sys
 import tarfile
 import threading
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -620,3 +621,87 @@ def test_config_dict_round_trip():
     assert ExperimentConfig.from_dict(data).backend == LocalBackendConfig(
         sandbox_root="/tmp/x", keep_sandboxes=True, bulk=4, max_workers=2
     )
+
+
+def test_a_command_that_exits_is_done_whatever_it_left_running():
+    """A background command still holding the task's stderr does not keep
+    the task running: the task ends when its command exits."""
+    wf = one_stage_workflow(shell_task("starter", "sleep 3 & echo started"))
+    log = run_local(wf, walltime=1.5)
+    (done,) = log.by_name("done")
+    assert done.entity == "starter"
+    assert done.time < 0.75
+    assert log.extras["diagnostics"] == {}
+
+
+def test_a_command_leaves_no_process_running_after_the_run(tmp_path):
+    """A task's command owns its process group: what it left running in
+    the background is killed when it exits."""
+    pidfile = tmp_path / "pid"
+    command = f"sleep 4 2>/dev/null & echo $! > {pidfile}"
+    log = run_local(one_stage_workflow(shell_task("leaver", command)))
+    assert compute_report(log).done_tasks == 1
+    pid = int(pidfile.read_text())
+    give_up = time.monotonic() + 1.0
+    while process_state(pid) not in (None, "Z") and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert process_state(pid) in (None, "Z")
+
+
+def test_a_flood_of_stderr_keeps_only_its_last_line_in_memory():
+    """Stderr goes to a file, and only its last 4 KiB are read back."""
+    command = "yes | head -c 33554432 >&2; echo last words >&2; exit 3"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        log = run_local(one_stage_workflow(shell_task("flood", command)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    diagnostic = log.extras["diagnostics"]["flood"]
+    assert diagnostic == "command exited with status 3: last words"
+    assert peak < 8 * 2**20
+
+
+def test_a_run_leaves_no_file_descriptor_open():
+    """Each child holds a pidfd and a stderr file: whichever way the child
+    ends, both are closed by the time the run returns."""
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="ok", stages=[Stage([shell_task("ok", "true")])]),
+            Pipeline(
+                id="bad",
+                stages=[
+                    Stage([shell_task("bad", "exit 1"), shell_task("s", "sleep 30")])
+                ],
+            ),
+            Pipeline(id="slow", stages=[Stage([shell_task("slow", "sleep 30")])]),
+        ],
+    )
+    before = len(os.listdir("/proc/self/fd"))
+    log = run_local(wf, walltime=1.0)
+    after = len(os.listdir("/proc/self/fd"))
+    terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
+    assert terminal == {
+        "ok": "done",
+        "bad": "failed",
+        "s": "canceled",
+        "slow": "failed",
+    }
+    assert log.extras["diagnostics"]["slow"] == "walltime exceeded after 1.0s"
+    assert after == before
+
+
+def test_each_diagnostic_reads_only_its_own_commands_stderr():
+    """Commands that run one after another write to one reused stderr file,
+    emptied in between."""
+    stages = [
+        Stage([shell_task("loud", "yes | head -c 100000 >&2")]),
+        Stage([shell_task("quiet", "echo short >&2; exit 4")]),
+    ]
+    wf = Workflow(name="wf", pipelines=[Pipeline(id="p0", stages=stages)])
+    log = run_local(wf, max_workers=1)
+    assert log.extras["diagnostics"] == {
+        "quiet": "command exited with status 4: short"
+    }

@@ -305,6 +305,45 @@ def test_walltime_cut_log_is_the_stable_sort_of_its_rows(monkeypatch, settle_row
     assert [event.time for event in log.by_name("pilot_done")] == [2.0 + walltime]
 
 
+def _after_pilot_done(log) -> list:
+    names = [event.name for event in log.events]
+    return log.events[names.index("pilot_done") + 1 :]
+
+
+def test_no_row_follows_pilot_done_in_a_walltime_cut_run():
+    """An interval that would end past the walltime writes neither row: a
+    pull and the unit reads after it, as a phase of a launched unit."""
+    assert _after_pilot_done(_queued_run(walltime=55.87)) == []
+    wf = generate_esmacs(replicas=128)
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(2.0),
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.125),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=3,
+        bulk=32,
+    )
+    request = ResourceRequest(cores=peak_core_demand(wf) // 4, walltime=28.5)
+    log = sim_run(wf, request, config)
+    assert _after_pilot_done(log) == []
+    pulls = len(log.by_name("pull_begin"))
+    assert pulls == len(log.by_name("pull_end")) > 0
+    assert len(log.by_name("unit_io_begin")) == len(log.by_name("unit_io_end"))
+
+
+def test_a_translation_past_the_walltime_writes_no_row():
+    config = SimBackendConfig(translate_cost=LatencyModel.constant(20.0))
+    log = sim_run(
+        single_task_workflow(1.0), ResourceRequest(cores=1, walltime=10.0), config
+    )
+    assert [(event.name, event.time) for event in log.events] == [
+        ("submit", 0.0),
+        ("pilot_active", 0.0),
+        ("canceled", 10.0),
+        ("pilot_done", 10.0),
+    ]
+
+
 def test_walltime_cancels_queued_later_stages():
     tasks = [
         TaskSpec(id="short", executable="md", expected_duration=3.0),
@@ -475,7 +514,7 @@ def test_queued_run_is_byte_identical_to_recorded_digest():
 # only in the first two esmacs stages and stage-out only in the last, so no
 # single walltime cuts all three phases.
 TRUNCATED_DIGEST = (
-    "291a4336be73686da4ea8011e5c3d62a1f412e5345db63e05a4151b2cc48b6b2"
+    "ceb3d433f115de1c8f41736950abd584d66a2f8ad11dd314bcf3afa1abbbb1c5"
 )
 TRUNCATING_WALLTIMES = (1.25, 55.87)
 
