@@ -36,8 +36,11 @@ import signal
 import subprocess
 import tarfile
 import tempfile
+import threading
 import time as _time
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -139,6 +142,29 @@ def _diagnostic(exc: Exception) -> str:
     return str(exc) if known else f"{type(exc).__name__}: {exc}"
 
 
+@contextmanager
+def _interrupt_deferred() -> Iterator[None]:
+    """Hold back SIGINT for the block, then raise the interrupt it caught.
+
+    Only the main thread, with Python's default handler in place, defers;
+    a signal mask cannot, because a child started in the block inherits it.
+    """
+    if (
+        threading.current_thread() is not threading.main_thread()
+        or signal.getsignal(signal.SIGINT) is not signal.default_int_handler
+    ):
+        yield
+        return
+    caught: list[int] = []
+    signal.signal(signal.SIGINT, lambda signum, frame: caught.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        if caught:
+            raise KeyboardInterrupt
+
+
 class _LocalEngine:
     def __init__(
         self, workflow: Workflow, request: ResourceRequest, config: LocalBackendConfig
@@ -225,19 +251,27 @@ class _LocalEngine:
             record = self.core.tracker.record_for(unit.task_id)
             self.core.phase(record, "stage_in", begin, self._now())
             argv = [_resolve_executable(unit.executable), *unit.arguments]
-            begin = self._now()
-            proc = subprocess.Popen(
-                argv,
-                cwd=sandbox,
-                stdout=subprocess.DEVNULL,
-                stderr=self._spare[-1],
-                start_new_session=True,
-            )
         except Exception as exc:  # the unit fails, the run goes on
             self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
             return
-        data = (unit, proc, begin, self._spare.pop())
-        self._children.register(os.pidfd_open(proc.pid), selectors.EVENT_READ, data)
+        # Ctrl-C waits until the engine holds the child, so that the run's
+        # final reap finds it.
+        with _interrupt_deferred():
+            begin = self._now()
+            try:
+                proc = subprocess.Popen(
+                    argv,
+                    cwd=sandbox,
+                    stdout=subprocess.DEVNULL,
+                    stderr=self._spare[-1],
+                    start_new_session=True,
+                )
+            except Exception as exc:  # the unit fails, the run goes on
+                self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+                return
+            data = (unit, proc, begin, self._spare.pop())
+            pidfd = os.pidfd_open(proc.pid)
+            self._children.register(pidfd, selectors.EVENT_READ, data)
 
     def _reap(self, key: selectors.SelectorKey) -> tuple[UnitDescription, float, str]:
         """Kill a child's process group while the unreaped child holds its PID,

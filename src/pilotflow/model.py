@@ -53,7 +53,7 @@ class StagingDirective:
     mode: StagingMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """Smallest unit of work: an executable plus its data dependencies.
 
@@ -175,7 +175,7 @@ def advance_task_state(
     return record
 
 
-@dataclass
+@dataclass(slots=True)
 class Stage:
     """Set of tasks with no mutual dependencies; they may run concurrently.
 
@@ -185,7 +185,7 @@ class Stage:
     tasks: list[TaskSpec]
 
 
-@dataclass
+@dataclass(slots=True)
 class Pipeline:
     """Ordered sequence of stages; stage k+1 starts only after stage k is done."""
 
@@ -193,7 +193,7 @@ class Pipeline:
     stages: list[Stage]
 
 
-@dataclass
+@dataclass(slots=True)
 class Workflow:
     """Set of mutually independent pipelines executed concurrently."""
 
@@ -223,6 +223,12 @@ class WorkflowValidationError(Exception):
         super().__init__("; ".join(violations))
 
 
+def _at(pipeline: Pipeline, position: int, task: TaskSpec | None = None) -> str:
+    """Where a violation is: formatted only for a violation reported."""
+    where = f"pipeline {pipeline.id!r} stage {position}"
+    return where if task is None else f"{where} task {task.id!r}"
+
+
 def validate_workflow(workflow: Workflow) -> tuple[str, ...]:
     """Collect every invariant violation; the workflow is executable iff none."""
     violations: list[str] = []
@@ -231,32 +237,33 @@ def validate_workflow(workflow: Workflow) -> tuple[str, ...]:
     seen_pipelines: set[str] = set()
     seen_tasks: set[str] = set()
     for pipeline in workflow.pipelines:
-        where = f"pipeline {pipeline.id!r}"
         if pipeline.id in seen_pipelines:
             violations.append(f"duplicate pipeline id {pipeline.id!r}")
         seen_pipelines.add(pipeline.id)
         if not pipeline.stages:
-            violations.append(f"{where}: empty stage list")
+            violations.append(f"pipeline {pipeline.id!r}: empty stage list")
         for position, stage in enumerate(pipeline.stages):
-            swhere = f"{where} stage {position}"
             if not stage.tasks:
-                violations.append(f"{swhere}: empty stage")
+                violations.append(f"{_at(pipeline, position)}: empty stage")
             for task in stage.tasks:
-                twhere = f"{swhere} task {task.id!r}"
                 if task.id in seen_tasks:
                     violations.append(f"duplicate task id {task.id!r}")
                 seen_tasks.add(task.id)
                 if task.cores < 1:
-                    violations.append(f"{twhere}: cores must be >= 1")
+                    violations.append(
+                        f"{_at(pipeline, position, task)}: cores must be >= 1"
+                    )
                 duration = task.expected_duration
                 if not math.isfinite(duration) or duration < 0:
                     violations.append(
-                        f"{twhere}: expected_duration must be finite and >= 0"
+                        f"{_at(pipeline, position, task)}: "
+                        "expected_duration must be finite and >= 0"
                     )
                 for directive in task.staging:
                     if not directive.source or not directive.target:
                         violations.append(
-                            f"{twhere}: staging directive with empty source/target"
+                            f"{_at(pipeline, position, task)}: "
+                            "staging directive with empty source/target"
                         )
     return tuple(violations)
 

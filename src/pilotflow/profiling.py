@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -63,6 +64,8 @@ INTERVAL_STEMS = (
 # Rows per write in EventLog.write_csv: large enough to amortize the write
 # call, small enough that the file is never held in memory whole.
 _CSV_CHUNK_ROWS = 4096
+# A string csv.writer's default dialect writes as it is, unquoted.
+_BARE_FIELD = re.compile(r"[A-Za-z0-9_.:-]+").fullmatch
 
 # Rows a sink's tail gains before a settle sorts it and moves its settled
 # part into the columns: large enough that the sort and the five column
@@ -212,6 +215,27 @@ class ProfileSink:
         return len(self._columns[0]) + len(self._tail)
 
 
+class _CsvFields(dict):
+    """Each distinct string's field as ``csv.writer``'s default dialect
+    writes it, made the first time the string is looked up."""
+
+    def __init__(self) -> None:
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer)
+
+    def __missing__(self, text: str) -> str:
+        field = text
+        if not _BARE_FIELD(text):
+            self._buffer.seek(0)
+            self._buffer.truncate()
+            self._writer.writerow((text, ""))
+            quoted = self._buffer.getvalue()[: -len(",\r\n")]
+            if quoted != text:
+                field = quoted  # else keep one copy of the string
+        self[text] = field
+        return field
+
+
 @dataclass
 class EventLog:
     """Finished run: the ordered events plus run-level context.
@@ -237,23 +261,13 @@ class EventLog:
         ``csv.writer``'s default dialect (``QUOTE_MINIMAL``), so the file is
         byte for byte what that writer makes of the same rows.
         """
-        buffer = io.StringIO()
-        quoter = csv.writer(buffer)
-        quoted: dict[str, str] = {}
-
-        def quote(text: str) -> str:
-            # Quote each distinct string once, through csv.writer itself.
-            buffer.seek(0)
-            buffer.truncate()
-            quoter.writerow((text, ""))
-            field = buffer.getvalue()[: -len(",\r\n")]
-            if field == text:
-                field = text  # keep one copy of a string that needs no quotes
-            quoted[text] = field
-            return field
-
+        fields = _CsvFields()
         events = self.events
-        rows = zip(events.times, events.entities, events.names)
+        rows = zip(
+            events.times,
+            map(fields.__getitem__, events.entities),
+            map(fields.__getitem__, events.names),
+        )
         last_time = stamp = None
         with open(path, "w", newline="") as handle:
             handle.write("time_s,entity,event\r\n")
@@ -265,13 +279,7 @@ class EventLog:
                     if time is not last_time:
                         last_time = time
                         stamp = repr(time)
-                    entity_field = quoted.get(entity)
-                    if entity_field is None:
-                        entity_field = quote(entity)
-                    name_field = quoted.get(name)
-                    if name_field is None:
-                        name_field = quote(name)
-                    lines.append(f"{stamp},{entity_field},{name_field}\r\n")
+                    lines.append(f"{stamp},{entity},{name}\r\n")
                 if not lines:
                     break
                 handle.write("".join(lines))

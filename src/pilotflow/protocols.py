@@ -15,7 +15,9 @@ its own files.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from . import codec
@@ -139,21 +141,31 @@ def esmacs_protocol(
     return replace(protocol, stages=tuple(stages))
 
 
-def _substitute(text: str, replica: int, name: str) -> str:
-    return text.replace("{replica}", str(replica)).replace("{name}", name)
+def _substitute(text: str, replica: str, name: str) -> str:
+    return text.replace("{replica}", replica).replace("{name}", name)
 
 
-def _expand_directives(
-    directives: tuple[StagingDirective, ...], replica: int, name: str
-) -> tuple[StagingDirective, ...]:
+def _expand(field: tuple, replica: str, name: str) -> tuple:
+    """A template's arguments or staging directives, substituted."""
     return tuple(
-        StagingDirective(
-            source=_substitute(d.source, replica, name),
-            target=_substitute(d.target, replica, name),
-            mode=d.mode,
+        _substitute(value, replica, name)
+        if isinstance(value, str)
+        else StagingDirective(
+            _substitute(value.source, replica, name),
+            _substitute(value.target, replica, name),
+            value.mode,
         )
-        for d in directives
+        for value in field
     )
+
+
+def _per_replica(field: tuple) -> Callable[[str, str], tuple]:
+    """A template field as a function of (replica, name). Substituting
+    empty strings changes a field iff it holds a placeholder; one that
+    holds none is returned itself."""
+    if _expand(field, "", "") == field:
+        return lambda replica, name: field
+    return partial(_expand, field)
 
 
 def protocol_to_workflow(
@@ -165,34 +177,39 @@ def protocol_to_workflow(
     """Expand a protocol into one pipeline per replica.
 
     Replicas and stages are numbered from 1 in ids; stage indices inside
-    the model stay 0-based positions. ``kind`` is ignored: a workload kind
-    acts once, when :func:`for_workload` builds the protocol, and tasks do
-    not carry it. The argument stays only because the benchmark under
-    ``perfbench/`` still passes it.
+    the model stay 0-based positions. Each of a stage template's
+    ``arguments``, ``inputs`` and ``outputs`` is checked once: only a field
+    that holds ``{replica}`` or ``{name}`` is substituted per replica, and
+    every replica shares the template's own tuple of the others (strings
+    and frozen directives; tasks, stages and pipelines are never shared).
+    ``kind`` is ignored: a workload kind acts once, when
+    :func:`for_workload` builds the protocol, and tasks do not carry it.
+    The argument stays only because the benchmark under ``perfbench/``
+    still passes it.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     workflow_name = name if name is not None else protocol.name
+    templates = [
+        (t, _per_replica(t.arguments), _per_replica(t.inputs), _per_replica(t.outputs))
+        for t in protocol.stages
+    ]
     pipelines: list[Pipeline] = []
     for replica in range(1, replicas + 1):
+        number, pipeline_id = str(replica), f"{workflow_name}-p{replica}"
         stages: list[Stage] = []
-        for position, template in enumerate(protocol.stages):
+        for position, (template, args, inputs, outputs) in enumerate(templates, 1):
             task = TaskSpec(
-                id=f"{workflow_name}-p{replica}-s{position + 1}",
+                id=f"{pipeline_id}-s{position}",
                 executable=template.executable,
-                arguments=tuple(
-                    _substitute(a, replica, workflow_name)
-                    for a in template.arguments
-                ),
+                arguments=args(number, workflow_name),
                 cores=template.cores,
                 expected_duration=template.expected_duration,
-                inputs=_expand_directives(template.inputs, replica, workflow_name),
-                outputs=_expand_directives(template.outputs, replica, workflow_name),
+                inputs=inputs(number, workflow_name),
+                outputs=outputs(number, workflow_name),
             )
             stages.append(Stage(tasks=[task]))
-        pipelines.append(
-            Pipeline(id=f"{workflow_name}-p{replica}", stages=stages)
-        )
+        pipelines.append(Pipeline(id=pipeline_id, stages=stages))
     return Workflow(name=workflow_name, pipelines=pipelines)
 
 

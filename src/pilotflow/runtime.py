@@ -12,10 +12,11 @@ its life shows in the log as the ``submit``, ``pilot_active`` and
 :class:`WorkflowTracker` holds the structural rules both backends share:
 stage k+1 of a pipeline becomes ready only when every task of stage k is
 done, pipelines never wait for each other, and a failed task fails only its
-own pipeline. It keeps, per pipeline, each stage as the list of its task
-records, the position of the current stage and whether the pipeline has
-failed. Whether the run succeeded is not kept here: it follows from the
-terminal events of the log (:func:`pilotflow.metrics.compute_report`).
+own pipeline. It keeps one record per task and, per pipeline, those
+records in stage order with the offset where each stage starts, the
+position of the current stage and whether the pipeline has failed.
+Whether the run succeeded is not kept here: it follows from the terminal
+events of the log (:func:`pilotflow.metrics.compute_report`).
 
 :class:`EngineCore` is the manager/agent story both backends tell: it owns
 the store, the scheduler and the tracker, moves each task through its
@@ -51,51 +52,55 @@ class PilotRequestError(Exception):
 PILOT_UID = "pilot.0000"
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineRun:
-    """One pipeline's progress: the task records of each stage, in order,
-    the position of the current stage and whether the pipeline failed."""
+    """One pipeline's progress: its task records in stage order, where each
+    stage starts in them (``starts[k]`` up to ``starts[k + 1]`` is stage
+    k), the position of the current stage and whether the pipeline failed."""
 
     id: str
-    stages: list[list[TaskRecord]]
+    records: list[TaskRecord]
+    starts: list[int]
     current: int = 0
     failed: bool = False
 
+    def stage(self, index: int) -> list[TaskRecord]:
+        return self.records[self.starts[index] : self.starts[index + 1]]
+
 
 class WorkflowTracker:
-    """Drives stage succession; backends own timing and execution."""
+    """Drives stage succession; backends own timing and execution. It holds
+    one record per task by task id and one run per pipeline by its id."""
 
     def __init__(self, workflow: Workflow) -> None:
         violations = validate_workflow(workflow)
         if violations:
             raise WorkflowValidationError(violations)
-        self.pipelines: list[PipelineRun] = []
-        self._by_task: dict[str, tuple[PipelineRun, list[TaskRecord], TaskRecord]] = {}
+        self._runs: dict[str, PipelineRun] = {}
+        self._records: dict[str, TaskRecord] = {}
         for pipeline in workflow.pipelines:
-            run = PipelineRun(id=pipeline.id, stages=[])
+            run = self._runs[pipeline.id] = PipelineRun(pipeline.id, [], [0])
             for index, stage in enumerate(pipeline.stages):
-                records = [
-                    TaskRecord(task=task, pipeline_id=pipeline.id, stage_index=index)
-                    for task in stage.tasks
-                ]
-                run.stages.append(records)
-                for record in records:
-                    self._by_task[record.task.id] = (run, records, record)
-            self.pipelines.append(run)
+                for task in stage.tasks:
+                    record = TaskRecord(task, pipeline.id, index)
+                    run.records.append(record)
+                    self._records[task.id] = record
+                run.starts.append(len(run.records))
+        self.pipelines = list(self._runs.values())
 
     def record_for(self, task_id: str) -> TaskRecord:
-        return self._by_task[task_id][2]
+        return self._records[task_id]
 
     def pipeline_failed(self, task_id: str) -> bool:
         """Whether the pipeline that owns ``task_id`` has failed."""
-        return self._by_task[task_id][0].failed
+        return self._runs[self._records[task_id].pipeline_id].failed
 
     def all_records(self) -> list[TaskRecord]:
-        return [entry[2] for entry in self._by_task.values()]
+        return list(self._records.values())
 
     def initial_ready(self) -> list[TaskRecord]:
         """The records of every pipeline's first stage."""
-        return [record for pipeline in self.pipelines for record in pipeline.stages[0]]
+        return [record for run in self.pipelines for record in run.stage(0)]
 
     def on_terminal(self, record: TaskRecord) -> list[TaskRecord]:
         """React to a task reaching a terminal state.
@@ -106,7 +111,7 @@ class WorkflowTracker:
         """
         if not record.state.is_terminal:
             raise ValueError(f"task {record.task.id} is not terminal")
-        pipeline, stage, _ = self._by_task[record.task.id]
+        pipeline = self._runs[record.pipeline_id]
         if record.state is not TaskState.DONE:
             pipeline.failed = True
             return []
@@ -114,11 +119,12 @@ class WorkflowTracker:
             # A sibling already failed the pipeline; this late completion
             # does not resurrect it.
             return []
+        stage = pipeline.stage(record.stage_index)
         if not all(r.state is TaskState.DONE for r in stage):
             return []
-        if pipeline.current + 1 < len(pipeline.stages):
+        if pipeline.current + 1 < len(pipeline.starts) - 1:
             pipeline.current += 1
-            return list(pipeline.stages[pipeline.current])
+            return pipeline.stage(pipeline.current)
         return []
 
 

@@ -555,6 +555,37 @@ def test_an_interrupt_kills_the_children_and_ends_the_run_at_once(tmp_path):
     assert list(sandboxes.iterdir()) == []
 
 
+def test_an_interrupt_while_a_child_starts_still_reaps_it(tmp_path, monkeypatch):
+    """SIGINT that lands as ``Popen`` returns, before the engine holds the
+    child, waits until it does: the interrupt goes on and the child is
+    reaped rather than left running."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen_then_interrupt(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        started.append(proc)
+        signal.raise_signal(signal.SIGINT)
+        return proc
+
+    monkeypatch.setattr(localbackend.subprocess, "Popen", popen_then_interrupt)
+    sandboxes = tmp_path / "sandboxes"
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_local(
+                one_stage_workflow(shell_task("sleeper", "sleep 30")),
+                sandbox_root=str(sandboxes),
+            )
+        states = [process_state(proc.pid) for proc in started]
+    finally:
+        for proc in started:  # whatever the run left running
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+    assert states == [None]
+    assert list(sandboxes.iterdir()) == []
+
+
 def test_sandboxes_kept_on_request(tmp_path):
     root = tmp_path / "sandboxes"
     wf = one_stage_workflow(shell_task("writer", "echo hi > marker.txt"))

@@ -377,3 +377,13 @@ def test_random_event_sequences_follow_the_table(targets):
             with pytest.raises(IllegalTransitionError):
                 advance_task_state(record, target)
             assert record.state is before
+
+
+def test_description_objects_carry_no_instance_dict():
+    task = make_task("t")
+    stage = Stage(tasks=[task])
+    pipeline = Pipeline(id="p", stages=[stage])
+    for value in (task, stage, pipeline, Workflow(name="w", pipelines=[pipeline])):
+        assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.cores = 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 from unittest import mock
 
 import pytest
@@ -234,3 +235,15 @@ def test_write_csv_matches_csv_writer_byte_for_byte(tmp_path):
 def test_write_csv_matches_csv_writer_on_generated_rows(tmp_path_factory, rows):
     events = [ProfileEvent(time=t, entity=e, name=n) for t, e, n in rows]
     assert_matches_reference(events, tmp_path_factory.mktemp("csv"))
+
+
+@given(
+    st.text(alphabet=st.sampled_from(list(',"\r\n \t_.:-aZ9\u00e9')), max_size=8)
+    | st.text(max_size=8)
+)
+@settings(max_examples=300)
+def test_each_csv_field_is_what_csv_writer_makes_of_the_text(text):
+    field = profiling._CsvFields()[text]
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(("1", text, "2"))
+    assert f"1,{field},2\r\n" == buffer.getvalue()

@@ -10,8 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotflow.model import (
+    Pipeline,
+    Stage,
+    StagingDirective,
     StagingMode,
     TaskKind,
+    TaskSpec,
+    Workflow,
     peak_core_demand,
     validate_workflow,
 )
@@ -106,6 +111,94 @@ def test_task_ids_follow_the_naming_scheme():
     assert ids[0] == "demo-p1-s1"
     assert ids[-1] == "demo-p2-s7"
     assert len(set(ids)) == len(ids)
+
+
+def reference_expansion(protocol, replicas, name=None):
+    """Oracle: every field of every task substituted afresh per replica."""
+    name = protocol.name if name is None else name
+
+    def sub(text, replica):
+        return text.replace("{replica}", str(replica)).replace("{name}", name)
+
+    def directives(values, replica):
+        return tuple(
+            StagingDirective(sub(d.source, replica), sub(d.target, replica), d.mode)
+            for d in values
+        )
+
+    def task(template, replica, position):
+        return TaskSpec(
+            id=f"{name}-p{replica}-s{position}",
+            executable=template.executable,
+            arguments=tuple(sub(a, replica) for a in template.arguments),
+            cores=template.cores,
+            expected_duration=template.expected_duration,
+            inputs=directives(template.inputs, replica),
+            outputs=directives(template.outputs, replica),
+        )
+
+    pipelines = [
+        Pipeline(
+            id=f"{name}-p{replica}",
+            stages=[
+                Stage(tasks=[task(template, replica, position)])
+                for position, template in enumerate(protocol.stages, 1)
+            ],
+        )
+        for replica in range(1, replicas + 1)
+    ]
+    return Workflow(name=name, pipelines=pipelines)
+
+
+# Template strings with and without placeholders, near misses included.
+TEXT = st.lists(
+    st.sampled_from(["{replica}", "{name}", "{repl", "ica}", "{", "}", "a", "/"]),
+    min_size=1,
+    max_size=4,
+).map("".join)
+DIRECTIVES = st.lists(
+    st.builds(StagingDirective, TEXT, TEXT, st.sampled_from(StagingMode)), max_size=2
+).map(tuple)
+TEMPLATES = st.builds(
+    StageTemplate,
+    label=st.just("stage"),
+    executable=st.sampled_from(["md", "{name}"]),
+    arguments=st.lists(TEXT, max_size=3).map(tuple),
+    cores=st.integers(1, 4),
+    expected_duration=st.sampled_from([0.0, 0.5]),
+    inputs=DIRECTIVES,
+    outputs=DIRECTIVES,
+)
+
+
+@given(
+    st.builds(
+        ProtocolConfig,
+        name=st.sampled_from(["esmacs", "x{replica}", "{name}"]),
+        stages=st.lists(TEMPLATES, min_size=1, max_size=4).map(tuple),
+    ),
+    st.integers(1, 4),
+    st.sampled_from([None, "demo", "{replica}"]),
+)
+@settings(max_examples=200)
+def test_expansion_equals_a_fresh_expansion_per_replica(protocol, replicas, name):
+    got = protocol_to_workflow(protocol, replicas, name=name)
+    assert got == reference_expansion(protocol, replicas, name)
+
+
+def test_a_field_without_placeholders_is_shared_by_every_replica():
+    protocol = esmacs_protocol()
+    workflow = protocol_to_workflow(protocol, replicas=3)
+    shared = 0
+    for position, template in enumerate(protocol.stages):
+        tasks = [pipeline.stages[position].tasks[0] for pipeline in workflow.pipelines]
+        for field in ("arguments", "inputs", "outputs"):
+            value = getattr(template, field)
+            if value and "{replica}" not in repr(value):
+                shared += 1
+                assert all(getattr(task, field) is value for task in tasks)
+    # Every stage's arguments, and the inputs of the two unpacking stages.
+    assert shared == len(protocol.stages) + 2
 
 
 def test_expansion_always_validates():

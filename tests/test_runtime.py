@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from pilotflow.latency import LatencyModel, Sampler
@@ -163,6 +165,22 @@ def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
 def test_tracker_rejects_invalid_workflows():
     with pytest.raises(WorkflowValidationError):
         WorkflowTracker(Workflow(name="bad", pipelines=[]))
+
+
+def test_the_tracker_adds_at_most_one_tracked_object_per_task():
+    """One record per task; the rest is a constant per pipeline."""
+    workflow = generate_esmacs(replicas=64)
+    tasks, pipelines = len(workflow.tasks()), len(workflow.pipelines)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tracker = WorkflowTracker(workflow)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(tracker.all_records()) == tasks
+    assert added <= tasks + 4 * pipelines + 8
 
 
 def test_on_terminal_requires_a_terminal_record():
