@@ -30,37 +30,41 @@ plus the mean across pipelines.
 
 Interval sums pair each ``*_begin`` with its ``*_end`` per entity; a log
 with mismatched pairs is rejected loudly rather than silently mis-summed.
-The report reads the log's columns, not rows. One pass files each interval
-event's entity and time in its name's own two lists, which hold list slots
-and no new objects. Each interval kind is then reduced on its own: its two
-dicts from entity to the running sum of its times are built, checked and
-summed, and dropped before the next kind's are built, so the working set
-holds one kind's sums, not every kind's. An entity's first time is stored
-as it is and later ones add to it left to right, in log order; only an
-entity seen more than once under a name gets a count, in a small side dict
-(in the engines' logs, only the pilot's ``pull``). The per-entity
-differences are then added in sorted entity order, starting from 0.0,
-which erases the sign of a zero, the one thing a first time stored as it is
-rather than as ``0 + time`` can change. The order is written out rather
-than left to ``sum()``, which is compensated from Python 3.12 on, so
-trials.csv is byte-identical on Python 3.10 through 3.13. Terminal events
-and stage windows are picked out of the columns at C speed, through a
-bytes object holding a one-byte code per event, and kept as the few
-fields the report uses, not as rows.
+The report reads the log's columns, not rows, and the log's names as their
+one-byte codes. One pass over the codes files each interval row's index,
+and each ``done`` row's, in its name's own ``array('I')``: four bytes a
+row, and no object. Each interval kind is then reduced on its own: its two
+dicts from entity to the running sum of its times are built from its rows'
+entities and times, checked and summed, and dropped before the next kind's
+are built, so the working set holds one kind's sums, not every kind's. An
+entity's first time is stored as it is and later ones add to it left to
+right, in log order; only an entity seen more than once under a name gets
+a count, in a small side dict (in the engines' logs, only the pilot's
+``pull``). The per-entity differences are then added in sorted entity
+order, starting from 0.0, which erases the sign of a zero, the one thing a
+first time stored as it is rather than as ``0 + time`` can change; kinds
+keyed on the same entities, as every task-keyed kind is, share one sort.
+The order is written out rather than left to ``sum()``, which is
+compensated from Python 3.12 on, so trials.csv is byte-identical on Python
+3.10 through 3.13. Terminal events are picked out of the columns at C
+speed, through a selector the name codes translate into, and stage windows
+from the filed rows; both are kept as the few fields the report uses, not
+as rows.
 """
 
 from __future__ import annotations
 
 import csv
 import statistics
+from array import array
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, fields
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, gt, lt, sub
 from pathlib import Path
 
-from .profiling import INTERVAL_STEMS, EventLog, EventView
+from .profiling import INTERVAL_STEMS, CodedColumn, EventLog, EventView
 
 TERMINAL_EVENTS = ("done", "failed", "canceled")
 
@@ -101,40 +105,29 @@ _Side = tuple[dict[str, float], dict[str, int]]
 _INTERVAL_NAMES = [
     f"{stem}_{side}" for stem in INTERVAL_STEMS for side in ("begin", "end")
 ]
-
-# A one-byte code for each event name the report selects rows by, other
-# than the interval names; every other name reads as 0. compute_report
-# turns the name column into a bytes object of codes once, and picks out
-# those names' rows with ``itertools.compress`` at C speed.
-_CODE = {
-    name: code
-    for code, name in enumerate(("stage_in_begin",) + TERMINAL_EVENTS, start=1)
-}
+# The names compute_report files row indices for: the interval names, and
+# ``done``, whose rows end the stage windows that ``stage_in_begin`` rows
+# open.
+_FILED = _INTERVAL_NAMES + ["done"]
 
 
-def _select(codes: bytes, *names: str) -> bytes:
-    """A selector over the log's rows: 1 where the row's name is one of
-    ``names``, 0 elsewhere, for ``itertools.compress``."""
-    table = bytearray(256)
-    for name in names:
-        table[_CODE[name]] = 1
-    return codes.translate(table)
-
-
-def _side(entities: list[str], times: list[float]) -> _Side:
-    """Running sums of one interval event name's times, per entity.
+def _side(entities: list[str], times: list[float], rows: array) -> _Side:
+    """Running sums of one interval event name's times, per entity, over
+    the log rows ``rows``.
 
     An entity's first time is stored as the row's own float, so most
     entities cost a dict slot and no new object; later times add left to
     right, in log order.
     """
-    totals = dict(zip(entities, times))
-    if len(totals) == len(entities):
+    keys = map(entities.__getitem__, rows)
+    totals = dict(zip(keys, map(times.__getitem__, rows)))
+    if len(totals) == len(rows):
         return totals, {}
     # Some entity has several times: add them up in log order.
     totals = {}
     repeats: dict[str, int] = {}
-    for entity, time in zip(entities, times):
+    for index in rows:
+        entity, time = entities[index], times[index]
         total = totals.get(entity)
         if total is None:
             totals[entity] = time
@@ -144,12 +137,17 @@ def _side(entities: list[str], times: list[float]) -> _Side:
     return totals, repeats
 
 
-def _interval_sum(stem: str, opened: _Side, closed: _Side) -> float:
-    """Sum of end minus begin over all pairs of one interval kind.
+def _interval_sum(
+    stem: str, opened: _Side, closed: _Side, order: list[str]
+) -> tuple[float, list[str]]:
+    """Sum of end minus begin over all pairs of one interval kind, and the
+    kind's entities in sorted order.
 
     ``opened`` holds the ``*_begin`` times, ``closed`` the ``*_end`` ones.
     The sum is invariant to how same-entity pairs interleave, so equal
-    begin/end counts per entity are all that is checked.
+    begin/end counts per entity are all that is checked. ``order`` is the
+    previous kind's sorted entities, reused when this kind has the same
+    ones, as every kind keyed on tasks does.
     """
     opened_sum, opened_repeats = opened
     closed_sum, closed_repeats = closed
@@ -162,38 +160,49 @@ def _interval_sum(stem: str, opened: _Side, closed: _Side) -> float:
                     f"entity {entity!r}: {begins} {stem}_begin events "
                     f"but {ends} {stem}_end events"
                 )
-    entities = sorted(opened_sum)
-    ends = map(closed_sum.__getitem__, entities)
-    begins = map(opened_sum.__getitem__, entities)
+    same = len(order) == len(opened_sum) and all(map(opened_sum.__contains__, order))
+    if not same:
+        order = sorted(opened_sum)
+    ends = map(closed_sum.__getitem__, order)
+    begins = map(opened_sum.__getitem__, order)
     # 0.0 + d1 + d2 + ..., rounded at each step, as a loop would add them.
-    return reduce(add, map(sub, ends, begins), 0.0)
+    return reduce(add, map(sub, ends, begins), 0.0), order
 
 
-def _interval_sums(events: EventView) -> dict[str, float]:
-    """Each interval kind's sum, checked and reduced in ``INTERVAL_STEMS``
-    order.
-
-    One pass files each interval event's entity and time in its name's own
-    two lists, which hold list slots and no new objects. Each kind's running
-    sums are then built from its lists and reduced before the next kind's
-    are, and each list is dropped once read.
-    """
-    entities_of: dict[str, list[str]] = {name: [] for name in _INTERVAL_NAMES}
-    times_of: dict[str, list[float]] = {name: [] for name in _INTERVAL_NAMES}
-    add_entity = {name: rows.append for name, rows in entities_of.items()}
-    add_time = {name: rows.append for name, rows in times_of.items()}
-    for entity, time, name in zip(events.entities, events.times, events.names):
-        append = add_entity.get(name)
+def _file_rows(names: CodedColumn) -> dict[str, array]:
+    """Each filed name's row indices, in log order, from one pass over the
+    name codes: four bytes a row."""
+    rows_of = {name: array("I") for name in _FILED}
+    # Code -> the append of that name's rows, or None for other names.
+    file: list[Callable[[int], None] | None] = [None] * len(names.values)
+    for name, rows in rows_of.items():
+        code = names.code.get(name)
+        if code is not None:
+            file[code] = rows.append
+    for index, code in enumerate(names.codes):
+        append = file[code]
         if append is not None:
-            append(entity)
-            add_time[name](time)
-    del add_entity, add_time
+            append(index)
+    return rows_of
+
+
+def _interval_sums(
+    events: EventView, rows_of: dict[str, array]
+) -> dict[str, float]:
+    """Each interval kind's sum, checked and reduced in ``INTERVAL_STEMS``
+    order, from the rows :func:`_file_rows` filed.
+
+    Each kind's running sums are built from its rows and reduced before the
+    next kind's are, so one kind's dicts are alive at a time, and each
+    kind's rows are dropped from ``rows_of`` once read.
+    """
+    entities, times = events.entities, events.times
     sums: dict[str, float] = {}
+    order: list[str] = []
     for stem in INTERVAL_STEMS:
-        begin, end = f"{stem}_begin", f"{stem}_end"
-        opened = _side(entities_of.pop(begin), times_of.pop(begin))
-        closed = _side(entities_of.pop(end), times_of.pop(end))
-        sums[stem] = _interval_sum(stem, opened, closed)
+        opened = _side(entities, times, rows_of.pop(f"{stem}_begin"))
+        closed = _side(entities, times, rows_of.pop(f"{stem}_end"))
+        sums[stem], order = _interval_sum(stem, opened, closed, order)
     return sums
 
 
@@ -205,14 +214,17 @@ def _first_time(events: EventView, name: str) -> float:
 
 
 def _stage_times(
-    events: EventView, selected: bytes, later: Callable[[float, float], bool]
-) -> dict[int, dict[str, float]]:
-    """Per stage, per pipeline: the time of the selected event that
-    ``later`` prefers, over the events that carry a stage and a pipeline."""
-    found: dict[int, dict[str, float]] = {}
-    rows = zip(events.times, events.pipelines, events.stages)
-    for time, pipeline, stage in compress(rows, selected):
-        if stage >= 0 and pipeline:
+    events: EventView, rows: array, later: Callable[[float, float], bool]
+) -> dict[int, dict[int, float]]:
+    """Per stage, per pipeline code: the time that ``later`` prefers among
+    the log rows ``rows`` that carry a stage and a pipeline."""
+    found: dict[int, dict[int, float]] = {}
+    blank = events.pipelines.code.get("")
+    times, pipelines, stages = events.times, events.pipelines.codes, events.stages
+    for index in rows:
+        stage, pipeline = stages[index], pipelines[index]
+        if stage >= 0 and pipeline != blank:
+            time = times[index]
             by_pipeline = found.get(stage)
             if by_pipeline is None:
                 found[stage] = {pipeline: time}
@@ -237,8 +249,7 @@ def compute_report(
     if active < submit:
         raise MalformedProfileError("pilot_active precedes submit")
 
-    codes = bytes(map(_CODE.get, events.names, repeat(0)))
-    terminal = _select(codes, *TERMINAL_EVENTS)
+    terminal = events.where(*TERMINAL_EVENTS)
     tasks = terminal.count(1)
     if not tasks:
         raise MalformedProfileError("log has no terminal task events")
@@ -250,26 +261,30 @@ def compute_report(
                     f"task {entity!r} has more than one terminal event"
                 )
             seen.add(entity)
-    pipelines = set(compress(events.pipelines, terminal))
-    pipelines.discard("")
+    pipelines = set(compress(events.pipelines.codes, terminal))
+    pipelines.discard(events.pipelines.code.get(""))
     # In log order: max() keeps the first of equal times.
     last = max(compress(events.times, terminal))
-    done, failed, canceled = (codes.count(_CODE[name]) for name in TERMINAL_EVENTS)
+    done, failed, canceled = map(events.names.count, TERMINAL_EVENTS)
     del terminal
 
     tq = active - submit
     ttc = last - submit
     ttx = ttc - tq
 
+    rows_of = _file_rows(events.names)
+    # Rows that open and close the stage windows, read after the sums.
+    staged_in, done_rows = rows_of["stage_in_begin"], rows_of.pop("done")
     # Every interval kind must pair up, including the ones no metric sums.
-    sums = _interval_sums(events)
+    sums = _interval_sums(events, rows_of)
     translate = sums["translate"]
     pull = sums["pull"]
     unit_io = sums["unit_io"]
 
     # Stage windows: first staging start to last completion, per pipeline.
-    window_end = _stage_times(events, _select(codes, "done"), gt)
-    window_begin = _stage_times(events, _select(codes, "stage_in_begin"), lt)
+    window_end = _stage_times(events, done_rows, gt)
+    window_begin = _stage_times(events, staged_in, lt)
+    del staged_in, done_rows
     stage_windows: dict[int, list[float]] = {}
     for stage, begins in window_begin.items():
         ends = window_end.get(stage, {})
