@@ -13,7 +13,7 @@ waits on the children's pidfds (Linux 5.3 or later) with one selector timed
 to the walltime. At most ``max_workers`` children run; placed units beyond
 that wait in order. A task's command owns its process group: one reap kills
 the group, then reaps the child, whether it exited (stage-out follows), hit
-the walltime (it fails), lost a sibling task (it is canceled) or the run was
+the walltime or lost a sibling task (it is canceled) or the run was
 interrupted (the run's sandbox is removed and ``KeyboardInterrupt`` goes on).
 
 All timestamps come from one monotonic clock anchored at pilot submission,
@@ -22,8 +22,8 @@ this backend useful for measuring engine overheads.
 
 The bookkeeping and the events of each step belong to
 :class:`~pilotflow.runtime.EngineCore`. This module owns only the
-execution: the clock, the children, the sandboxes and staging, and the
-failure diagnostics.
+execution: the clock, the children, the sandboxes and staging. It reports
+why each task ends; the core chooses the terminal state.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from .model import (
     StagingDirective,
     StagingMode,
     TaskRecord,
-    TaskState,
     Workflow,
-    advance_task_state,
+    advance_task_state,  # unused here, but perfbench/tracing.py swaps this name
 )
 from .profiling import EventLog
-from .runtime import EngineCore
+from .runtime import Cause, EngineCore
 from .units import UnitDescription, translate_task
 
 
@@ -97,43 +96,39 @@ def _resolve_executable(executable: str) -> str:
     return found
 
 
+# What a directive's missing source is called in its unit's diagnostic.
+_MISSING = {
+    StagingMode.COPY_IN: "missing staging source",
+    StagingMode.TAR_IN: "missing staging archive",
+    StagingMode.COPY_OUT: "missing staging output",
+    StagingMode.TAR_OUT: "missing output directory to pack",
+}
+
+
 def _stage_one(
     directive: StagingDirective, sandbox: Path, data_root: Path
 ) -> None:
     mode = directive.mode
-    if mode is StagingMode.COPY_IN:
-        source = data_root / directive.source
-        if not source.exists():
-            raise StagingError(f"missing staging source: {source}")
-        target = sandbox / directive.target
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(source, target)
-    elif mode is StagingMode.TAR_IN:
-        source = data_root / directive.source
-        if not source.exists():
-            raise StagingError(f"missing staging archive: {source}")
-        target = sandbox / directive.target
+    inbound = mode in (StagingMode.COPY_IN, StagingMode.TAR_IN)
+    source = (data_root if inbound else sandbox) / directive.source
+    target = (sandbox if inbound else data_root) / directive.target
+    packs = mode is StagingMode.TAR_OUT
+    if not (source.is_dir() if packs else source.exists()):
+        raise StagingError(f"{_MISSING[mode]}: {source}")
+    if mode is StagingMode.TAR_IN:
         target.mkdir(parents=True, exist_ok=True)
         with tarfile.open(source) as archive:
             # An interpreter without extraction filters raises TypeError
             # here, which fails the unit rather than extracting unchecked
             # member paths.
             archive.extractall(target, filter="data")
-    elif mode is StagingMode.COPY_OUT:
-        source = sandbox / directive.source
-        if not source.exists():
-            raise StagingError(f"missing staging output: {source}")
-        target = data_root / directive.target
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(source, target)
-    else:
-        source = sandbox / directive.source
-        if not source.is_dir():
-            raise StagingError(f"missing output directory to pack: {source}")
-        target = data_root / directive.target
-        target.parent.mkdir(parents=True, exist_ok=True)
+        return
+    target.parent.mkdir(parents=True, exist_ok=True)
+    if packs:
         with tarfile.open(target, "w") as archive:
             archive.add(source, arcname=source.name)
+    else:
+        shutil.copy2(source, target)
 
 
 def _diagnostic(exc: Exception) -> str:
@@ -174,9 +169,6 @@ class _LocalEngine:
         self.core = EngineCore(
             workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")
         )
-        self._deadline = request.walltime
-        self._walltime = f"walltime exceeded after {request.walltime:.1f}s"
-        self._diagnostics: dict[str, str] = {}
         self._epoch = 0.0
         # Running children by pidfd: (unit, Popen, exec begin, stderr file).
         self._children = selectors.DefaultSelector()
@@ -216,31 +208,22 @@ class _LocalEngine:
                 self.core.scheduler.offer(unit)
                 self.core.unit_read(unit, io_begin, self._now())
 
-    def _end(
-        self, unit: UnitDescription, state: TaskState, time: float, diagnostic: str = ""
-    ) -> None:
-        """Free ``unit``'s cores and end its task in ``state``: translate the
-        stage this completes, or cancel the rest of a failed task's stage."""
-        record = self.core.release(unit)
-        if diagnostic:
-            self._diagnostics[record.task.id] = diagnostic
-        self._translate(self.core.terminate(record, state, time))
-        if state is TaskState.FAILED:
-            why = f"canceled: sibling task {record.task.id} failed"
-            for key in list(self._children.get_map().values()):
-                if key.data[0].pipeline_id == unit.pipeline_id:
-                    self._end(self._reap(key)[0], TaskState.CANCELED, self._now(), why)
-            waiting = [u for u in self._placed if u.pipeline_id == unit.pipeline_id]
-            for sibling in waiting:
-                self._placed.remove(sibling)
-                self._end(sibling, TaskState.CANCELED, self._now(), why)
+    def _fail(self, unit: UnitDescription, time: float, diagnostic: str) -> None:
+        """Free ``unit``'s cores, fail its task and stop the siblings it canceled."""
+        canceled = self.core.end(self.core.release(unit), Cause.ERROR, time, diagnostic)
+        held = {record.task.id for record in canceled}
+        for key in list(self._children.get_map().values()):
+            if key.data[0].task_id in held:
+                self.core.release(self._reap(key)[0])
+        for sibling in [u for u in self._placed if u.task_id in held]:
+            self._placed.remove(sibling)
+            self.core.release(sibling)
 
     def _start(self, unit: UnitDescription) -> None:
         """Stage ``unit`` in and start its command, or fail the unit."""
         begin = self._now()
-        if begin >= self._deadline:
-            self._end(unit, TaskState.FAILED, begin, self._walltime)
-            return
+        if begin > self.core.deadline:
+            return  # placed, so close() cancels it as cut by the walltime
         sandbox = self._run_dir / unit.uid
         if not self._spare:
             self._spare.append(tempfile.TemporaryFile(dir=self._run_dir))
@@ -252,7 +235,7 @@ class _LocalEngine:
             self.core.phase(record, "stage_in", begin, self._now())
             argv = [_resolve_executable(unit.executable), *unit.arguments]
         except Exception as exc:  # the unit fails, the run goes on
-            self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+            self._fail(unit, self._now(), _diagnostic(exc))
             return
         # Ctrl-C waits until the engine holds the child, so that the run's
         # final reap finds it.
@@ -267,7 +250,7 @@ class _LocalEngine:
                     start_new_session=True,
                 )
             except Exception as exc:  # the unit fails, the run goes on
-                self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+                self._fail(unit, self._now(), _diagnostic(exc))
                 return
             data = (unit, proc, begin, self._spare.pop())
             pidfd = os.pidfd_open(proc.pid)
@@ -296,18 +279,18 @@ class _LocalEngine:
         record = self.core.tracker.record_for(unit.task_id)
         self.core.phase(record, "exec", begin, end)
         if diagnostic:
-            self._end(unit, TaskState.FAILED, end, diagnostic)
+            self._fail(unit, end, diagnostic)
             return
         begin = self._now()
         try:
             for directive in unit.outputs:
                 _stage_one(directive, self._run_dir / unit.uid, self._data_root)
         except Exception as exc:  # the unit fails, the run goes on
-            self._end(unit, TaskState.FAILED, self._now(), _diagnostic(exc))
+            self._fail(unit, self._now(), _diagnostic(exc))
             return
         end = self._now()
         self.core.phase(record, "stage_out", begin, end)
-        self._end(unit, TaskState.DONE, end)
+        self._translate(self.core.end(self.core.release(unit), Cause.DONE, end))
 
     def run(self) -> EventLog:
         self._epoch = _time.perf_counter()
@@ -329,17 +312,13 @@ class _LocalEngine:
 
         self._translate(core.tracker.initial_ready())
         try:
-            while True:
+            # Past the deadline, the children are killed and close() cancels
+            # each placed unit as cut by the walltime.
+            while self._now() <= core.deadline:
                 self._pull_pending()
                 for unit, _offset in core.scheduler.place_ready():
-                    now = self._now()
-                    failed = core.tracker.pipeline_failed(unit.task_id)
-                    if failed or now > self._deadline:
-                        core.terminate(core.release(unit), TaskState.CANCELED, now)
-                        continue
-                    record = core.tracker.record_for(unit.task_id)
-                    advance_task_state(record, TaskState.SCHEDULED, core.sink, now)
-                    self._placed.append(unit)
+                    if core.scheduled(unit, self._now()):
+                        self._placed.append(unit)
                 while self._placed and len(children.get_map()) < workers:
                     self._start(self._placed.popleft())
                 if not children.get_map():
@@ -347,19 +326,15 @@ class _LocalEngine:
                         continue
                     break
                 # epoll refuses a wait of 25 days or more: wait an hour at most.
-                timeout = min(self._deadline - self._now(), 3600.0)
+                timeout = min(core.deadline - self._now(), 3600.0)
                 # Apply every child the selector reports, so that the units
                 # they make ready share the next pull.
                 for key, _ in children.select(timeout):
                     # A child reaped with a failed sibling is gone from the map.
                     if children.get_map().get(key.fd) is key:
                         self._exited(key)
-                if self._now() >= self._deadline and children.get_map():
-                    live = list(children.get_map().values())
-                    for unit in [self._reap(key)[0] for key in live]:
-                        self._end(unit, TaskState.FAILED, self._now(), self._walltime)
         finally:
-            # Children are left only after an interrupt or an error.
+            # Children are left after the walltime, an interrupt or an error.
             for key in list(children.get_map().values()):
                 self._reap(key)
             children.close()
@@ -368,12 +343,7 @@ class _LocalEngine:
             if not self.config.keep_sandboxes:
                 shutil.rmtree(run_dir, ignore_errors=True)
 
-        return core.close(
-            self._now(),
-            "local",
-            None,
-            {"diagnostics": dict(self._diagnostics), "run_dir": str(run_dir)},
-        )
+        return core.close(self._now(), "local", None, {"run_dir": str(run_dir)})
 
 
 def local_run(

@@ -13,8 +13,8 @@ its life shows in the log as the ``submit``, ``pilot_active`` and
 stage k+1 of a pipeline becomes ready only when every task of stage k is
 done, pipelines never wait for each other, and a failed task fails only its
 own pipeline. It keeps one record per task and, per pipeline, those
-records in stage order with the offset where each stage starts, the
-position of the current stage and whether the pipeline has failed.
+records in stage order with the offset where each stage starts and how
+many of them are done.
 Whether the run succeeded is not kept here: it follows from the terminal
 events of the log (:func:`pilotflow.metrics.compute_report`).
 
@@ -22,13 +22,15 @@ events of the log (:func:`pilotflow.metrics.compute_report`).
 the store, the scheduler and the tracker, moves each task through its
 states and writes every event of a unit's life at the time the backend
 gives it. The simulator takes those times from its event heap, the local
-backend from a monotonic clock.
+backend from a monotonic clock. It owns the pilot's deadline and is the one
+rule book for how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .latency import Sampler
 from .model import (
@@ -56,13 +58,12 @@ PILOT_UID = "pilot.0000"
 class PipelineRun:
     """One pipeline's progress: its task records in stage order, where each
     stage starts in them (``starts[k]`` up to ``starts[k + 1]`` is stage
-    k), the position of the current stage and whether the pipeline failed."""
+    k) and how many of its tasks are done."""
 
     id: str
     records: list[TaskRecord]
     starts: list[int]
-    current: int = 0
-    failed: bool = False
+    done: int = 0
 
     def stage(self, index: int) -> list[TaskRecord]:
         return self.records[self.starts[index] : self.starts[index + 1]]
@@ -91,9 +92,9 @@ class WorkflowTracker:
     def record_for(self, task_id: str) -> TaskRecord:
         return self._records[task_id]
 
-    def pipeline_failed(self, task_id: str) -> bool:
-        """Whether the pipeline that owns ``task_id`` has failed."""
-        return self._runs[self._records[task_id].pipeline_id].failed
+    def stage_of(self, record: TaskRecord) -> list[TaskRecord]:
+        """The records of ``record``'s stage, itself included."""
+        return self._runs[record.pipeline_id].stage(record.stage_index)
 
     def all_records(self) -> list[TaskRecord]:
         return list(self._records.values())
@@ -106,25 +107,22 @@ class WorkflowTracker:
         """React to a task reaching a terminal state.
 
         Returns the records of the next stage when this completion finished
-        its stage; otherwise an empty list. Failure (or cancellation) marks
-        the owning pipeline failed without touching any other pipeline.
+        its stage; otherwise an empty list. A stage finishes once all its
+        tasks are done, so a failed or canceled task stops its own pipeline
+        and no other. Completions are counted, not read from the states:
+        the simulator marks a task done ahead of its time.
         """
         if not record.state.is_terminal:
             raise ValueError(f"task {record.task.id} is not terminal")
-        pipeline = self._runs[record.pipeline_id]
         if record.state is not TaskState.DONE:
-            pipeline.failed = True
             return []
-        if pipeline.failed:
-            # A sibling already failed the pipeline; this late completion
-            # does not resurrect it.
-            return []
-        stage = pipeline.stage(record.stage_index)
-        if not all(r.state is TaskState.DONE for r in stage):
-            return []
-        if pipeline.current + 1 < len(pipeline.starts) - 1:
-            pipeline.current += 1
-            return pipeline.stage(pipeline.current)
+        run = self._runs[record.pipeline_id]
+        run.done += 1
+        # Stages finish in order: stage k is finished once the done tasks
+        # are all the tasks up to its end.
+        after = record.stage_index + 1
+        if run.done == run.starts[after] and after < len(run.starts) - 1:
+            return run.stage(after)
         return []
 
 
@@ -138,6 +136,16 @@ _PHASES = {
 }
 
 
+class Cause(Enum):
+    """Why a task ends, with the terminal state :meth:`EngineCore.end` gives."""
+
+    DONE = "done", TaskState.DONE  # every phase completed
+    ERROR = "error", TaskState.FAILED  # the command or a staging step failed
+    WALLTIME = "walltime", TaskState.CANCELED  # the walltime cut it
+    SIBLING = "sibling", TaskState.CANCELED  # another task of its stage failed
+    CLOSE = "close", TaskState.CANCELED  # the run ended before it started
+
+
 class EngineCore:
     """One pilot's manager and agent bookkeeping, shared by both backends.
 
@@ -148,7 +156,9 @@ class EngineCore:
 
     Building the core validates the workflow, then the pilot's request, and
     enters the pilot into the queue: the ``submit`` event at time 0.0. The
-    backend emits ``pilot_active`` once the allocation comes up.
+    backend calls :meth:`activate` when the allocation comes up; ``deadline``
+    is then that time plus the walltime, and a time past it is cut.
+    ``diagnostics`` maps a task id to why the task did not end done.
     """
 
     def __init__(
@@ -165,9 +175,12 @@ class EngineCore:
         self.store = TaskStore(pull_latency)
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()
+        self.deadline = math.inf
+        self.diagnostics: dict[str, str] = {}
 
     def activate(self, time: float) -> None:
-        """The pilot's allocation came up."""
+        """The pilot's allocation came up: its walltime runs from ``time``."""
+        self.deadline = time + self.request.walltime
         self.sink.append((time, PILOT_UID, "pilot_active", "", -1))
 
     def translated(self, record: TaskRecord, begin: float, end: float) -> None:
@@ -219,27 +232,55 @@ class EngineCore:
         self.store.complete(unit.uid)
         return self.tracker.record_for(unit.task_id)
 
-    def terminate(
-        self, record: TaskRecord, state: TaskState, time: float
+    def scheduled(self, unit: UnitDescription, time: float) -> bool:
+        """The agent placed ``unit`` at ``time``. False, with the cores freed,
+        when a failed sibling already canceled the unit's task."""
+        record = self.tracker.record_for(unit.task_id)
+        if record.state.is_terminal:
+            self.release(unit)
+            return False
+        advance_task_state(record, TaskState.SCHEDULED, sink=self.sink, time=time)
+        return True
+
+    def end(
+        self, record: TaskRecord, cause: Cause, time: float, diagnostic: str = ""
     ) -> list[TaskRecord]:
-        """Move a task to the terminal ``state``; returns the records this
-        made ready."""
-        advance_task_state(record, state, sink=self.sink, time=time)
-        return self.tracker.on_terminal(record)
+        """End ``record``'s task at ``time`` for ``cause``; ``diagnostic``
+        says how an ERROR failed. For DONE, returns the records this made
+        ready. A failure cancels the task's unfinished siblings and returns
+        them: the backend kills the children and frees the cores of those
+        it holds."""
+        if cause is Cause.WALLTIME:
+            diagnostic = f"walltime exceeded after {self.request.walltime:.1f}s"
+        if diagnostic:
+            self.diagnostics[record.task.id] = diagnostic
+        advance_task_state(record, cause.value[1], sink=self.sink, time=time)
+        ready = self.tracker.on_terminal(record)
+        if cause is not Cause.ERROR:
+            return ready
+        why = f"canceled: sibling task {record.task.id} failed"
+        siblings = [r for r in self.tracker.stage_of(record) if not r.state.is_terminal]
+        for sibling in siblings:
+            self.end(sibling, Cause.SIBLING, time, why)
+        return siblings
 
     def close(
         self, finish: float, backend: str, seed: int | None, extras: dict
     ) -> EventLog:
         """Cancel every unfinished task, end the pilot at ``finish`` and
-        build the run's log, which gives each task one terminal event."""
+        build the run's log, which gives each task one terminal event.
+        A task still placed was cut by the walltime. ``extras`` gains the
+        ``diagnostics``."""
         for record in self.tracker.all_records():
-            if not record.state.is_terminal:
-                self.terminate(record, TaskState.CANCELED, finish)
+            if record.state in (TaskState.NEW, TaskState.TRANSLATED):
+                self.end(record, Cause.CLOSE, finish)
+            elif not record.state.is_terminal:
+                self.end(record, Cause.WALLTIME, finish)
         self.sink.append((finish, PILOT_UID, "pilot_done", "", -1))
         return EventLog(
             events=self.sink.events(),
             pilot_cores=self.request.cores,
             backend=backend,
             seed=seed,
-            extras=extras,
+            extras={"diagnostics": self.diagnostics, **extras},
         )

@@ -40,7 +40,7 @@ from .model import (
     advance_task_state,
 )
 from .profiling import EventLog
-from .runtime import EngineCore, PilotRequestError
+from .runtime import Cause, EngineCore, PilotRequestError
 from .units import UnitDescription, translate_task
 
 
@@ -89,9 +89,8 @@ class _SimEngine:
             workflow, request, Sampler(config.pull_latency, seed, "pull")
         )
         # The pilot comes up after one batch-queue wait and dies at its
-        # walltime limit, counted from then.
+        # walltime limit, counted from then (the core's deadline).
         self._active_at = Sampler(config.queue_wait, seed, "queue").sample()
-        self._deadline = self._active_at + request.walltime
         self.fs_latency = Sampler(config.fs_latency, seed, "fs")
         self.translate_cost = Sampler(config.translate_cost, seed, "translate")
         self.duration_noise = Sampler(config.duration_noise, seed, "noise")
@@ -101,7 +100,6 @@ class _SimEngine:
         self._pending_pulls: set[float] = set()
         self._pending_scheds: set[float] = set()
         self._manager_free_at = 0.0
-        self._finish_floor = 0.0
 
     # -- helpers ---------------------------------------------------------
 
@@ -126,7 +124,7 @@ class _SimEngine:
 
     def _translate(self, records: list[TaskRecord], now: float) -> None:
         """Serialize translation of ready tasks on the manager timeline."""
-        deadline = self._deadline
+        deadline = self.core.deadline
         for record in records:
             start = max(now, self._manager_free_at)
             end = start + self.translate_cost.sample()
@@ -134,18 +132,11 @@ class _SimEngine:
             unit = translate_task(
                 record.task, record.pipeline_id, record.stage_index, self.core.allocator
             )
-            if end > deadline:
-                # As in _launch: no row past the walltime, and the pilot
-                # stays up to it.
-                self._finish_floor = deadline
-                continue
-            self.core.translated(record, start, end)
+            if end <= deadline:  # as in _launch: no row past the walltime
+                self.core.translated(record, start, end)
             self._push(end, self._handle_enqueue, unit)
 
     # -- agent side --------------------------------------------------------
-
-    def _handle_pilot_active(self, time: float, _: None) -> None:
-        self.core.activate(time)
 
     def _handle_enqueue(self, time: float, unit: UnitDescription) -> None:
         self.core.enqueue(unit, time)
@@ -158,18 +149,14 @@ class _SimEngine:
             return
         units, latency = store.pull(self.config.bulk)
         pull_end = time + latency
-        deadline = self._deadline
+        deadline = self.core.deadline
         if pull_end <= deadline:
             self.core.pulled(time, pull_end)
         for unit in units:
             # Reading the unit description off the shared filesystem.
             io_end = pull_end + self.fs_latency.sample()
-            if io_end > deadline:
-                # As in _launch: no row past the walltime, and the pilot
-                # stays up to it. A cut pull cuts every read after it.
-                self._finish_floor = deadline
-                continue
-            self.core.unit_read(unit, pull_end, io_end)
+            if io_end <= deadline:  # a cut pull cuts every read after it
+                self.core.unit_read(unit, pull_end, io_end)
             self._push(io_end, self._handle_offer, unit)
         if store.pending_count() > 0:
             # Bulk limit hit; the agent turns around and pulls again.
@@ -187,7 +174,7 @@ class _SimEngine:
     def _launch(self, time: float, unit: UnitDescription) -> None:
         """Lay out the unit's full timeline; truncate at the walltime limit."""
         record = self.core.tracker.record_for(unit.task_id)
-        deadline = self._deadline
+        deadline = self.core.deadline
         advance_task_state(record, TaskState.SCHEDULED, sink=self.core.sink, time=time)
 
         stage_in_end = time
@@ -207,19 +194,18 @@ class _SimEngine:
             ("stage_out", stage_out_end),
         ):
             if end > deadline:
-                # The unit holds its cores until the pilot dies, so nothing
-                # is released here; the pipeline can no longer finish and
-                # the pilot stays up to its walltime limit.
-                self.core.terminate(record, TaskState.CANCELED, deadline)
-                self._finish_floor = deadline
-                return
+                self.core.end(record, Cause.WALLTIME, deadline)
+                break
             self.core.phase(record, stem, begin, end)
             begin = end
-        # The done event is written now, while its time is known; the cores
-        # free up and the pipeline moves on when the heap reaches it.
-        advance_task_state(
-            record, TaskState.DONE, sink=self.core.sink, time=stage_out_end
-        )
+        else:
+            # The done event is written now, while its time is known.
+            advance_task_state(
+                record, TaskState.DONE, sink=self.core.sink, time=stage_out_end
+            )
+        # The cores free up and the pipeline moves on when the heap reaches
+        # this time. A cut unit holds its cores until the pilot dies: the
+        # run stops at the deadline, before this time.
         self._push(stage_out_end, self._handle_unit_done, unit)
 
     def _handle_unit_done(self, time: float, unit: UnitDescription) -> None:
@@ -231,29 +217,31 @@ class _SimEngine:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> EventLog:
-        self._push(self._active_at, self._handle_pilot_active)
+        # The queue wait is known ahead, so the manager's first translations
+        # are cut at the same deadline as everything after them.
+        self.core.activate(self._active_at)
         self._translate(self.core.tracker.initial_ready(), 0.0)
 
-        finish = None
         now = 0.0
         # Every handler writes its rows at or after its own time, and the
         # heap pops in time order, so no row to come is earlier than a
         # popped time; a time already promised is not promised again. The
         # cut comes first: close() writes its cancels at the deadline, which
-        # is earlier than a time past it.
+        # is earlier than a time past it. A step cut by the walltime writes
+        # no row but keeps its place on the heap, so a cut run always ends
+        # here, at the deadline.
         settle = self.core.sink.settle
+        deadline = self.core.deadline
         while self._heap:
             time, _seq, handler, payload = heapq.heappop(self._heap)
-            if time > self._deadline:
-                finish = self._deadline
+            if time > deadline:
+                now = deadline
                 break
             if time != now:
                 settle(time)
                 now = time
             handler(time, payload)
-        if finish is None:
-            finish = max(now, self._finish_floor)
-        return self.core.close(finish, "sim", self.config.seed, {})
+        return self.core.close(now, "sim", self.config.seed, {})
 
 
 def sim_run(

@@ -377,7 +377,7 @@ def test_walltime_kills_overrunning_tasks():
     wf = one_stage_workflow(shell_task("runaway", "sleep 30"))
     log = run_local(wf, walltime=1.0)
     report = compute_report(log)
-    assert report.failed_tasks == 1
+    assert report.canceled_tasks == 1
     assert "walltime" in log.extras["diagnostics"]["runaway"]
 
 
@@ -393,14 +393,14 @@ def test_a_unit_that_waited_in_the_pool_gets_only_the_walltime_left():
         shell_task("first", "sleep 1"), shell_task("second", "sleep 1")
     )
     log = run_local(wf, walltime=1.5, max_workers=1)
-    terminal = {e.entity: e for e in log.events if e.name in ("done", "failed")}
+    terminal = {e.entity: e for e in log.events if e.name in ("done", "canceled")}
     assert terminal["first"].name == "done"
-    assert terminal["second"].name == "failed"
+    assert terminal["second"].name == "canceled"
     assert "walltime exceeded" in log.extras["diagnostics"]["second"]
     assert terminal["second"].time < 1.5 + 0.4
 
 
-def test_a_unit_that_starts_after_the_walltime_fails_without_running(tmp_path):
+def test_a_unit_that_starts_after_the_walltime_is_canceled_without_running(tmp_path):
     # One worker slot: the walltime kills the first unit, and the second,
     # in another pipeline, would start only after it.
     data_root = tmp_path / "data"
@@ -427,7 +427,7 @@ def test_a_unit_that_starts_after_the_walltime_fails_without_running(tmp_path):
         keep_sandboxes=True,
     )
     terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
-    assert terminal == {"first": "failed", "late": "failed"}
+    assert terminal == {"first": "canceled", "late": "canceled"}
     assert log.extras["diagnostics"] == {
         "first": "walltime exceeded after 1.0s",
         "late": "walltime exceeded after 1.0s",
@@ -497,6 +497,21 @@ def test_a_failed_task_cancels_its_running_and_waiting_siblings():
     assert log.extras["diagnostics"]["queued"] == reason
     # The waiting sibling never started.
     assert "queued" not in {e.entity for e in log.by_name("stage_in_begin")}
+
+
+def test_siblings_still_waiting_for_cores_are_canceled_with_a_diagnostic():
+    """A failure cancels the siblings that the scheduler has not placed yet
+    by the same rule as the placed ones."""
+    wf = one_stage_workflow(
+        shell_task("bad", "exit 1"), shell_task("w1", "true"), shell_task("w2", "true")
+    )
+    log = run_local(wf, cores=1, max_workers=1)
+    terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
+    assert terminal == {"bad": "failed", "w1": "canceled", "w2": "canceled"}
+    reason = "canceled: sibling task bad failed"
+    assert log.extras["diagnostics"]["w1"] == reason
+    assert log.extras["diagnostics"]["w2"] == reason
+    assert {e.entity for e in log.by_name("stage_in_begin")} == {"bad"}
 
 
 INTERRUPTED_RUN = """
@@ -718,7 +733,7 @@ def test_a_run_leaves_no_file_descriptor_open():
         "ok": "done",
         "bad": "failed",
         "s": "canceled",
-        "slow": "failed",
+        "slow": "canceled",
     }
     assert log.extras["diagnostics"]["slow"] == "walltime exceeded after 1.0s"
     assert after == before

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import math
+from collections import Counter
 
 import pytest
 
@@ -23,6 +25,7 @@ from pilotflow.model import (
 )
 from pilotflow.runtime import (
     PILOT_UID,
+    Cause,
     EngineCore,
     PilotRequestError,
     WorkflowTracker,
@@ -30,6 +33,8 @@ from pilotflow.runtime import (
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
 from helpers import generate_esmacs
+
+TERMINAL = ("done", "failed", "canceled")
 
 
 def null_task(tid: str, duration: float = 0.0) -> TaskSpec:
@@ -92,6 +97,82 @@ def test_engine_core_rejects_bad_requests():
         )
 
 
+def test_activate_starts_the_walltime():
+    core = engine_core(ResourceRequest(cores=8, walltime=60.0))
+    assert core.deadline == math.inf
+    core.activate(2.0)
+    assert core.deadline == 62.0
+
+
+def advanced(core: EngineCore, task_id: str, last: TaskState):
+    """``task_id``'s record, moved along the forward chain up to ``last``."""
+    record = core.tracker.record_for(task_id)
+    for state in (
+        TaskState.TRANSLATED,
+        TaskState.SCHEDULED,
+        TaskState.STAGING_IN,
+        TaskState.EXECUTING,
+        TaskState.STAGING_OUT,
+    ):
+        advance_task_state(record, state)
+        if state is last:
+            return record
+    raise ValueError(last)
+
+
+def test_end_turns_each_cause_into_one_terminal_state_and_diagnostic():
+    def pipeline(pid: str, *stages: list[str]) -> Pipeline:
+        return Pipeline(pid, [Stage([null_task(t) for t in ids]) for ids in stages])
+
+    workflow = Workflow(
+        name="wf",
+        pipelines=[
+            pipeline("pa", ["a1", "a2", "a3"], ["a4"]),
+            pipeline("pb", ["b1"]),
+            pipeline("pc", ["c1"], ["c2"]),
+            pipeline("pd", ["d1"]),
+        ],
+    )
+    core = engine_core(ResourceRequest(cores=8, walltime=60.0), workflow)
+    core.activate(0.0)
+    c1 = advanced(core, "c1", TaskState.STAGING_OUT)
+    assert core.end(c1, Cause.DONE, 1.0) == [core.tracker.record_for("c2")]
+    a1 = advanced(core, "a1", TaskState.EXECUTING)
+    a2 = advanced(core, "a2", TaskState.SCHEDULED)
+    a3 = advanced(core, "a3", TaskState.TRANSLATED)  # still waiting for cores
+    # A failure cancels its unfinished siblings, placed or not, and returns
+    # them.
+    assert core.end(a1, Cause.ERROR, 2.0, "command exited with status 1") == [a2, a3]
+    b1 = advanced(core, "b1", TaskState.EXECUTING)
+    assert core.end(b1, Cause.WALLTIME, 60.0) == []
+    # close() ends a task still placed as cut by the walltime.
+    advanced(core, "d1", TaskState.STAGING_IN)
+    log = core.close(60.5, "test", None, {"kept": True})
+    terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
+    assert terminal == {
+        "c1": "done",
+        "a1": "failed",
+        "a2": "canceled",
+        "a3": "canceled",
+        "b1": "canceled",
+        "a4": "canceled",
+        "c2": "canceled",
+        "d1": "canceled",
+    }
+    sibling = "canceled: sibling task a1 failed"
+    # close() cancels what was never placed with no diagnostic.
+    assert log.extras == {
+        "diagnostics": {
+            "a1": "command exited with status 1",
+            "a2": sibling,
+            "a3": sibling,
+            "b1": "walltime exceeded after 60.0s",
+            "d1": "walltime exceeded after 60.0s",
+        },
+        "kept": True,
+    }
+
+
 # --- tracker ----------------------------------------------------------------
 
 
@@ -112,7 +193,7 @@ def test_initial_ready_is_every_first_stage():
     tracker = WorkflowTracker(two_stage_workflow())
     ready = tracker.initial_ready()
     assert sorted(r.task.id for r in ready) == ["a1", "a2", "b1"]
-    assert not any(p.failed for p in tracker.pipelines)
+    assert all(p.done == 0 for p in tracker.pipelines)
 
 
 def test_stage_advances_only_when_all_tasks_done():
@@ -130,12 +211,12 @@ def test_last_stage_completion_finishes_pipeline():
     tracker.initial_ready()
     assert finish(tracker, tracker.record_for("b1")) == []
     pb = next(p for p in tracker.pipelines if p.id == "pb")
-    assert pb.current == 0 and not pb.failed
+    assert pb.done == 1
     # The other pipeline goes on: its stages still advance.
     finish(tracker, tracker.record_for("a1"))
     assert [r.task.id for r in finish(tracker, tracker.record_for("a2"))] == ["a3"]
     assert finish(tracker, tracker.record_for("a3")) == []
-    assert not any(p.failed for p in tracker.pipelines)
+    assert [p.done for p in tracker.pipelines] == [3, 1]
 
 
 def test_failure_fails_stage_and_pipeline_only():
@@ -146,9 +227,11 @@ def test_failure_fails_stage_and_pipeline_only():
     assert tracker.on_terminal(record) == []
     pa = next(p for p in tracker.pipelines if p.id == "pa")
     pb = next(p for p in tracker.pipelines if p.id == "pb")
-    assert pa.failed and not pb.failed
-    assert tracker.pipeline_failed("a2") and tracker.pipeline_failed("a3")
-    assert not tracker.pipeline_failed("b1")
+    assert pa.done == pb.done == 0
+    # a2's completion readies nothing of the failed pipeline, while the
+    # other pipeline's completion still counts.
+    assert finish(tracker, tracker.record_for("a2")) == []
+    assert finish(tracker, tracker.record_for("b1")) == [] and pb.done == 1
 
 
 def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
@@ -159,7 +242,7 @@ def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
     ready = finish(tracker, tracker.record_for("a2"))
     assert ready == []
     pa = next(p for p in tracker.pipelines if p.id == "pa")
-    assert pa.failed and pa.current == 0
+    assert pa.done == 1
 
 
 def test_tracker_rejects_invalid_workflows():
@@ -253,6 +336,44 @@ def test_both_backends_write_the_same_events_per_entity():
         dict.fromkeys(local.pop(PILOT_UID))
     )
     assert sim == local
+
+
+def test_a_walltime_cut_ends_the_same_tasks_the_same_way_on_both_backends():
+    """One rule book: under a 1 s walltime the simulator and real processes
+    give the same terminal event per task and the same diagnostics."""
+
+    def sh(tid: str, command: str, duration: float = 0.0) -> TaskSpec:
+        return TaskSpec(
+            id=tid,
+            executable="/bin/sh",
+            arguments=("-c", command),
+            expected_duration=duration,
+        )
+
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="fast", stages=[Stage([sh("f", "sleep 0.1", 0.1)])]),
+            Pipeline(
+                id="slow",
+                stages=[Stage([sh("s1", "sleep 30", 30.0)]), Stage([sh("s2", "true")])],
+            ),
+        ],
+    )
+    request = ResourceRequest(cores=2, walltime=1.0)
+    logs = [
+        sim_run(wf, request, SimBackendConfig()),
+        local_run(wf, request, LocalBackendConfig()),
+    ]
+    sim, local = (
+        Counter((e.entity, e.name) for e in log.events if e.name in TERMINAL)
+        for log in logs
+    )
+    assert sim == local == Counter(
+        [("f", "done"), ("s1", "canceled"), ("s2", "canceled")]
+    )
+    diagnostics = [log.extras["diagnostics"] for log in logs]
+    assert diagnostics[0] == diagnostics[1] == {"s1": "walltime exceeded after 1.0s"}
 
 
 # --- pipeline independence --------------------------------------------------

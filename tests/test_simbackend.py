@@ -368,6 +368,24 @@ def test_walltime_cancels_queued_later_stages():
     assert report.status == "FAILED"
 
 
+def test_a_stage_waits_for_the_last_done_of_the_stage_before():
+    """The simulator marks a task done when it lays out the task's timeline,
+    ahead of its clock; the next stage still starts only at the last done
+    event of the stage before."""
+
+    def md(tid: str, duration: float) -> TaskSpec:
+        return TaskSpec(id=tid, executable="md", expected_duration=duration)
+
+    stages = [Stage([md("x1", 1.0), md("x2", 2.0)]), Stage([md("y", 5.0)])]
+    stages.append(Stage([md("z", 1.0)]))
+    wf = Workflow(name="w", pipelines=[Pipeline(id="p", stages=stages)])
+    log = sim_run(wf, ResourceRequest(cores=2, walltime=100.0), SimBackendConfig())
+    at = {(event.entity, event.name): event.time for event in log.events}
+    assert at["y", "translate_begin"] == at["x2", "done"] == 2.0
+    assert at["z", "translate_begin"] == at["y", "done"] == 7.0
+    assert compute_report(log).done_tasks == 4
+
+
 def test_stage_order_is_respected_per_pipeline():
     log = sim_run(
         generate_esmacs(replicas=3),
