@@ -30,26 +30,27 @@ plus the mean across pipelines.
 
 Interval sums pair each ``*_begin`` with its ``*_end`` per entity; a log
 with mismatched pairs is rejected loudly rather than silently mis-summed.
-The report reads the log's columns, not rows, and the log's names as their
-one-byte codes. One pass over the codes files each interval row's index,
-and each ``done`` row's, in its name's own ``array('I')``: four bytes a
-row, and no object. Each interval kind is then reduced on its own: its two
-dicts from entity to the running sum of its times are built from its rows'
-entities and times, checked and summed, and dropped before the next kind's
-are built, so the working set holds one kind's sums, not every kind's. An
-entity's first time is stored as it is and later ones add to it left to
-right, in log order; only an entity seen more than once under a name gets
-a count, in a small side dict (in the engines' logs, only the pilot's
-``pull``). The per-entity differences are then added in sorted entity
-order, starting from 0.0, which erases the sign of a zero, the one thing a
-first time stored as it is rather than as ``0 + time`` can change; kinds
-keyed on the same entities, as every task-keyed kind is, share one sort.
-The order is written out rather than left to ``sum()``, which is
-compensated from Python 3.12 on, so trials.csv is byte-identical on Python
-3.10 through 3.13. Terminal events are picked out of the columns at C
-speed, through a selector the name codes translate into, and stage windows
-from the filed rows; both are kept as the few fields the report uses, not
-as rows.
+The report reads the log's columns, not rows, and knows each event by its
+code in the fixed vocabulary (:data:`pilotflow.profiling.EVENT_NAMES`),
+where the interval codes come first and ``done`` right after them. One pass
+over the name codes files each row up to ``done`` in its code's own
+``array('I')``: four bytes a row, and no object. Each interval kind is then
+reduced on its own: its two dicts from entity to the running sum of its
+times are built from its rows' entities and times, checked and summed, and
+dropped before the next kind's are built, so the working set holds one
+kind's sums, not every kind's. An entity's first time is stored as it is
+and later ones add to it left to right, in log order; only an entity seen
+more than once under a name gets a count, in a small side dict (in the
+engines' logs, only the pilot's ``pull``). The per-entity differences are
+then added in sorted entity order, starting from 0.0, which erases the sign
+of a zero, the one thing a first time stored as it is rather than as
+``0 + time`` can change; kinds keyed on the same entities, as every
+task-keyed kind is, share one sort. The order is written out rather than left to
+``sum()``, which is compensated from Python 3.12 on, so trials.csv is
+byte-identical on Python 3.10 through 3.13. Terminal events are picked out
+of the columns at C speed, through a selector the name codes translate
+into, and stage windows from the filed rows; both are kept as the few
+fields the report uses, not as rows.
 """
 
 from __future__ import annotations
@@ -64,9 +65,18 @@ from itertools import compress
 from operator import add, gt, lt, sub
 from pathlib import Path
 
-from .profiling import INTERVAL_STEMS, CodedColumn, EventLog, EventView
-
-TERMINAL_EVENTS = ("done", "failed", "canceled")
+from .profiling import (
+    CANCELED,
+    DONE,
+    EVENT_NAMES,
+    FAILED,
+    INTERVAL_STEMS,
+    PILOT_ACTIVE,
+    STAGE_IN_BEGIN,
+    SUBMIT,
+    EventLog,
+    EventView,
+)
 
 
 class MalformedProfileError(Exception):
@@ -100,15 +110,6 @@ class RunReport:
 # One interval event name's times: entity -> running sum, and entity -> count
 # for the entities seen more than once (any other entity's count is 1).
 _Side = tuple[dict[str, float], dict[str, int]]
-
-
-_INTERVAL_NAMES = [
-    f"{stem}_{side}" for stem in INTERVAL_STEMS for side in ("begin", "end")
-]
-# The names compute_report files row indices for: the interval names, and
-# ``done``, whose rows end the stage windows that ``stage_in_begin`` rows
-# open.
-_FILED = _INTERVAL_NAMES + ["done"]
 
 
 def _side(entities: list[str], times: list[float], rows: array) -> _Side:
@@ -169,26 +170,19 @@ def _interval_sum(
     return reduce(add, map(sub, ends, begins), 0.0), order
 
 
-def _file_rows(names: CodedColumn) -> dict[str, array]:
-    """Each filed name's row indices, in log order, from one pass over the
-    name codes: four bytes a row."""
-    rows_of = {name: array("I") for name in _FILED}
-    # Code -> the append of that name's rows, or None for other names.
-    file: list[Callable[[int], None] | None] = [None] * len(names.values)
-    for name, rows in rows_of.items():
-        code = names.code.get(name)
-        if code is not None:
-            file[code] = rows.append
-    for index, code in enumerate(names.codes):
-        append = file[code]
-        if append is not None:
-            append(index)
+def _file_rows(names: bytearray) -> dict[int, array]:
+    """The row indices of each code up to ``DONE``, in log order, from one
+    pass over the name codes: the interval kinds' rows, and the ``done``
+    rows that end the stage windows ``stage_in_begin`` rows open."""
+    rows_of = {code: array("I") for code in range(DONE + 1)}
+    file = [rows.append for rows in rows_of.values()]
+    for index, code in enumerate(names):
+        if code <= DONE:
+            file[code](index)
     return rows_of
 
 
-def _interval_sums(
-    events: EventView, rows_of: dict[str, array]
-) -> dict[str, float]:
+def _interval_sums(events: EventView, rows_of: dict[int, array]) -> dict[str, float]:
     """Each interval kind's sum, checked and reduced in ``INTERVAL_STEMS``
     order, from the rows :func:`_file_rows` filed.
 
@@ -199,17 +193,18 @@ def _interval_sums(
     entities, times = events.entities, events.times
     sums: dict[str, float] = {}
     order: list[str] = []
-    for stem in INTERVAL_STEMS:
-        opened = _side(entities, times, rows_of.pop(f"{stem}_begin"))
-        closed = _side(entities, times, rows_of.pop(f"{stem}_end"))
+    for kind, stem in enumerate(INTERVAL_STEMS):
+        opened = _side(entities, times, rows_of.pop(2 * kind))
+        closed = _side(entities, times, rows_of.pop(2 * kind + 1))
         sums[stem], order = _interval_sum(stem, opened, closed, order)
     return sums
 
 
-def _first_time(events: EventView, name: str) -> float:
+def _first_time(events: EventView, code: int) -> float:
     try:
-        return events.times[events.names.index(name)]
+        return events.times[events.names.index(code)]
     except ValueError:
+        name = EVENT_NAMES[code]
         raise MalformedProfileError(f"log has no {name!r} event") from None
 
 
@@ -217,13 +212,13 @@ def _stage_times(
     events: EventView, rows: array, later: Callable[[float, float], bool]
 ) -> dict[int, dict[int, float]]:
     """Per stage, per pipeline code: the time that ``later`` prefers among
-    the log rows ``rows`` that carry a stage and a pipeline."""
+    the log rows ``rows`` that carry a stage and a pipeline (code 0 is
+    none)."""
     found: dict[int, dict[int, float]] = {}
-    blank = events.pipelines.code.get("")
-    times, pipelines, stages = events.times, events.pipelines.codes, events.stages
+    times, pipelines, stages = events.times, events.pipelines, events.stages
     for index in rows:
         stage, pipeline = stages[index], pipelines[index]
-        if stage >= 0 and pipeline != blank:
+        if stage >= 0 and pipeline:
             time = times[index]
             by_pipeline = found.get(stage)
             if by_pipeline is None:
@@ -244,12 +239,12 @@ def compute_report(
     ``INTERVAL_STEMS`` order.
     """
     events = log.events
-    submit = _first_time(events, "submit")
-    active = _first_time(events, "pilot_active")
+    submit = _first_time(events, SUBMIT)
+    active = _first_time(events, PILOT_ACTIVE)
     if active < submit:
         raise MalformedProfileError("pilot_active precedes submit")
 
-    terminal = events.where(*TERMINAL_EVENTS)
+    terminal = events.where(DONE, FAILED, CANCELED)
     tasks = terminal.count(1)
     if not tasks:
         raise MalformedProfileError("log has no terminal task events")
@@ -261,11 +256,11 @@ def compute_report(
                     f"task {entity!r} has more than one terminal event"
                 )
             seen.add(entity)
-    pipelines = set(compress(events.pipelines.codes, terminal))
-    pipelines.discard(events.pipelines.code.get(""))
+    pipelines = set(compress(events.pipelines, terminal))
+    pipelines.discard(0)  # the pilot's code
     # In log order: max() keeps the first of equal times.
     last = max(compress(events.times, terminal))
-    done, failed, canceled = map(events.names.count, TERMINAL_EVENTS)
+    done, failed, canceled = map(events.names.count, (DONE, FAILED, CANCELED))
     del terminal
 
     tq = active - submit
@@ -274,7 +269,7 @@ def compute_report(
 
     rows_of = _file_rows(events.names)
     # Rows that open and close the stage windows, read after the sums.
-    staged_in, done_rows = rows_of["stage_in_begin"], rows_of.pop("done")
+    staged_in, done_rows = rows_of[STAGE_IN_BEGIN], rows_of.pop(DONE)
     # Every interval kind must pair up, including the ones no metric sums.
     sums = _interval_sums(events, rows_of)
     translate = sums["translate"]

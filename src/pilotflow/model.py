@@ -17,7 +17,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .profiling import ProfileSink
+from .profiling import (
+    CANCELED,
+    DONE,
+    EXEC_BEGIN,
+    FAILED,
+    SCHEDULE,
+    STAGE_IN_BEGIN,
+    STAGE_OUT_BEGIN,
+    TRANSLATE_END,
+    ProfileSink,
+)
 
 
 class TaskKind(str, Enum):
@@ -110,17 +120,18 @@ _SUCCESSOR: dict[TaskState, TaskState] = dict(
     zip(_FORWARD_CHAIN, _FORWARD_CHAIN[1:])
 )
 
-# Profile event emitted when a task *enters* a state. The engine emits the
-# matching interval-opening/closing counterparts around the real work.
-_STATE_ENTRY_EVENT: dict[TaskState, str] = {
-    TaskState.TRANSLATED: "translate_end",
-    TaskState.SCHEDULED: "schedule",
-    TaskState.STAGING_IN: "stage_in_begin",
-    TaskState.EXECUTING: "exec_begin",
-    TaskState.STAGING_OUT: "stage_out_begin",
-    TaskState.DONE: "done",
-    TaskState.FAILED: "failed",
-    TaskState.CANCELED: "canceled",
+# The code of the event written when a task *enters* a state. The engine
+# writes the matching interval-opening/closing counterparts around the
+# real work.
+_STATE_ENTRY_EVENT: dict[TaskState, int] = {
+    TaskState.TRANSLATED: TRANSLATE_END,
+    TaskState.SCHEDULED: SCHEDULE,
+    TaskState.STAGING_IN: STAGE_IN_BEGIN,
+    TaskState.EXECUTING: EXEC_BEGIN,
+    TaskState.STAGING_OUT: STAGE_OUT_BEGIN,
+    TaskState.DONE: DONE,
+    TaskState.FAILED: FAILED,
+    TaskState.CANCELED: CANCELED,
 }
 
 
@@ -130,11 +141,15 @@ class IllegalTransitionError(Exception):
 
 @dataclass(slots=True)
 class TaskRecord:
-    """Mutable runtime record for one task, owned by the execution engine."""
+    """Mutable runtime record for one task, owned by the execution engine.
+
+    ``pipeline_code`` is its pipeline's code in the run's log (see
+    :mod:`pilotflow.profiling`)."""
 
     task: TaskSpec
     pipeline_id: str
     stage_index: int
+    pipeline_code: int
     state: TaskState = TaskState.NEW
 
 
@@ -168,7 +183,7 @@ def advance_task_state(
                 time,
                 record.task.id,
                 _STATE_ENTRY_EVENT[state],
-                record.pipeline_id,
+                record.pipeline_code,
                 record.stage_index,
             )
         )

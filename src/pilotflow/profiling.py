@@ -1,9 +1,12 @@
 """Timestamped event records shared by every backend.
 
-Both engines narrate a run through the same small event vocabulary so the
-metrics layer never needs to know which backend produced a log. Events form
+Both engines narrate a run through one fixed event vocabulary,
+:data:`EVENT_NAMES`, so the metrics layer never needs to know which backend
+produced a log. A name's code is its index there, and each name has a
+constant of its own (``DONE`` is ``EVENT_NAMES.index("done")``). Events form
 begin/end interval pairs where a duration is meaningful and single points
-where it is not.
+where it is not; the six interval kinds come first, each as its begin then
+its end, in :data:`INTERVAL_STEMS` order.
 
 Event names, by the entity they are keyed on:
 
@@ -18,17 +21,19 @@ Event names, by the entity they are keyed on:
 
 All timestamps are seconds relative to pilot submission (time 0.0).
 
-Engines append each event as a plain row, the tuple ``(time, entity, name,
-pipeline, stage)``. A finished log keeps no rows: :class:`ProfileSink`
-moves them into five parallel columns. ``times`` and ``entities`` are lists
-of the engine's own float and str objects. A name is stored as a one-byte
-code and a pipeline id as a four-byte code, each with a table of the
-values, in the order they first appeared; a stage is a four-byte signed
-int. A log therefore costs two list slots and nine bytes per event, plus
-the floats the engine made, and none of what it holds is tracked by
-CPython's cyclic collector, so no collection walks it. :class:`EventView`
-is how callers read a log: it builds a ``ProfileEvent`` for each event it
-hands out.
+Engines append each event as a plain row, the tuple ``(time, entity,
+name code, pipeline code, stage)``. A pipeline's code is its index in the
+table of pipeline ids the run's tracker seeds from the workflow, where
+code 0 is ``""``, the pilot's rows. A finished log keeps no rows:
+:class:`ProfileSink` moves them into five parallel columns, as they are,
+with no lookup. ``times`` and ``entities`` are lists of the engine's own
+float and str objects; name codes sit in a ``bytearray``, pipeline codes in
+an ``array('I')`` and stages in an ``array('i')``. A log therefore costs
+two list slots and nine bytes per event, plus the floats the engine made,
+and none of what it holds is tracked by CPython's cyclic collector, so no
+collection walks it. :class:`EventView` is how callers read a log: it
+builds a ``ProfileEvent`` for each event it hands out, decoding the name
+through ``EVENT_NAMES`` and the pipeline through the log's table.
 
 The simulator writes rows ahead of its clock (a placed unit's whole
 timeline is written at once), so rows arrive out of time order. After each
@@ -50,27 +55,39 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-# Interval vocabulary: name stems that come in _begin/_end pairs.
-INTERVAL_STEMS = (
-    "translate",
-    "pull",
-    "unit_io",
-    "stage_in",
-    "exec",
-    "stage_out",
+# The event vocabulary: a name's code is its index. The interval kinds
+# come first, each as its begin then its end, and ``done`` right after them:
+# compute_report files the rows of every code up to DONE.
+EVENT_NAMES = (
+    "translate_begin", "translate_end", "pull_begin", "pull_end",
+    "unit_io_begin", "unit_io_end", "stage_in_begin", "stage_in_end",
+    "exec_begin", "exec_end", "stage_out_begin", "stage_out_end",
+    "done", "failed", "canceled",
+    "submit", "pilot_active", "pilot_done", "enqueue", "schedule",
 )
-
+(
+    TRANSLATE_BEGIN, TRANSLATE_END, PULL_BEGIN, PULL_END,
+    UNIT_IO_BEGIN, UNIT_IO_END, STAGE_IN_BEGIN, STAGE_IN_END,
+    EXEC_BEGIN, EXEC_END, STAGE_OUT_BEGIN, STAGE_OUT_END,
+    DONE, FAILED, CANCELED,
+    SUBMIT, PILOT_ACTIVE, PILOT_DONE, ENQUEUE, SCHEDULE,
+) = range(len(EVENT_NAMES))
+# Interval kinds, in the order the vocabulary lists them: kind k opens
+# with code 2k and closes with code 2k + 1.
+INTERVAL_STEMS = tuple(name[: -len("_begin")] for name in EVENT_NAMES[:DONE:2])
 
 # Rows per write in EventLog.write_csv: large enough to amortize the write
 # call, small enough that the file is never held in memory whole.
 _CSV_CHUNK_ROWS = 4096
 # A string csv.writer's default dialect writes as it is, unquoted.
 _BARE_FIELD = re.compile(r"[A-Za-z0-9_.:-]+").fullmatch
+# Each name code's end of a CSV line: every event name is a bare field.
+_CSV_ENDS = [f",{name}\r\n" for name in EVENT_NAMES]
 
 # Rows a sink's tail gains before a settle sorts it and moves its settled
 # part into the columns: large enough that the sort and the column extends
@@ -86,7 +103,8 @@ class ProfileEvent(NamedTuple):
 
     ``pipeline`` and ``stage`` carry attribution for per-stage metrics; they
     are empty for pilot-level events. Logs store the same five fields as
-    columns and build this record only when a caller reads one.
+    columns, the name and pipeline as codes, and build this record only
+    when a caller reads one.
     """
 
     time: float
@@ -96,8 +114,8 @@ class ProfileEvent(NamedTuple):
     stage: int = -1
 
 
-# One appended event: (time, entity, name, pipeline, stage).
-Row = tuple[float, str, str, str, int]
+# One appended event: (time, entity, name code, pipeline code, stage).
+Row = tuple[float, str, int, int, int]
 
 
 def _extend_ints(column: array, ints: Iterable[int]) -> None:
@@ -107,125 +125,50 @@ def _extend_ints(column: array, ints: Iterable[int]) -> None:
     column.frombytes(struct.pack(f"{len(ints)}{column.typecode}", *ints))
 
 
-class _Table(dict):
-    """Value -> code; a value looked up for the first time gets the next
-    code, up to ``limit`` distinct values."""
-
-    def __init__(self, kind: str, limit: int) -> None:
-        self.values: list[str] = []
-        self._kind = kind
-        self._limit = limit
-
-    def __missing__(self, value: str) -> int:
-        code = len(self.values)
-        if code == self._limit:
-            raise ValueError(
-                f"{self._kind} {value!r} is one too many: a log holds at most "
-                f"{self._limit} distinct {self._kind}s"
-            )
-        self.values.append(value)
-        self[value] = code
-        return code
-
-
-class CodedColumn(Sequence[str]):
-    """A column of values drawn from a small set, stored as one code per
-    row plus a table of the values.
-
-    ``values[codes[i]]`` is row ``i``'s value, and ``code`` maps each value
-    to its code; ``values`` lists them in the order they first appeared.
-    One-byte codes (``width`` 1) sit in a ``bytearray`` and allow 256
-    distinct values; four-byte codes sit in an ``array('I')``. A value
-    past the limit raises ``ValueError`` naming it, before any row is
-    added.
-    """
-
-    __slots__ = ("codes", "code")
-
-    def __init__(self, kind: str, width: int, values: Iterable[str] = ()) -> None:
-        self.codes = bytearray() if width == 1 else array("I")
-        self.code = _Table(kind, 1 << 8 * width)
-        self.extend(values)
-
-    @property
-    def values(self) -> list[str]:
-        return self.code.values
-
-    def extend(self, values: Iterable[str]) -> None:
-        codes = map(self.code.__getitem__, values)
-        if isinstance(self.codes, bytearray):
-            self.codes.extend(codes)
-        else:
-            _extend_ints(self.codes, codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self.values.__getitem__, self.codes[index]))
-        return self.values[self.codes[index]]
-
-    def __iter__(self):
-        return map(self.values.__getitem__, self.codes)
-
-    def index(self, value: str) -> int:  # type: ignore[override]
-        code = self.code.get(value)
-        if code is None:
-            raise ValueError(f"{value!r} is not in the column")
-        return self.codes.index(code)
-
-    def count(self, value: str) -> int:
-        code = self.code.get(value)
-        return 0 if code is None else self.codes.count(code)
-
-
 class EventView(Sequence[ProfileEvent]):
     """Read-only sequence of ``ProfileEvent`` over five columns.
 
-    Event ``i`` is ``(times[i], entities[i], names[i], pipelines[i],
-    stages[i])``, built when it is read and not kept, so iterating over a
-    log or taking its length never holds a second copy of it. ``names``
-    and ``pipelines`` are coded columns (:class:`CodedColumn`) and
-    ``stages`` is an ``array('i')``; built from plain sequences, a view
-    codes them. Two views, or a view and a list of events, are equal when
-    their events are. The metrics and the CSV writer read the columns and
-    their codes directly.
+    Event ``i`` is ``(times[i], entities[i], EVENT_NAMES[names[i]],
+    pipeline_ids[pipelines[i]], stages[i])``, built when it is read and not
+    kept, so iterating over a log or taking its length never holds a second
+    copy of it. ``names`` is a ``bytearray`` of name codes, ``pipelines`` an
+    ``array('I')`` of codes into ``pipeline_ids`` (whose code 0 is ``""``)
+    and ``stages`` an ``array('i')``. A view starts empty and grows by
+    :meth:`extend`. Two views, or a view and a list of events, are equal
+    when their events are. The metrics and the CSV writer read the columns
+    and their codes directly.
     """
 
-    __slots__ = ("times", "entities", "names", "pipelines", "stages")
+    __slots__ = ("times", "entities", "names", "pipelines", "stages", "pipeline_ids")
 
-    def __init__(
-        self,
-        times: list[float],
-        entities: list[str],
-        names: Sequence[str],
-        pipelines: Sequence[str],
-        stages: Sequence[int],
-    ) -> None:
-        self.times = times
-        self.entities = entities
-        if not isinstance(names, CodedColumn):
-            names = CodedColumn("event name", 1, names)
-        if not isinstance(pipelines, CodedColumn):
-            pipelines = CodedColumn("pipeline", 4, pipelines)
-        if not isinstance(stages, array):
-            coded = array("i")
-            _extend_ints(coded, stages)
-            stages = coded
-        self.names = names
-        self.pipelines = pipelines
-        self.stages = stages
+    def __init__(self, pipeline_ids: Sequence[str]) -> None:
+        self.times: list[float] = []
+        self.entities: list[str] = []
+        self.names = bytearray()
+        self.pipelines = array("I")
+        self.stages = array("i")
+        self.pipeline_ids = pipeline_ids
 
-    def where(self, *names: str) -> bytearray:
+    def extend(self, rows: Sequence[Row]) -> None:
+        """Append coded rows, in the order given, to the columns."""
+        self.names.extend(map(_NAME, rows))
+        _extend_ints(self.pipelines, map(_PIPELINE, rows))
+        _extend_ints(self.stages, map(_STAGE, rows))
+        self.times.extend(map(_TIME, rows))
+        self.entities.extend(map(_ENTITY, rows))
+
+    def where(self, *codes: int) -> bytearray:
         """A selector over the events, for ``itertools.compress``: 1 where
-        the event's name is one of ``names``, 0 elsewhere."""
+        the event's name code is one of ``codes``, 0 elsewhere."""
         table = bytearray(256)
-        for name in names:
-            code = self.names.code.get(name)
-            if code is not None:
-                table[code] = 1
-        return self.names.codes.translate(table)
+        for code in codes:
+            table[code] = 1
+        return self.names.translate(table)
+
+    def _decode(self, times, entities, names, pipelines, stages):
+        names = map(EVENT_NAMES.__getitem__, names)
+        pipelines = map(self.pipeline_ids.__getitem__, pipelines)
+        return map(ProfileEvent, times, entities, names, pipelines, stages)
 
     def _columns(self) -> tuple[Sequence, ...]:
         return (self.times, self.entities, self.names, self.pipelines, self.stages)
@@ -234,13 +177,15 @@ class EventView(Sequence[ProfileEvent]):
         return len(self.times)
 
     def __getitem__(self, index):
+        columns = [column[index] for column in self._columns()]
         if isinstance(index, slice):
-            columns = [column[index] for column in self._columns()]
-            return list(map(ProfileEvent, *columns))
-        return ProfileEvent(*[column[index] for column in self._columns()])
+            return list(self._decode(*columns))
+        time, entity, name, pipeline, stage = columns
+        name, pipeline = EVENT_NAMES[name], self.pipeline_ids[pipeline]
+        return ProfileEvent(time, entity, name, pipeline, stage)
 
     def __iter__(self):
-        return map(ProfileEvent, *self._columns())
+        return self._decode(*self._columns())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventView):
@@ -260,23 +205,25 @@ class ProfileSink:
     promise that no row appended after it is earlier than ``now``. Once
     the tail has gained ``_SETTLE_ROWS`` rows since it was last settled,
     the call sorts the tail in place by time and moves every row before
-    ``now`` into the columns, coding its name and pipeline. Those rows are
-    strictly earlier than every row still to come, and each sort is
-    stable, so the columns end as the stable sort of every row by time:
-    ties stay in append order. A row earlier than the latest time a settle
-    sorted the tail at breaks the promise; the next sort, in ``settle`` or
-    ``events``, raises ``ValueError`` rather than write a mis-sorted log.
+    ``now`` into the columns, as they are: the engines write codes, so
+    settling looks nothing up. Those rows are strictly earlier than every
+    row still to come, and each sort is stable, so the columns end as the
+    stable sort of every row by time: ties stay in append order. A row
+    earlier than the latest time a settle sorted the tail at breaks the
+    promise; the next sort, in ``settle`` or ``events``, raises
+    ``ValueError`` rather than write a mis-sorted log.
 
-    ``events`` is the closing step: it settles every row and hands the
-    columns over in an :class:`EventView`, so a finished run holds each
-    event once.
+    ``pipeline_ids`` decodes the rows' pipeline codes; the engine's tracker
+    seeds it from the workflow. ``events`` is the closing step: it settles
+    every row and hands the columns over in an :class:`EventView`, so a
+    finished run holds each event once.
 
     It takes no lock: only the engine's own thread appends (the local
     backend runs no other thread).
     """
 
-    def __init__(self) -> None:
-        self._columns = EventView([], [], (), (), ())
+    def __init__(self, pipeline_ids: Sequence[str]) -> None:
+        self._columns = EventView(pipeline_ids)
         self._tail: list[Row] = []
         # The latest time a settle sorted the tail at: every row in the
         # columns is earlier, and no row may be appended earlier.
@@ -304,16 +251,8 @@ class ProfileSink:
             self._settled = now
         cut = bisect_left(tail, now, key=_TIME)
         if cut:
-            settled = tail[:cut]
-            columns = self._columns
-            # Names first: a name past the table's limit refuses the rows
-            # before any column has grown.
-            columns.names.extend(map(_NAME, settled))
-            columns.pipelines.extend(map(_PIPELINE, settled))
-            _extend_ints(columns.stages, map(_STAGE, settled))
-            columns.times.extend(map(_TIME, settled))
-            columns.entities.extend(map(_ENTITY, settled))
-            del settled, tail[:cut]
+            self._columns.extend(tail[:cut])
+            del tail[:cut]
         self._due = len(tail) + _SETTLE_ROWS
 
     def events(self) -> EventView:
@@ -361,26 +300,18 @@ class EventLog:
     seed: int | None = None
     extras: dict = field(default_factory=dict)
 
-    def by_name(self, name: str) -> list[ProfileEvent]:
-        return list(compress(self.events, self.events.where(name)))
-
     def write_csv(self, path: str | Path) -> None:
         """Three-column export: time_s, entity, event.
 
         Timestamps use repr formatting, so identical runs produce
-        byte-identical files. Entity and event names are quoted by
-        ``csv.writer``'s default dialect (``QUOTE_MINIMAL``), so the file is
-        byte for byte what that writer makes of the same rows.
+        byte-identical files. Entities are quoted by ``csv.writer``'s
+        default dialect (``QUOTE_MINIMAL``), and no event name needs
+        quoting, so the file is byte for byte what that writer makes of
+        the same rows.
         """
         fields = _CsvFields()
         events = self.events
-        # Each name code's end of line, made once.
-        ends = [f",{fields[name]}\r\n" for name in events.names.values]
-        rows = zip(
-            events.times,
-            map(fields.__getitem__, events.entities),
-            events.names.codes,
-        )
+        rows = zip(events.times, map(fields.__getitem__, events.entities), events.names)
         last_time = stamp = None
         with open(path, "w", newline="") as handle:
             handle.write("time_s,entity,event\r\n")
@@ -392,7 +323,7 @@ class EventLog:
                     if time is not last_time:
                         last_time = time
                         stamp = repr(time)
-                    lines.append(f"{stamp},{entity}{ends[code]}")
+                    lines.append(f"{stamp},{entity}{_CSV_ENDS[code]}")
                 if not lines:
                     break
                 handle.write("".join(lines))

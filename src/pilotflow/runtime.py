@@ -42,7 +42,22 @@ from .model import (
     advance_task_state,
     validate_workflow,
 )
-from .profiling import EventLog, ProfileSink
+from .profiling import (
+    ENQUEUE,
+    EXEC_END,
+    PILOT_ACTIVE,
+    PILOT_DONE,
+    PULL_BEGIN,
+    PULL_END,
+    STAGE_IN_END,
+    STAGE_OUT_END,
+    SUBMIT,
+    TRANSLATE_BEGIN,
+    UNIT_IO_BEGIN,
+    UNIT_IO_END,
+    EventLog,
+    ProfileSink,
+)
 from .scheduler import FirstFitScheduler
 from .units import TaskStore, UnitDescription, UnitIdAllocator
 
@@ -71,7 +86,11 @@ class PipelineRun:
 
 class WorkflowTracker:
     """Drives stage succession; backends own timing and execution. It holds
-    one record per task by task id and one run per pipeline by its id."""
+    one record per task by task id and one run per pipeline by its id.
+
+    ``pipeline_ids`` is the log's pipeline table: a pipeline's code is its
+    index, in workflow order from 1, and code 0 is ``""``, the pilot's rows.
+    Each task record carries its pipeline's code."""
 
     def __init__(self, workflow: Workflow) -> None:
         violations = validate_workflow(workflow)
@@ -79,11 +98,13 @@ class WorkflowTracker:
             raise WorkflowValidationError(violations)
         self._runs: dict[str, PipelineRun] = {}
         self._records: dict[str, TaskRecord] = {}
-        for pipeline in workflow.pipelines:
+        self.pipeline_ids = [""]
+        for code, pipeline in enumerate(workflow.pipelines, 1):
+            self.pipeline_ids.append(pipeline.id)
             run = self._runs[pipeline.id] = PipelineRun(pipeline.id, [], [0])
             for index, stage in enumerate(pipeline.stages):
                 for task in stage.tasks:
-                    record = TaskRecord(task, pipeline.id, index)
+                    record = TaskRecord(task, pipeline.id, index, code)
                     run.records.append(record)
                     self._records[task.id] = record
                 run.starts.append(len(run.records))
@@ -126,13 +147,12 @@ class WorkflowTracker:
         return []
 
 
-# The state a unit enters as each execution phase opens, and the name of
-# the event that closes the phase. The names are constants so that every
-# event shares one string object rather than building its own.
+# The state a unit enters as each execution phase opens, and the code of
+# the event that closes the phase.
 _PHASES = {
-    "stage_in": (TaskState.STAGING_IN, "stage_in_end"),
-    "exec": (TaskState.EXECUTING, "exec_end"),
-    "stage_out": (TaskState.STAGING_OUT, "stage_out_end"),
+    "stage_in": (TaskState.STAGING_IN, STAGE_IN_END),
+    "exec": (TaskState.EXECUTING, EXEC_END),
+    "stage_out": (TaskState.STAGING_OUT, STAGE_OUT_END),
 }
 
 
@@ -170,8 +190,8 @@ class EngineCore:
         if not math.isfinite(request.walltime) or request.walltime <= 0:
             raise PilotRequestError("pilot walltime must be positive and finite")
         self.request = request
-        self.sink = ProfileSink()
-        self.sink.append((0.0, PILOT_UID, "submit", "", -1))
+        self.sink = ProfileSink(self.tracker.pipeline_ids)
+        self.sink.append((0.0, PILOT_UID, SUBMIT, 0, -1))
         self.store = TaskStore(pull_latency)
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()
@@ -181,7 +201,7 @@ class EngineCore:
     def activate(self, time: float) -> None:
         """The pilot's allocation came up: its walltime runs from ``time``."""
         self.deadline = time + self.request.walltime
-        self.sink.append((time, PILOT_UID, "pilot_active", "", -1))
+        self.sink.append((time, PILOT_UID, PILOT_ACTIVE, 0, -1))
 
     def translated(self, record: TaskRecord, begin: float, end: float) -> None:
         """The manager translated ``record``'s task into a unit."""
@@ -189,8 +209,8 @@ class EngineCore:
             (
                 begin,
                 record.task.id,
-                "translate_begin",
-                record.pipeline_id,
+                TRANSLATE_BEGIN,
+                record.pipeline_code,
                 record.stage_index,
             )
         )
@@ -199,31 +219,27 @@ class EngineCore:
     def enqueue(self, unit: UnitDescription, time: float) -> None:
         """The manager handed ``unit`` to the store."""
         self.store.enqueue(unit)
-        self.sink.append(
-            (time, unit.uid, "enqueue", unit.pipeline_id, unit.stage_index)
-        )
+        pipeline = self.tracker.record_for(unit.task_id).pipeline_code
+        self.sink.append((time, unit.uid, ENQUEUE, pipeline, unit.stage_index))
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
-        self.sink.append((begin, PILOT_UID, "pull_begin", "", -1))
-        self.sink.append((end, PILOT_UID, "pull_end", "", -1))
+        self.sink.append((begin, PILOT_UID, PULL_BEGIN, 0, -1))
+        self.sink.append((end, PILOT_UID, PULL_END, 0, -1))
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent took in one pulled unit."""
-        self.sink.append(
-            (begin, unit.uid, "unit_io_begin", unit.pipeline_id, unit.stage_index)
-        )
-        self.sink.append(
-            (end, unit.uid, "unit_io_end", unit.pipeline_id, unit.stage_index)
-        )
+        pipeline = self.tracker.record_for(unit.task_id).pipeline_code
+        self.sink.append((begin, unit.uid, UNIT_IO_BEGIN, pipeline, unit.stage_index))
+        self.sink.append((end, unit.uid, UNIT_IO_END, pipeline, unit.stage_index))
 
     def phase(self, record: TaskRecord, stem: str, begin: float, end: float) -> None:
         """A placed unit completed its ``stem`` phase (stage_in, exec or
         stage_out)."""
-        entry, end_name = _PHASES[stem]
+        entry, end_code = _PHASES[stem]
         advance_task_state(record, entry, sink=self.sink, time=begin)
         self.sink.append(
-            (end, record.task.id, end_name, record.pipeline_id, record.stage_index)
+            (end, record.task.id, end_code, record.pipeline_code, record.stage_index)
         )
 
     def release(self, unit: UnitDescription) -> TaskRecord:
@@ -276,7 +292,7 @@ class EngineCore:
                 self.end(record, Cause.CLOSE, finish)
             elif not record.state.is_terminal:
                 self.end(record, Cause.WALLTIME, finish)
-        self.sink.append((finish, PILOT_UID, "pilot_done", "", -1))
+        self.sink.append((finish, PILOT_UID, PILOT_DONE, 0, -1))
         return EventLog(
             events=self.sink.events(),
             pilot_cores=self.request.cores,

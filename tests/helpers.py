@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import compress
+
 from pilotflow.model import TaskKind, Workflow
+from pilotflow.profiling import EVENT_NAMES, EventLog, EventView, ProfileEvent, Row
 from pilotflow.protocols import ESMACS_REPLICAS, esmacs_protocol, protocol_to_workflow
+
+_NAME_CODES = {name: code for code, name in enumerate(EVENT_NAMES)}
 
 
 def generate_esmacs(
@@ -18,3 +24,37 @@ def generate_esmacs(
         replicas=replicas,
         name=name,
     )
+
+
+def name_code(name: str) -> int:
+    """An event name's code; a name outside the vocabulary raises
+    ``ValueError`` naming it."""
+    try:
+        return _NAME_CODES[name]
+    except KeyError:
+        raise ValueError(f"{name!r} is not an event name") from None
+
+
+def coded_rows(events: Iterable[ProfileEvent]) -> tuple[list[Row], list[str]]:
+    """The events as the rows an engine writes, in the order given, and the
+    pipeline table their codes index: ``""`` first, then each other
+    pipeline id as it first appears."""
+    table = {"": 0}
+    rows = [
+        (time, entity, name_code(name), table.setdefault(pipeline, len(table)), stage)
+        for time, entity, name, pipeline, stage in events
+    ]
+    return rows, list(table)
+
+
+def event_view(events: Iterable[ProfileEvent]) -> EventView:
+    """The events, in the order given, as the columns of a view."""
+    rows, pipelines = coded_rows(events)
+    view = EventView(pipelines)
+    view.extend(rows)
+    return view
+
+
+def by_name(log: EventLog, name: str) -> list[ProfileEvent]:
+    """The log's events named ``name``, in log order."""
+    return list(compress(log.events, log.events.where(name_code(name))))

@@ -24,7 +24,7 @@ from pilotflow.protocols import esmacs_protocol
 from pilotflow.scheduler import CoreMap
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import generate_esmacs
+from helpers import by_name, generate_esmacs
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -89,7 +89,7 @@ def test_c3_overhead_accounting():
     # description-IO per task holds exactly.
     log = sim_run(workflow, request, STANDARD_SIM)
     report = compute_report(log)
-    pulls = len(log.by_name("pull_begin"))
+    pulls = len(by_name(log, "pull_begin"))
     closed_form = (
         pulls == 7 and report.runtime_overhead_s == 7 * PULL + tasks * FS
     )
@@ -106,9 +106,9 @@ def test_c3_overhead_accounting():
     )
     log2 = sim_run(workflow, request, costed)
     report2 = compute_report(log2)
-    pulls2 = len(log2.by_name("pull_begin"))
-    ios2 = len(log2.by_name("unit_io_begin"))
-    translations2 = len(log2.by_name("translate_begin"))
+    pulls2 = len(by_name(log2, "pull_begin"))
+    ios2 = len(by_name(log2, "unit_io_begin"))
+    translations2 = len(by_name(log2, "translate_begin"))
     identity = (
         ios2 == tasks
         and translations2 == tasks

@@ -35,7 +35,7 @@ from pilotflow.model import (
 from pilotflow.profiling import ProfileSink
 from pilotflow.units import TaskStore, UnitDescription
 
-from helpers import generate_esmacs
+from helpers import by_name, generate_esmacs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TERMINAL = ("done", "failed", "canceled")
@@ -360,7 +360,7 @@ def test_missing_staging_source_fails_cleanly(tmp_path):
     assert report.failed_tasks == 1
     assert "missing staging source" in log.extras["diagnostics"]["starved"]
     # the failing phase never opened, so the log still pairs up
-    assert log.by_name("stage_in_begin") == []
+    assert by_name(log, "stage_in_begin") == []
 
 
 def test_under_provisioned_pilot_serializes_tasks():
@@ -432,11 +432,11 @@ def test_a_unit_that_starts_after_the_walltime_is_canceled_without_running(tmp_p
         "first": "walltime exceeded after 1.0s",
         "late": "walltime exceeded after 1.0s",
     }
-    (uid,) = [e.entity for e in log.by_name("enqueue") if e.pipeline == "p1"]
+    (uid,) = [e.entity for e in by_name(log, "enqueue") if e.pipeline == "p1"]
     sandbox = Path(log.extras["run_dir"]) / uid
     assert not (sandbox / "params.dat").exists()
     assert not (sandbox / "ran").exists()
-    assert [e.entity for e in log.by_name("stage_in_begin")] == ["first"]
+    assert [e.entity for e in by_name(log, "stage_in_begin")] == ["first"]
 
 
 def process_state(pid: int) -> str | None:
@@ -473,7 +473,7 @@ def test_a_child_that_closes_its_stderr_early_stalls_no_other_pipeline():
         stages=[Stage([shell_task(f"c{i}", "sleep 0.1")]) for i in range(3)],
     )
     log = run_local(Workflow(name="wf", pipelines=[quiet, chain]))
-    done = {e.entity: e.time for e in log.by_name("done")}
+    done = {e.entity: e.time for e in by_name(log, "done")}
     assert done["c2"] < done["q"]
     assert done["q"] >= 1.0
 
@@ -496,7 +496,7 @@ def test_a_failed_task_cancels_its_running_and_waiting_siblings():
     assert log.extras["diagnostics"]["sleeper"] == reason
     assert log.extras["diagnostics"]["queued"] == reason
     # The waiting sibling never started.
-    assert "queued" not in {e.entity for e in log.by_name("stage_in_begin")}
+    assert "queued" not in {e.entity for e in by_name(log, "stage_in_begin")}
 
 
 def test_siblings_still_waiting_for_cores_are_canceled_with_a_diagnostic():
@@ -511,7 +511,7 @@ def test_siblings_still_waiting_for_cores_are_canceled_with_a_diagnostic():
     reason = "canceled: sibling task bad failed"
     assert log.extras["diagnostics"]["w1"] == reason
     assert log.extras["diagnostics"]["w2"] == reason
-    assert {e.entity for e in log.by_name("stage_in_begin")} == {"bad"}
+    assert {e.entity for e in by_name(log, "stage_in_begin")} == {"bad"}
 
 
 INTERRUPTED_RUN = """
@@ -628,8 +628,8 @@ def test_engine_and_runtime_overheads_are_measured():
     report = compute_report(log)
     assert report.engine_overhead_s > 0.0
     assert report.runtime_overhead_s > 0.0
-    assert len(log.by_name("translate_begin")) == 14
-    assert len(log.by_name("unit_io_begin")) == 14
+    assert len(by_name(log, "translate_begin")) == 14
+    assert len(by_name(log, "unit_io_begin")) == 14
 
 
 def test_each_unit_crosses_the_wire_once(monkeypatch):
@@ -646,7 +646,7 @@ def test_each_unit_crosses_the_wire_once(monkeypatch):
     wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
     log = run_local(wf, cores=peak_core_demand(wf))
     assert compute_report(log).done_tasks == 14
-    assert sorted(serialized) == sorted(e.entity for e in log.by_name("enqueue"))
+    assert sorted(serialized) == sorted(e.entity for e in by_name(log, "enqueue"))
 
 
 def test_config_dict_round_trip():
@@ -674,7 +674,7 @@ def test_a_command_that_exits_is_done_whatever_it_left_running():
     the task running: the task ends when its command exits."""
     wf = one_stage_workflow(shell_task("starter", "sleep 3 & echo started"))
     log = run_local(wf, walltime=1.5)
-    (done,) = log.by_name("done")
+    (done,) = by_name(log, "done")
     assert done.entity == "starter"
     assert done.time < 0.75
     assert log.extras["diagnostics"] == {}

@@ -36,7 +36,7 @@ from pilotflow.protocols import (
 )
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import generate_esmacs
+from helpers import coded_rows, generate_esmacs
 
 
 def ev(time, entity, name, pipeline="", stage=-1):
@@ -81,9 +81,10 @@ def synthetic_events() -> list[ProfileEvent]:
 
 
 def make_log(events) -> EventLog:
-    sink = ProfileSink()
-    for event in events:
-        sink.append(event)
+    rows, pipelines = coded_rows(events)
+    sink = ProfileSink(pipelines)
+    for row in rows:
+        sink.append(row)
     return EventLog(
         events=sink.events(),
         pilot_cores=2,
@@ -388,10 +389,12 @@ def test_double_terminal_is_rejected():
 
 
 def test_sink_orders_by_time_then_insertion():
-    sink = ProfileSink()
-    sink.append(ev(2.0, "x", "done"))
-    sink.append(ev(1.0, "y", "exec_begin"))
-    sink.append(ev(1.0, "z", "exec_begin"))
+    rows, pipelines = coded_rows(
+        [ev(2.0, "x", "done"), ev(1.0, "y", "exec_begin"), ev(1.0, "z", "exec_begin")]
+    )
+    sink = ProfileSink(pipelines)
+    for row in rows:
+        sink.append(row)
     names = [(e.time, e.entity) for e in sink.events()]
     assert names == [(1.0, "y"), (1.0, "z"), (2.0, "x")]
 

@@ -254,12 +254,15 @@ LEGAL_PATH = [
 
 
 def fresh_record() -> TaskRecord:
-    return TaskRecord(task=make_task("t0"), pipeline_id="p0", stage_index=0)
+    # Pipeline code 1 is "p0" in the tests' sinks.
+    return TaskRecord(
+        task=make_task("t0"), pipeline_id="p0", stage_index=0, pipeline_code=1
+    )
 
 
 def test_happy_path_states_and_events():
     record = fresh_record()
-    sink = ProfileSink()
+    sink = ProfileSink(["", "p0"])
     for step, (state, _) in enumerate(LEGAL_PATH):
         advance_task_state(record, state, sink=sink, time=float(step))
         assert record.state is state
@@ -351,7 +354,7 @@ def test_every_state_pair_follows_the_table(current, target):
     record = fresh_record()
     record.state = current
     before = dataclasses.replace(record)
-    sink = ProfileSink()
+    sink = ProfileSink(["", "p0"])
     if transition_is_legal(current, target):
         assert advance_task_state(record, target, sink=sink, time=2.5) is record
         assert record.state is target

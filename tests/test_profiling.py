@@ -15,9 +15,18 @@ from hypothesis import strategies as st
 
 from pilotflow import profiling
 from pilotflow.latency import LatencyModel
-from pilotflow.model import ResourceRequest, peak_core_demand
+from pilotflow.localbackend import LocalBackendConfig, local_run
+from pilotflow.model import (
+    Pipeline,
+    ResourceRequest,
+    Stage,
+    TaskKind,
+    TaskSpec,
+    peak_core_demand,
+)
 from pilotflow.profiling import (
     _CSV_CHUNK_ROWS,
+    EVENT_NAMES,
     EventLog,
     EventView,
     ProfileEvent,
@@ -25,25 +34,26 @@ from pilotflow.profiling import (
 )
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import generate_esmacs
+from helpers import by_name, coded_rows, event_view, generate_esmacs, name_code
 
 
 @given(
     st.lists(
         # Few distinct times, so most events tie with others.
-        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.sampled_from("abc")),
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.sampled_from(EVENT_NAMES)),
         max_size=60,
     )
 )
 @settings(max_examples=200)
 def test_events_sort_by_time_then_append_order(draws):
-    sink = ProfileSink()
     appended = [
-        ProfileEvent(time=time, entity=entity, name=f"e{index}")
-        for index, (time, entity) in enumerate(draws)
+        ProfileEvent(time=time, entity=f"e{index}", name=name)
+        for index, (time, name) in enumerate(draws)
     ]
-    for event in appended:
-        sink.append(event)
+    rows, pipelines = coded_rows(appended)
+    sink = ProfileSink(pipelines)
+    for row in rows:
+        sink.append(row)
     reference = [
         event
         for _, event in sorted(
@@ -65,6 +75,10 @@ CLOCK_STEPS = st.lists(
 )
 
 
+# The pipeline table of the sinks run_clock drives: code 1 is "p".
+PIPELINES = ["", "p"]
+
+
 def run_clock(sink, steps):
     """Drive ``sink`` through ``steps`` with valid settles; returns the rows
     appended, in order, and the final clock."""
@@ -74,7 +88,7 @@ def run_clock(sink, steps):
         clock += advance
         sink.settle(clock)
         for offset in offsets:
-            row = (clock + offset, "task", f"e{len(appended)}", "p", 0)
+            row = (clock + offset, f"e{len(appended)}", profiling.EXEC_BEGIN, 1, 0)
             appended.append(row)
             sink.append(row)
     return appended, clock
@@ -84,10 +98,12 @@ def run_clock(sink, steps):
 @settings(max_examples=300)
 def test_settled_events_equal_the_stable_sort_of_every_row(settle_rows, steps):
     with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
-        sink = ProfileSink()
+        sink = ProfileSink(PIPELINES)
         appended, _ = run_clock(sink, steps)
         assert len(sink) == len(appended)
-        assert sink.events() == sorted(appended, key=lambda row: row[0])
+        settled = EventView(PIPELINES)
+        settled.extend(sorted(appended, key=lambda row: row[0]))
+        assert sink.events() == settled
 
 
 @given(
@@ -99,15 +115,15 @@ def test_settled_events_equal_the_stable_sort_of_every_row(settle_rows, steps):
 @settings(max_examples=200)
 def test_a_row_before_a_settled_time_raises(settle_rows, steps, advance, early):
     with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
-        sink = ProfileSink()
+        sink = ProfileSink(PIPELINES)
         _, clock = run_clock(sink, steps)
         # Enough rows that this settle sorts the tail at its time, then a
         # row that breaks the promise it made.
         for _ in range(settle_rows):
-            sink.append((clock, "task", "filler", "p", 0))
+            sink.append((clock, "filler", profiling.EXEC_BEGIN, 1, 0))
         clock += advance
         sink.settle(clock)
-        sink.append((clock - early, "task", "late", "p", 0))
+        sink.append((clock - early, "late", profiling.EXEC_BEGIN, 1, 0))
         with pytest.raises(ValueError, match="earlier than"):
             sink.events()
 
@@ -145,23 +161,22 @@ def test_a_finished_log_holds_no_tracked_object_per_event():
         assert type(column) is list and len(column) == len(events)
         assert {type(value) for value in column} == {kind}
         assert not any(gc.is_tracked(value) for value in column)
-    assert type(events.names.codes) is bytearray
-    assert type(events.pipelines.codes) is array.array
+    assert type(events.names) is bytearray
+    assert type(events.pipelines) is array.array
     assert type(events.stages) is array.array
     for codes, itemsize in (
-        (events.names.codes, 1),
-        (events.pipelines.codes, 4),
+        (events.names, 1),
+        (events.pipelines, 4),
         (events.stages, 4),
     ):
         assert len(codes) == len(events)
         assert memoryview(codes).itemsize == itemsize
         # No referent but, for an array, its (heap) type.
         assert set(gc.get_referents(codes)) <= {type(codes)}
-    # The tables hold one entry per distinct value: the vocabulary, and
-    # the three pipelines plus the pilot's empty one.
-    assert len(events.names.values) <= 21
-    pipelines = sorted(events.pipelines.values)
-    assert pipelines == ["", "esmacs-p1", "esmacs-p2", "esmacs-p3"]
+    # Name codes index the vocabulary of 20 names; the pipeline table
+    # holds the pilot's empty id, then the three pipelines.
+    assert max(events.names) < len(EVENT_NAMES) == 20
+    assert events.pipeline_ids == ["", "esmacs-p1", "esmacs-p2", "esmacs-p3"]
 
 
 def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
@@ -191,28 +206,52 @@ def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
     assert (held - before) / len(log.events) <= 40.0
 
 
-def test_a_257th_distinct_event_name_is_refused_by_name():
-    """Names are one-byte codes: a log holds 256 distinct names (the
-    engines write 21), and the next one raises, naming it."""
-    names = [f"event{k}" for k in range(256)]
-    view = EventView([0.0] * 256, ["t"] * 256, names, [""] * 256, [-1] * 256)
-    assert [event.name for event in view] == names
-    assert view.names.index("event255") == 255
+def test_the_engines_write_exactly_the_vocabulary():
+    """Over a clean sim run, a sim run cut by its walltime and a local NULL
+    run with a failing command whose sibling is canceled, the names the
+    engines write are the 20 of ``EVENT_NAMES``, no more and no fewer."""
+    clean = small_sim_log()
+    workflow = generate_esmacs(replicas=1)
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=5.0)
+    cut = sim_run(workflow, request, SimBackendConfig())
+    failing = Stage(
+        [
+            TaskSpec(id="bad", executable="/bin/sh", arguments=("-c", "exit 1")),
+            TaskSpec(id="sibling", executable="/bin/sh", arguments=("-c", "sleep 5")),
+        ]
+    )
+    workflow = generate_esmacs(replicas=1, kind=TaskKind.NULL_WORKLOAD)
+    workflow.pipelines.append(Pipeline(id="failing", stages=[failing]))
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=300.0)
+    local = local_run(workflow, request, LocalBackendConfig())
+    assert local.extras["diagnostics"]["sibling"] == "canceled: sibling task bad failed"
+    written = {event.name for log in (clean, cut, local) for event in log.events}
+    assert written == set(EVENT_NAMES) and len(EVENT_NAMES) == 20
+
+
+def test_each_event_name_has_its_code_as_a_constant():
+    for code, name in enumerate(EVENT_NAMES):
+        assert getattr(profiling, name.upper()) == code
+    assert profiling.INTERVAL_STEMS == (
+        "translate", "pull", "unit_io", "stage_in", "exec", "stage_out"
+    )
+    for kind, stem in enumerate(profiling.INTERVAL_STEMS):
+        assert EVENT_NAMES[2 * kind : 2 * kind + 2] == (f"{stem}_begin", f"{stem}_end")
+
+
+def test_a_name_outside_the_vocabulary_is_refused_by_name():
+    """Only the test helpers turn names into codes; a name the engines
+    cannot write raises, naming it."""
     with pytest.raises(ValueError, match="'one more'"):
-        EventView(
-            [0.0] * 257, ["t"] * 257, names + ["one more"], [""] * 257, [-1] * 257
-        )
-    sink = ProfileSink()
-    for k, name in enumerate(names + ["event0", "one more"]):
-        sink.append((float(k), "t", name, "", -1))
-    with pytest.raises(ValueError, match="'one more'"):
-        sink.events()
+        event_view([ProfileEvent(0.0, "t", "done"), ProfileEvent(1.0, "t", "one more")])
+    with pytest.raises(ValueError, match="'Done'"):
+        name_code("Done")
 
 
 @given(
     st.lists(
         st.tuples(
-            st.text(alphabet=',"\r\n _ab', max_size=3),
+            st.sampled_from(EVENT_NAMES),
             st.text(alphabet=',"\r\n _pq', max_size=3),
             st.integers(-1, 2**31 - 1),
         ),
@@ -221,32 +260,29 @@ def test_a_257th_distinct_event_name_is_refused_by_name():
 )
 @settings(max_examples=200)
 def test_coded_columns_read_back_what_was_stored(rows):
-    """Names, pipelines and stages read back as the values stored, codes
-    given in the order the values first appear."""
+    """Names, pipelines and stages read back as the values stored: names
+    coded by the vocabulary, pipelines by a table in the order the ids
+    first appear after the pilot's empty one."""
     names = [name for name, _, _ in rows]
     pipelines = [pipeline for _, pipeline, _ in rows]
     stages = [stage for _, _, stage in rows]
     times, entities = [0.5] * len(rows), ["t"] * len(rows)
-    view = EventView(times, entities, names, pipelines, stages)
-    assert list(view.names) == names and view.names[:] == names
-    assert list(view.pipelines) == pipelines and list(view.stages) == stages
-    assert view.names.values == list(dict.fromkeys(names))
-    assert view.pipelines.values == list(dict.fromkeys(pipelines))
+    view = event_view(map(ProfileEvent, times, entities, names, pipelines, stages))
+    assert [EVENT_NAMES[code] for code in view.names] == names
+    assert [view.pipeline_ids[code] for code in view.pipelines] == pipelines
+    assert list(view.stages) == stages
+    assert view.pipeline_ids == list(dict.fromkeys(["", *pipelines]))
     for name in set(names):
-        assert view.names.index(name) == names.index(name)
+        assert view.names.index(name_code(name)) == names.index(name)
     assert list(view) == list(zip(times, entities, names, pipelines, stages))
 
 
 def test_event_view_reads_columns_as_profile_events():
     log = small_sim_log()
     events = log.events
-    columns = (
-        events.times,
-        events.entities,
-        events.names,
-        events.pipelines,
-        events.stages,
-    )
+    names = [EVENT_NAMES[code] for code in events.names]
+    pipelines = [events.pipeline_ids[code] for code in events.pipelines]
+    columns = (events.times, events.entities, names, pipelines, events.stages)
     assert len(events) == len(events.times)
     first_pass, second_pass = list(events), list(events)
     assert first_pass == second_pass
@@ -260,10 +296,10 @@ def test_event_view_reads_columns_as_profile_events():
     assert type(events[0]) is ProfileEvent and type(events[-1]) is ProfileEvent
     assert events[1:3] == first_pass[1:3]
     assert all(type(event) is ProfileEvent for event in events[1:3])
-    copied = EventView(*(list(column) for column in columns))
+    copied = event_view(first_pass)
     assert events == first_pass and events == copied
     assert repr(events) == repr(first_pass)
-    done = log.by_name("done")
+    done = by_name(log, "done")
     assert len(done) == 3 * 7
     assert done == [event for event in first_pass if event.name == "done"]
     assert all(type(event) is ProfileEvent for event in done)
@@ -277,13 +313,8 @@ def reference_csv(events, path):
         writer.writerows((repr(e.time), e.entity, e.name) for e in events)
 
 
-def view_of(events) -> EventView:
-    """The events, in the order given, as the columns of a view."""
-    return EventView(*([event[k] for event in events] for k in range(5)))
-
-
 def assert_matches_reference(events, tmp_path):
-    log = EventLog(events=view_of(events), pilot_cores=1, backend="sim")
+    log = EventLog(events=event_view(events), pilot_cores=1, backend="sim")
     log.write_csv(tmp_path / "got.csv")
     reference_csv(events, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -302,7 +333,7 @@ def test_write_csv_matches_csv_writer_byte_for_byte(tmp_path):
     events = [
         ProfileEvent(time=time, entity=AWKWARD[i % len(AWKWARD)], name=name)
         for i, time in enumerate(times)
-        for name in ("exec_begin", 'odd,"name"')
+        for name in ("exec_begin", "stage_out_end")
     ]
     # More rows than one write, with a time repeated across the boundary.
     steady = 2.5
@@ -318,7 +349,7 @@ def test_write_csv_matches_csv_writer_byte_for_byte(tmp_path):
         st.tuples(
             st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 1e-7, 12345.678]),
             st.text(alphabet=',"\r\n ab', max_size=4),
-            st.text(alphabet=',"\r\n _e', max_size=4),
+            st.sampled_from(EVENT_NAMES),
         ),
         max_size=30,
     )

@@ -35,12 +35,12 @@ from pilotflow.model import (
     WorkflowValidationError,
     peak_core_demand,
 )
-from pilotflow.profiling import ProfileSink
+from pilotflow.profiling import EventView, ProfileSink
 from pilotflow.runtime import PilotRequestError
 from pilotflow.scheduler import UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import generate_esmacs
+from helpers import by_name, generate_esmacs
 
 PULL = 0.25
 FS = 0.125
@@ -81,7 +81,7 @@ def test_single_task_makespan_is_its_duration():
     assert report.tq_s == 0.0
     assert report.ttc_s == 5.0
     assert report.ttx_s == 5.0
-    done = log.by_name("done")
+    done = by_name(log, "done")
     assert len(done) == 1 and done[0].time == 5.0
 
 
@@ -124,11 +124,11 @@ def test_overhead_accounting_against_counted_operations():
         config,
     )
     report = compute_report(log)
-    pulls = len(log.by_name("pull_begin"))
-    unit_ios = len(log.by_name("unit_io_begin"))
+    pulls = len(by_name(log, "pull_begin"))
+    unit_ios = len(by_name(log, "unit_io_begin"))
     assert unit_ios == 7 * replicas
     assert report.runtime_overhead_s == pulls * PULL + unit_ios * FS
-    translations = len(log.by_name("translate_begin"))
+    translations = len(by_name(log, "translate_begin"))
     assert translations == 7 * replicas
     assert report.engine_overhead_s == translations * translate
 
@@ -139,7 +139,7 @@ def test_lockstep_ensemble_pulls_once_per_stage_wave():
         ResourceRequest(cores=32, walltime=100000.0),
         STANDARD,
     )
-    assert len(log.by_name("pull_begin")) == 7
+    assert len(by_name(log, "pull_begin")) == 7
 
 
 def test_bulk_limit_forces_repeat_pulls():
@@ -152,7 +152,7 @@ def test_bulk_limit_forces_repeat_pulls():
         ResourceRequest(cores=16, walltime=100000.0),
         config,
     )
-    assert len(log.by_name("pull_begin")) == 14
+    assert len(by_name(log, "pull_begin")) == 14
 
 
 def test_translation_serializes_on_the_manager_timeline():
@@ -162,8 +162,8 @@ def test_translation_serializes_on_the_manager_timeline():
         ResourceRequest(cores=16, walltime=100000.0),
         config,
     )
-    begins = sorted(e.time for e in log.by_name("translate_begin"))
-    ends = sorted(e.time for e in log.by_name("translate_end"))
+    begins = sorted(e.time for e in by_name(log, "translate_begin"))
+    ends = sorted(e.time for e in by_name(log, "translate_end"))
     # first stage wave: two tasks, strictly back to back from time zero
     assert begins[0] == 0.0 and ends[0] == 0.25
     assert begins[1] == 0.25 and ends[1] == 0.5
@@ -250,11 +250,11 @@ def test_walltime_truncates_and_cancels():
     assert report.done_tasks == 0
     assert report.canceled_tasks == 1
     assert report.status == "FAILED"
-    canceled = log.by_name("canceled")
+    canceled = by_name(log, "canceled")
     assert canceled[0].time == 10.0
     # the started-but-unfinished execution leaves no dangling interval
-    assert log.by_name("exec_begin") == []
-    assert log.by_name("pilot_done")[0].time == 10.0
+    assert by_name(log, "exec_begin") == []
+    assert by_name(log, "pilot_done")[0].time == 10.0
 
 
 @pytest.mark.parametrize("settle_rows", [1, 16, profiling._SETTLE_ROWS])
@@ -296,13 +296,15 @@ def test_walltime_cut_log_is_the_stable_sort_of_its_rows(monkeypatch, settle_row
     request = ResourceRequest(cores=peak_core_demand(wf) // 4, walltime=walltime)
     log = sim_run(wf, request, config)
     assert len(log.events) > 2 * profiling._SETTLE_ROWS and moves > 2
-    assert log.events == sorted(appended, key=lambda row: row[0])
+    settled = EventView(log.events.pipeline_ids)
+    settled.extend(sorted(appended, key=lambda row: row[0]))
+    assert log.events == settled
     report = compute_report(log)
     tasks = sum(len(stage.tasks) for p in wf.pipelines for stage in p.stages)
     assert report.tasks == tasks
     assert report.done_tasks > 0 and report.canceled_tasks > 0
     assert report.ttc_s == 2.0 + walltime
-    assert [event.time for event in log.by_name("pilot_done")] == [2.0 + walltime]
+    assert [event.time for event in by_name(log, "pilot_done")] == [2.0 + walltime]
 
 
 def _after_pilot_done(log) -> list:
@@ -326,9 +328,9 @@ def test_no_row_follows_pilot_done_in_a_walltime_cut_run():
     request = ResourceRequest(cores=peak_core_demand(wf) // 4, walltime=28.5)
     log = sim_run(wf, request, config)
     assert _after_pilot_done(log) == []
-    pulls = len(log.by_name("pull_begin"))
-    assert pulls == len(log.by_name("pull_end")) > 0
-    assert len(log.by_name("unit_io_begin")) == len(log.by_name("unit_io_end"))
+    pulls = len(by_name(log, "pull_begin"))
+    assert pulls == len(by_name(log, "pull_end")) > 0
+    assert len(by_name(log, "unit_io_begin")) == len(by_name(log, "unit_io_end"))
 
 
 def test_a_translation_past_the_walltime_writes_no_row():
