@@ -5,13 +5,13 @@ the scheduler places each at the lowest free offset that fits. Units that
 do not fit wait in FIFO order, and a unit that can never fit (wider than
 the pilot itself) is rejected outright.
 
-The core map keeps the live blocks sorted by offset, and the widths of the
-free runs between them sorted by width, updating both with ``bisect`` as
-blocks come and go, so the widest free run is always known. A waiting unit
-wider than that run is skipped with one integer comparison and no search;
-any other unit is certain to fit, so each placement costs exactly one
-first-fit scan, linear in the live blocks. When no core is free, the rest
-of the queue is left as it is.
+The core map holds one byte per core, 1 where the core is busy, so first
+fit is one ``bytearray.find`` for a run of free bytes. It also keeps the
+widths of the free runs sorted, updating them with ``bisect`` as blocks
+come and go, so the widest free run is always known. A waiting unit wider
+than that run is skipped with one integer comparison and no search; any
+other unit is certain to fit, so each placement costs exactly one search.
+When no core is free, the rest of the queue is left as it is.
 """
 
 from __future__ import annotations
@@ -33,16 +33,11 @@ class CoreMap:
         if total_cores < 1:
             raise ValueError("total_cores must be >= 1")
         self.total_cores = total_cores
-        # Start and end offsets of every live block, both sorted by offset.
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        # One byte per core: 1 busy, 0 free.
+        self._busy = bytearray(total_cores)
         self._by_uid: dict[str, tuple[int, int]] = {}
-        # Widths of the non-empty free runs between blocks, sorted, so the
-        # widest is the last.
+        # Widths of the non-empty free runs, sorted, so the widest is last.
         self._runs: list[int] = [total_cores]
-
-    def used_cores(self) -> int:
-        return self.total_cores - sum(self._runs)
 
     def widest_free(self) -> int:
         """Width of the widest run of contiguous free cores."""
@@ -50,41 +45,30 @@ class CoreMap:
 
     def find_offset(self, cores: int) -> int | None:
         """Lowest offset where ``cores`` contiguous cores are free."""
-        cursor = 0
-        for start, end in zip(self._starts, self._ends):
-            if start - cursor >= cores:
-                return cursor
-            cursor = end
-        if self.total_cores - cursor >= cores:
-            return cursor
-        return None
+        offset = self._busy.find(bytes(cores))
+        return None if offset < 0 else offset
 
     def allocate(self, uid: str, cores: int) -> int:
         offset = self.find_offset(cores)
         if offset is None:
             raise RuntimeError(f"no contiguous block of {cores} cores free")
-        index = bisect_left(self._starts, offset)
         # First fit puts the block at the start of a free run.
-        run = self._next_start(index) - offset
-        self._starts.insert(index, offset)
-        self._ends.insert(index, offset + cores)
+        run_end = self._busy.find(1, offset)
+        run = (self.total_cores if run_end < 0 else run_end) - offset
+        self._busy[offset : offset + cores] = b"\1" * cores
         self._by_uid[uid] = (offset, cores)
         self._replace_runs((run,), run - cores)
         return offset
 
     def release(self, uid: str) -> None:
         offset, cores = self._by_uid.pop(uid)
-        index = bisect_left(self._starts, offset)
-        del self._starts[index]
-        del self._ends[index]
-        before = self._ends[index - 1] if index else 0
-        after = self._next_start(index)
-        self._replace_runs(
-            (offset - before, after - offset - cores), after - before
-        )
-
-    def _next_start(self, index: int) -> int:
-        return self._starts[index] if index < len(self._starts) else self.total_cores
+        end = offset + cores
+        self._busy[offset:end] = bytes(cores)
+        before = self._busy.rfind(1, 0, offset) + 1
+        after = self._busy.find(1, end)
+        if after < 0:
+            after = self.total_cores
+        self._replace_runs((offset - before, after - end), after - before)
 
     def _replace_runs(self, old: tuple[int, ...], new: int) -> None:
         for run in old:
@@ -120,19 +104,16 @@ class FirstFitScheduler:
 
     def place_ready(self) -> list[tuple[UnitDescription, int]]:
         placed: list[tuple[UnitDescription, int]] = []
+        skipped: list[UnitDescription] = []
         widest = self.cores.widest_free()
-        if not widest:
-            return placed
-        still_waiting: deque[UnitDescription] = deque()
         while self._waiting and widest:
             unit = self._waiting.popleft()
             if unit.cores > widest:
-                still_waiting.append(unit)
+                skipped.append(unit)
                 continue
             placed.append((unit, self.cores.allocate(unit.uid, unit.cores)))
             widest = self.cores.widest_free()
-        still_waiting.extend(self._waiting)
-        self._waiting = still_waiting
+        self._waiting.extendleft(reversed(skipped))
         return placed
 
     def release(self, uid: str) -> None:

@@ -116,22 +116,25 @@ def test_core_map_rejects_empty():
         CoreMap(0)
 
 
-@given(
-    st.integers(min_value=1, max_value=48),
-    st.lists(
-        st.tuples(st.sampled_from(["offer", "release"]), st.integers(1, 16)),
-        max_size=40,
-    ),
-)
-@settings(max_examples=150)
-def test_first_fit_matches_brute_force(total_cores, script):
+@st.composite
+def core_map_scripts(draw):
+    total = draw(st.one_of(st.integers(1, 64), st.integers(65, 4096)))
+    width = st.one_of(st.integers(1, 16), st.integers(1, total))
+    step = st.tuples(st.sampled_from(["offer", "release"]), width)
+    return total, draw(st.lists(step, max_size=40))
+
+
+@given(core_map_scripts())
+@settings(max_examples=150, deadline=None)
+def test_first_fit_matches_brute_force(script):
     """Drive both implementations with one script; offsets must agree and
-    allocations must never overlap."""
+    the same cores must be busy after every step."""
+    total_cores, steps = script
     fast = CoreMap(total_cores)
     slow = BruteForceCoreMap(total_cores)
     live: list[str] = []
     counter = 0
-    for action, number in script:
+    for action, number in steps:
         if action == "offer":
             cores = min(number, total_cores)
             assert fast.find_offset(cores) == slow.find_offset(cores)
@@ -144,8 +147,7 @@ def test_first_fit_matches_brute_force(total_cores, script):
             uid = live.pop(number % len(live))
             fast.release(uid)
             slow.release(uid)
-    # Same occupancy at the end.
-    assert fast.used_cores() == sum(slow.busy)
+        assert fast._busy == bytes(slow.busy)
 
 
 @given(
@@ -230,7 +232,7 @@ def test_place_ready_matches_fifo_reference(script):
             assert placed == slow.place_ready()
             assert fast.waiting_count() == len(slow.waiting)
             live.extend(uid for uid, _, _ in placed)
-        assert fast.cores.used_cores() == sum(slow.busy)
+        assert fast.cores._busy == slow.busy
         assert fast.cores.widest_free() == max(
             (len(run) for run in bytes(slow.busy).split(b"\1")), default=0
         )

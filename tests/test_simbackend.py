@@ -37,7 +37,7 @@ from pilotflow.model import (
 )
 from pilotflow.profiling import EventView, ProfileSink
 from pilotflow.runtime import PilotRequestError
-from pilotflow.scheduler import UnschedulableError
+from pilotflow.scheduler import FirstFitScheduler, UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
 from helpers import by_name, generate_esmacs
@@ -606,3 +606,69 @@ def test_noisy_overhead_report_is_byte_identical_to_recorded_digest(tmp_path):
     reports_to_csv([report], tmp_path / "trials.csv")
     digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
     assert digest == NOISY_TRIALS_CSV_DIGEST
+
+
+# esmacs with noise at 1,024 pipelines on peak cores, with the weak-scaling
+# latencies and seed 1 (ROADMAP item 1). The first stage's 1,024 units come
+# in one pull at bulk=1024 and in four at bulk=256. Staggered pulls leave
+# contiguous first fit with free cores scattered in runs narrower than a
+# unit: the queue's head waits although the pilot has enough free cores in
+# total, and ttx grows by 4.6 s. Per bulk: ttx, the event-log sha256, and
+# the number of placement passes that skip such a head.
+FRAGMENTATION_RUNS = {
+    1024: (
+        11.184687036901455,
+        "87879c7182712d0d0b9f72376070626e986354af01577873e64f63292fe6ce3a",
+        0,
+    ),
+    256: (
+        15.829231887874855,
+        "6e0354364e8fc6aa5669faa15b00c4904a962c2ea94313e23382a06f8eb06cb3",
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("bulk", sorted(FRAGMENTATION_RUNS))
+def test_staggered_first_stage_pulls_fragment_the_pilot(monkeypatch, bulk):
+    live: dict[str, int] = {}
+    busy = fragmented = 0
+    place_ready = FirstFitScheduler.place_ready
+    release = FirstFitScheduler.release
+
+    def counting_place_ready(self):
+        nonlocal busy, fragmented
+        head = self._waiting[0] if self._waiting else None
+        free = self.cores.total_cores - busy
+        placed = place_ready(self)
+        # Placement is FIFO, so a placed head is the first unit placed.
+        head_waits = head is not None and (not placed or placed[0][0] is not head)
+        if head_waits and head.cores <= free:
+            fragmented += 1
+        for unit, _ in placed:
+            live[unit.uid] = unit.cores
+            busy += unit.cores
+        return placed
+
+    def tracking_release(self, uid):
+        nonlocal busy
+        busy -= live.pop(uid)
+        release(self, uid)
+
+    monkeypatch.setattr(FirstFitScheduler, "place_ready", counting_place_ready)
+    monkeypatch.setattr(FirstFitScheduler, "release", tracking_release)
+    workflow = generate_esmacs(replicas=1024)
+    config = dataclasses.replace(
+        STANDARD,
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=1,
+        bulk=bulk,
+    )
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1_000_000.0)
+    log = sim_run(workflow, request, config)
+    digest = hashlib.sha256()
+    _update_digest(digest, log)
+    assert not live
+    assert (compute_report(log).ttx_s, digest.hexdigest(), fragmented) == (
+        FRAGMENTATION_RUNS[bulk]
+    )
