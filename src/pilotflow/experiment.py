@@ -260,6 +260,8 @@ def describe(protocol_name: str, replicas: int | None = None, workload: str = "S
     """Human-readable summary of an expanded protocol."""
     protocol = resolve_protocol(protocol_name, TaskKind(workload), time_scale=1.0)
     count = protocol.default_replicas if replicas is None else replicas
+    if count < 1:
+        raise ExperimentConfigError(f"replicas must be >= 1, got {count}")
     workflow = protocol_to_workflow(protocol, replicas=count)
     peak = peak_core_demand(workflow)
     tasks = len(workflow.tasks())

@@ -20,7 +20,7 @@ All timestamps come from one monotonic clock anchored at pilot submission,
 and every duration in the log is genuinely measured, which is what makes
 this backend useful for measuring engine overheads.
 
-The bookkeeping and the events of each step belong to
+The bookkeeping, the state moves and the events of each step belong to
 :class:`~pilotflow.runtime.EngineCore`. This module owns only the
 execution: the clock, the children, the sandboxes and staging. It reports
 why each task ends; the core chooses the terminal state.
@@ -185,9 +185,7 @@ class _LocalEngine:
     def _translate(self, records: list[TaskRecord]) -> None:
         for record in records:
             begin = self._now()
-            unit = translate_task(
-                record.task, record.pipeline_id, record.stage_index, self.core.allocator
-            )
+            unit = translate_task(record.task, self.core.allocator)
             # The manager sends the description as JSON: the wire round trip
             # is part of the measured translation.
             unit = UnitDescription.from_wire(unit.to_wire())

@@ -7,7 +7,8 @@ owned by the execution engine, never on the shared description objects.
 
 A task's state walks one forward chain, NEW -> TRANSLATED -> SCHEDULED ->
 STAGING_IN -> EXECUTING -> STAGING_OUT -> DONE, or ends FAILED or CANCELED
-from any state before DONE. :func:`advance_task_state` makes every move and
+from any state before DONE. :func:`advance_task_state` checks each move and
+makes it; the engine core (:meth:`pilotflow.runtime.EngineCore.enter`)
 writes the event that marks entry into the new state.
 """
 
@@ -16,18 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from .profiling import (
-    CANCELED,
-    DONE,
-    EXEC_BEGIN,
-    FAILED,
-    SCHEDULE,
-    STAGE_IN_BEGIN,
-    STAGE_OUT_BEGIN,
-    TRANSLATE_END,
-    ProfileSink,
-)
 
 
 class TaskKind(str, Enum):
@@ -120,21 +109,6 @@ _SUCCESSOR: dict[TaskState, TaskState] = dict(
     zip(_FORWARD_CHAIN, _FORWARD_CHAIN[1:])
 )
 
-# The code of the event written when a task *enters* a state. The engine
-# writes the matching interval-opening/closing counterparts around the
-# real work.
-_STATE_ENTRY_EVENT: dict[TaskState, int] = {
-    TaskState.TRANSLATED: TRANSLATE_END,
-    TaskState.SCHEDULED: SCHEDULE,
-    TaskState.STAGING_IN: STAGE_IN_BEGIN,
-    TaskState.EXECUTING: EXEC_BEGIN,
-    TaskState.STAGING_OUT: STAGE_OUT_BEGIN,
-    TaskState.DONE: DONE,
-    TaskState.FAILED: FAILED,
-    TaskState.CANCELED: CANCELED,
-}
-
-
 class IllegalTransitionError(Exception):
     """Raised when a task cannot move to the requested state."""
 
@@ -144,26 +118,20 @@ class TaskRecord:
     """Mutable runtime record for one task, owned by the execution engine.
 
     ``pipeline_code`` is its pipeline's code in the run's log (see
-    :mod:`pilotflow.profiling`)."""
+    :mod:`pilotflow.profiling`), ``stage_index`` its stage's position in
+    that pipeline."""
 
     task: TaskSpec
-    pipeline_id: str
-    stage_index: int
     pipeline_code: int
+    stage_index: int
     state: TaskState = TaskState.NEW
 
 
-def advance_task_state(
-    record: TaskRecord,
-    state: TaskState,
-    sink: ProfileSink | None = None,
-    time: float = 0.0,
-) -> TaskRecord:
+def advance_task_state(record: TaskRecord, state: TaskState) -> TaskRecord:
     """Move a task record to ``state``.
 
     The move is legal when ``state`` is the next state of the forward chain,
-    or FAILED/CANCELED from any non-terminal state. Emits the state-entry
-    profile event to ``sink`` when given. Raises
+    or FAILED/CANCELED from any non-terminal state. Raises
     :class:`IllegalTransitionError` (leaving the record untouched) for any
     other move.
     """
@@ -177,16 +145,6 @@ def advance_task_state(
             f"(task {record.task.id})"
         )
     record.state = state
-    if sink is not None:
-        sink.append(
-            (
-                time,
-                record.task.id,
-                _STATE_ENTRY_EVENT[state],
-                record.pipeline_code,
-                record.stage_index,
-            )
-        )
     return record
 
 

@@ -20,10 +20,12 @@ events of the log (:func:`pilotflow.metrics.compute_report`).
 
 :class:`EngineCore` is the manager/agent story both backends tell: it owns
 the store, the scheduler and the tracker, moves each task through its
-states and writes every event of a unit's life at the time the backend
-gives it. The simulator takes those times from its event heap, the local
-backend from a monotonic clock. It owns the pilot's deadline and is the one
-rule book for how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
+states (:meth:`EngineCore.enter`) and is the one writer of the log: every
+event of the pilot's and of a unit's life, at the time the backend gives
+it, attributed to the pipeline and stage of the task's record. The
+simulator takes those times from its event heap, the local backend from a
+monotonic clock. It owns the pilot's deadline and is the one rule book for
+how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
 """
 
 from __future__ import annotations
@@ -43,16 +45,24 @@ from .model import (
     validate_workflow,
 )
 from .profiling import (
+    CANCELED,
+    DONE,
     ENQUEUE,
+    EXEC_BEGIN,
     EXEC_END,
+    FAILED,
     PILOT_ACTIVE,
     PILOT_DONE,
     PULL_BEGIN,
     PULL_END,
+    SCHEDULE,
+    STAGE_IN_BEGIN,
     STAGE_IN_END,
+    STAGE_OUT_BEGIN,
     STAGE_OUT_END,
     SUBMIT,
     TRANSLATE_BEGIN,
+    TRANSLATE_END,
     UNIT_IO_BEGIN,
     UNIT_IO_END,
     EventLog,
@@ -75,7 +85,6 @@ class PipelineRun:
     stage starts in them (``starts[k]`` up to ``starts[k + 1]`` is stage
     k) and how many of its tasks are done."""
 
-    id: str
     records: list[TaskRecord]
     starts: list[int]
     done: int = 0
@@ -86,36 +95,37 @@ class PipelineRun:
 
 class WorkflowTracker:
     """Drives stage succession; backends own timing and execution. It holds
-    one record per task by task id and one run per pipeline by its id.
+    one record per task by task id and one run per pipeline.
 
     ``pipeline_ids`` is the log's pipeline table: a pipeline's code is its
     index, in workflow order from 1, and code 0 is ``""``, the pilot's rows.
-    Each task record carries its pipeline's code."""
+    Each task record carries its pipeline's code, and the run of the
+    pipeline with code c is ``pipelines[c - 1]``."""
 
     def __init__(self, workflow: Workflow) -> None:
         violations = validate_workflow(workflow)
         if violations:
             raise WorkflowValidationError(violations)
-        self._runs: dict[str, PipelineRun] = {}
         self._records: dict[str, TaskRecord] = {}
         self.pipeline_ids = [""]
+        self.pipelines: list[PipelineRun] = []
         for code, pipeline in enumerate(workflow.pipelines, 1):
             self.pipeline_ids.append(pipeline.id)
-            run = self._runs[pipeline.id] = PipelineRun(pipeline.id, [], [0])
+            run = PipelineRun([], [0])
             for index, stage in enumerate(pipeline.stages):
                 for task in stage.tasks:
-                    record = TaskRecord(task, pipeline.id, index, code)
+                    record = TaskRecord(task, code, index)
                     run.records.append(record)
                     self._records[task.id] = record
                 run.starts.append(len(run.records))
-        self.pipelines = list(self._runs.values())
+            self.pipelines.append(run)
 
     def record_for(self, task_id: str) -> TaskRecord:
         return self._records[task_id]
 
     def stage_of(self, record: TaskRecord) -> list[TaskRecord]:
         """The records of ``record``'s stage, itself included."""
-        return self._runs[record.pipeline_id].stage(record.stage_index)
+        return self.pipelines[record.pipeline_code - 1].stage(record.stage_index)
 
     def all_records(self) -> list[TaskRecord]:
         return list(self._records.values())
@@ -137,7 +147,7 @@ class WorkflowTracker:
             raise ValueError(f"task {record.task.id} is not terminal")
         if record.state is not TaskState.DONE:
             return []
-        run = self._runs[record.pipeline_id]
+        run = self.pipelines[record.pipeline_code - 1]
         run.done += 1
         # Stages finish in order: stage k is finished once the done tasks
         # are all the tasks up to its end.
@@ -146,6 +156,18 @@ class WorkflowTracker:
             return run.stage(after)
         return []
 
+
+# The code of the event written as a task enters each state.
+_ENTRY_EVENT = {
+    TaskState.TRANSLATED: TRANSLATE_END,
+    TaskState.SCHEDULED: SCHEDULE,
+    TaskState.STAGING_IN: STAGE_IN_BEGIN,
+    TaskState.EXECUTING: EXEC_BEGIN,
+    TaskState.STAGING_OUT: STAGE_OUT_BEGIN,
+    TaskState.DONE: DONE,
+    TaskState.FAILED: FAILED,
+    TaskState.CANCELED: CANCELED,
+}
 
 # The state a unit enters as each execution phase opens, and the code of
 # the event that closes the phase.
@@ -172,7 +194,8 @@ class EngineCore:
     A backend decides when each step of a unit's life happens and calls the
     matching method with that time; the core applies the step to the store,
     scheduler and tracker and writes its events. A unit finds its task's
-    record through ``tracker.record_for(unit.task_id)``.
+    record through ``tracker.record_for(unit.task_id)``, and its events take
+    their pipeline and stage from that record.
 
     Building the core validates the workflow, then the pilot's request, and
     enters the pilot into the queue: the ``submit`` event at time 0.0. The
@@ -203,24 +226,24 @@ class EngineCore:
         self.deadline = time + self.request.walltime
         self.sink.append((time, PILOT_UID, PILOT_ACTIVE, 0, -1))
 
+    def enter(self, record: TaskRecord, state: TaskState, time: float) -> None:
+        """Move ``record`` to ``state`` and write the entry event at ``time``."""
+        advance_task_state(record, state)
+        task, pipeline, stage = record.task.id, record.pipeline_code, record.stage_index
+        self.sink.append((time, task, _ENTRY_EVENT[state], pipeline, stage))
+
     def translated(self, record: TaskRecord, begin: float, end: float) -> None:
         """The manager translated ``record``'s task into a unit."""
-        self.sink.append(
-            (
-                begin,
-                record.task.id,
-                TRANSLATE_BEGIN,
-                record.pipeline_code,
-                record.stage_index,
-            )
-        )
-        advance_task_state(record, TaskState.TRANSLATED, sink=self.sink, time=end)
+        task, pipeline, stage = record.task.id, record.pipeline_code, record.stage_index
+        self.sink.append((begin, task, TRANSLATE_BEGIN, pipeline, stage))
+        self.enter(record, TaskState.TRANSLATED, end)
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:
         """The manager handed ``unit`` to the store."""
         self.store.enqueue(unit)
-        pipeline = self.tracker.record_for(unit.task_id).pipeline_code
-        self.sink.append((time, unit.uid, ENQUEUE, pipeline, unit.stage_index))
+        record = self.tracker.record_for(unit.task_id)
+        pipeline, stage = record.pipeline_code, record.stage_index
+        self.sink.append((time, unit.uid, ENQUEUE, pipeline, stage))
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
@@ -229,15 +252,16 @@ class EngineCore:
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent took in one pulled unit."""
-        pipeline = self.tracker.record_for(unit.task_id).pipeline_code
-        self.sink.append((begin, unit.uid, UNIT_IO_BEGIN, pipeline, unit.stage_index))
-        self.sink.append((end, unit.uid, UNIT_IO_END, pipeline, unit.stage_index))
+        record = self.tracker.record_for(unit.task_id)
+        pipeline, stage = record.pipeline_code, record.stage_index
+        self.sink.append((begin, unit.uid, UNIT_IO_BEGIN, pipeline, stage))
+        self.sink.append((end, unit.uid, UNIT_IO_END, pipeline, stage))
 
     def phase(self, record: TaskRecord, stem: str, begin: float, end: float) -> None:
         """A placed unit completed its ``stem`` phase (stage_in, exec or
         stage_out)."""
         entry, end_code = _PHASES[stem]
-        advance_task_state(record, entry, sink=self.sink, time=begin)
+        self.enter(record, entry, begin)
         self.sink.append(
             (end, record.task.id, end_code, record.pipeline_code, record.stage_index)
         )
@@ -255,7 +279,7 @@ class EngineCore:
         if record.state.is_terminal:
             self.release(unit)
             return False
-        advance_task_state(record, TaskState.SCHEDULED, sink=self.sink, time=time)
+        self.enter(record, TaskState.SCHEDULED, time)
         return True
 
     def end(
@@ -270,7 +294,7 @@ class EngineCore:
             diagnostic = f"walltime exceeded after {self.request.walltime:.1f}s"
         if diagnostic:
             self.diagnostics[record.task.id] = diagnostic
-        advance_task_state(record, cause.value[1], sink=self.sink, time=time)
+        self.enter(record, cause.value[1], time)
         ready = self.tracker.on_terminal(record)
         if cause is not Cause.ERROR:
             return ready

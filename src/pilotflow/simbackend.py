@@ -16,7 +16,7 @@ core scheduler, and on placement the unit stages inputs (one fs latency per
 directive), executes, stages outputs, and completes. Completion frees cores
 and unblocks the pipeline's next stage.
 
-The bookkeeping and the events of each step belong to
+The bookkeeping, the state moves and the events of each step belong to
 :class:`~pilotflow.runtime.EngineCore`. This module owns only the timing:
 the event heap, the latency samplers, the serialized manager timeline and
 the cut at the walltime limit. As its clock passes each popped time, it
@@ -37,7 +37,7 @@ from .model import (
     TaskRecord,
     TaskState,
     Workflow,
-    advance_task_state,
+    advance_task_state,  # unused here, but perfbench/tracing.py swaps this name
 )
 from .profiling import EventLog
 from .runtime import Cause, EngineCore, PilotRequestError
@@ -129,9 +129,7 @@ class _SimEngine:
             start = max(now, self._manager_free_at)
             end = start + self.translate_cost.sample()
             self._manager_free_at = end
-            unit = translate_task(
-                record.task, record.pipeline_id, record.stage_index, self.core.allocator
-            )
+            unit = translate_task(record.task, self.core.allocator)
             if end <= deadline:  # as in _launch: no row past the walltime
                 self.core.translated(record, start, end)
             self._push(end, self._handle_enqueue, unit)
@@ -175,7 +173,7 @@ class _SimEngine:
         """Lay out the unit's full timeline; truncate at the walltime limit."""
         record = self.core.tracker.record_for(unit.task_id)
         deadline = self.core.deadline
-        advance_task_state(record, TaskState.SCHEDULED, sink=self.core.sink, time=time)
+        self.core.enter(record, TaskState.SCHEDULED, time)
 
         stage_in_end = time
         for _ in unit.inputs:
@@ -200,9 +198,7 @@ class _SimEngine:
             begin = end
         else:
             # The done event is written now, while its time is known.
-            advance_task_state(
-                record, TaskState.DONE, sink=self.core.sink, time=stage_out_end
-            )
+            self.core.enter(record, TaskState.DONE, stage_out_end)
         # The cores free up and the pipeline moves on when the heap reaches
         # this time. A cut unit holds its cores until the pilot dies: the
         # run stops at the deadline, before this time.

@@ -1,10 +1,12 @@
 """Compute-unit descriptions and the store the pilot agent pulls from.
 
 Translation turns an application-level task into a self-contained unit
-description: everything a pilot agent needs to run the work without seeing
-the pipeline/stage structure. Descriptions cross the manager/agent boundary
-as JSON: one object with the unit's fields, keys sorted. It says what to
-run, on how many cores and with which staging, never the experiment's
+description: everything a pilot agent needs to run the work, and nothing
+of the pipeline/stage structure. The engine core attributes a unit's
+events to its pipeline and stage from its task's record, which it finds by
+the unit's ``task_id``. Descriptions cross the manager/agent boundary as
+JSON: one object with the unit's eight fields, keys sorted. It says what
+to run, on how many cores and with which staging, never the experiment's
 workload kind, which has already shaped the command when the protocol was
 built. The wire round trip is paid once per unit, where it is measured:
 the local manager serializes and parses each unit inside its timed
@@ -30,8 +32,6 @@ class UnitDescription:
 
     uid: str
     task_id: str
-    pipeline_id: str
-    stage_index: int
     executable: str
     arguments: tuple[str, ...]
     cores: int
@@ -60,12 +60,7 @@ class UnitIdAllocator:
         return uid
 
 
-def translate_task(
-    task: TaskSpec,
-    pipeline_id: str,
-    stage_index: int,
-    allocator: UnitIdAllocator,
-) -> UnitDescription:
+def translate_task(task: TaskSpec, allocator: UnitIdAllocator) -> UnitDescription:
     """Build the unit description for one task.
 
     No wire round trip happens here: it is paid where it is measured, by the
@@ -76,8 +71,6 @@ def translate_task(
     return UnitDescription(
         uid=allocator.allocate(),
         task_id=task.id,
-        pipeline_id=pipeline_id,
-        stage_index=stage_index,
         executable=task.executable,
         arguments=task.arguments,
         cores=task.cores,

@@ -551,6 +551,14 @@ def test_cli_describe(capsys):
     assert "peak core demand: 64" in out
 
 
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_cli_describe_refuses_fewer_than_one_replica(capsys, replicas):
+    assert main(["describe", "--protocol", "esmacs", "--replicas", replicas]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: replicas must be >= 1, got {replicas}\n"
+    assert captured.out == ""
+
+
 def test_cli_describe_protocol_file_under_null_workload(capsys):
     protocol = str(CONFIGS / "esmacs.json")
     assert main(["describe", "--protocol", protocol, "--workload", "NULL"]) == 0

@@ -1,4 +1,5 @@
-"""Workflow description types, validation, core demand, task state machine."""
+"""Workflow description types, validation, core demand, task state machine
+and the event the engine core writes as a task enters each state."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.model import (
     IllegalTransitionError,
     Pipeline,
+    ResourceRequest,
     Stage,
     StagingDirective,
     StagingMode,
@@ -24,7 +27,7 @@ from pilotflow.model import (
     peak_core_demand,
     validate_workflow,
 )
-from pilotflow.profiling import ProfileSink
+from pilotflow.runtime import EngineCore
 
 
 def make_task(tid: str, cores: int = 1, duration: float = 0.0) -> TaskSpec:
@@ -254,20 +257,24 @@ LEGAL_PATH = [
 
 
 def fresh_record() -> TaskRecord:
-    # Pipeline code 1 is "p0" in the tests' sinks.
-    return TaskRecord(
-        task=make_task("t0"), pipeline_id="p0", stage_index=0, pipeline_code=1
-    )
+    return TaskRecord(task=make_task("t0"), pipeline_code=1, stage_index=0)
+
+
+def fresh_core() -> EngineCore:
+    """A core whose one task, t0, is pipeline p0's stage 0."""
+    workflow = Workflow("wf", [Pipeline("p0", [Stage([make_task("t0")])])])
+    pull = Sampler(LatencyModel.constant(0.0), 0, "pull")
+    return EngineCore(workflow, ResourceRequest(cores=1, walltime=60.0), pull)
 
 
 def test_happy_path_states_and_events():
-    record = fresh_record()
-    sink = ProfileSink(["", "p0"])
+    core = fresh_core()
+    record = core.tracker.record_for("t0")
     for step, (state, _) in enumerate(LEGAL_PATH):
-        advance_task_state(record, state, sink=sink, time=float(step))
+        core.enter(record, state, float(step))
         assert record.state is state
-    names = [e.name for e in sink.events()]
-    assert names == [name for _, name in LEGAL_PATH]
+    names = [e.name for e in core.sink.events()]
+    assert names == ["submit", *(name for _, name in LEGAL_PATH)]
 
 
 def test_skipping_a_state_is_illegal():
@@ -351,20 +358,26 @@ ENTRY_EVENT = {
     "current, target", list(itertools.product(TaskState, TaskState))
 )
 def test_every_state_pair_follows_the_table(current, target):
+    """``advance_task_state`` makes exactly the table's moves; the core's
+    ``enter`` makes the same ones and writes one entry event for each."""
     record = fresh_record()
-    record.state = current
+    core = fresh_core()
+    entered = core.tracker.record_for("t0")
+    record.state = entered.state = current
     before = dataclasses.replace(record)
-    sink = ProfileSink(["", "p0"])
     if transition_is_legal(current, target):
-        assert advance_task_state(record, target, sink=sink, time=2.5) is record
-        assert record.state is target
-        [event] = sink.events()
+        assert advance_task_state(record, target) is record
+        core.enter(entered, target, 2.5)
+        assert record.state is entered.state is target
+        [_submit, event] = core.sink.events()
         assert event == (2.5, "t0", ENTRY_EVENT[target], "p0", 0)
     else:
         with pytest.raises(IllegalTransitionError):
-            advance_task_state(record, target, sink=sink, time=2.5)
-        assert record == before
-        assert sink.events() == []
+            advance_task_state(record, target)
+        with pytest.raises(IllegalTransitionError):
+            core.enter(entered, target, 2.5)
+        assert record == entered == before
+        assert [e.name for e in core.sink.events()] == ["submit"]
 
 
 @given(st.lists(st.sampled_from(list(TaskState)), max_size=12))

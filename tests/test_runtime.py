@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from pilotflow import localbackend, simbackend, units
 from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
@@ -210,7 +211,7 @@ def test_last_stage_completion_finishes_pipeline():
     tracker = WorkflowTracker(two_stage_workflow())
     tracker.initial_ready()
     assert finish(tracker, tracker.record_for("b1")) == []
-    pb = next(p for p in tracker.pipelines if p.id == "pb")
+    pa, pb = tracker.pipelines
     assert pb.done == 1
     # The other pipeline goes on: its stages still advance.
     finish(tracker, tracker.record_for("a1"))
@@ -225,8 +226,7 @@ def test_failure_fails_stage_and_pipeline_only():
     record = tracker.record_for("a1")
     advance_task_state(record, TaskState.FAILED)
     assert tracker.on_terminal(record) == []
-    pa = next(p for p in tracker.pipelines if p.id == "pa")
-    pb = next(p for p in tracker.pipelines if p.id == "pb")
+    pa, pb = tracker.pipelines
     assert pa.done == pb.done == 0
     # a2's completion readies nothing of the failed pipeline, while the
     # other pipeline's completion still counts.
@@ -241,7 +241,7 @@ def test_late_sibling_completion_cannot_resurrect_a_failed_pipeline():
     tracker.on_terminal(tracker.record_for("a1"))
     ready = finish(tracker, tracker.record_for("a2"))
     assert ready == []
-    pa = next(p for p in tracker.pipelines if p.id == "pa")
+    pa, _pb = tracker.pipelines
     assert pa.done == 1
 
 
@@ -336,6 +336,46 @@ def test_both_backends_write_the_same_events_per_entity():
         dict.fromkeys(local.pop(PILOT_UID))
     )
     assert sim == local
+
+
+@pytest.mark.parametrize(
+    "backend, run, config",
+    [
+        (simbackend, sim_run, SimBackendConfig()),
+        (localbackend, local_run, LocalBackendConfig()),
+    ],
+    ids=["sim", "local"],
+)
+def test_unit_rows_carry_their_tasks_pipeline_and_stage(
+    monkeypatch, backend, run, config
+):
+    """A unit carries no pipeline or stage: its enqueue and unit_io rows take
+    them from its task's record, so they match the rows of its task."""
+    wf = generate_esmacs(replicas=2, kind=TaskKind.NULL_WORKLOAD)
+    where = {
+        task.id: (pipeline.id, index)
+        for pipeline in wf.pipelines
+        for index, stage in enumerate(pipeline.stages)
+        for task in stage.tasks
+    }
+    task_of: dict[str, str] = {}
+
+    def translate(task, allocator):
+        unit = units.translate_task(task, allocator)
+        task_of[unit.uid] = task.id
+        return unit
+
+    monkeypatch.setattr(backend, "translate_task", translate)
+    log = run(wf, ResourceRequest(cores=peak_core_demand(wf), walltime=300.0), config)
+    rows: dict[str, set] = {}
+    names: dict[str, list[str]] = {}
+    for event in log.events:
+        rows.setdefault(event.entity, set()).add((event.pipeline, event.stage))
+        names.setdefault(event.entity, []).append(event.name)
+    assert sorted(task_of.values()) == sorted(where)
+    for uid, task_id in task_of.items():
+        assert names[uid] == ["enqueue", "unit_io_begin", "unit_io_end"]
+        assert rows[uid] == rows[task_id] == {where[task_id]}
 
 
 def test_a_walltime_cut_ends_the_same_tasks_the_same_way_on_both_backends():

@@ -14,8 +14,6 @@ def make_unit(uid: str, cores: int) -> UnitDescription:
     return UnitDescription(
         uid=uid,
         task_id=uid,
-        pipeline_id="p",
-        stage_index=0,
         executable="sleep",
         arguments=("0",),
         cores=cores,

@@ -39,11 +39,9 @@ def make_task(tid: str = "t1") -> TaskSpec:
 
 
 def test_translate_carries_every_field():
-    unit = translate_task(make_task(), "pipe-1", 4, UnitIdAllocator())
+    unit = translate_task(make_task(), UnitIdAllocator())
     assert unit.uid == "unit.000000"
     assert unit.task_id == "t1"
-    assert unit.pipeline_id == "pipe-1"
-    assert unit.stage_index == 4
     assert unit.executable == "md"
     assert unit.arguments == ("equilibrate",)
     assert unit.cores == 8
@@ -55,7 +53,7 @@ def test_translate_carries_every_field():
 def test_allocator_ids_are_sequential():
     allocator = UnitIdAllocator()
     ids = [
-        translate_task(make_task(f"t{i}"), "p", 0, allocator).uid for i in range(3)
+        translate_task(make_task(f"t{i}"), allocator).uid for i in range(3)
     ]
     assert ids == ["unit.000000", "unit.000001", "unit.000002"]
 
@@ -66,17 +64,15 @@ ESMACS_TAR_OUT_WIRE = (
     '>> output/tar-output.log"], "cores": 1, "executable": "/bin/sh", '
     '"expected_duration": 0.25, "inputs": [], "outputs": '
     '[{"mode": "TAR_OUT", "source": "output", "target": "output/results-r2.tar"}], '
-    '"pipeline_id": "esmacs-p2", "stage_index": 6, "task_id": "esmacs-p2-s7", '
-    '"uid": "unit.000000"}'
+    '"task_id": "esmacs-p2-s7", "uid": "unit.000000"}'
 )
 
 
 def test_wire_round_trip_is_lossless():
-    unit = translate_task(make_task(), "pipe-1", 2, UnitIdAllocator())
+    unit = translate_task(make_task(), UnitIdAllocator())
     assert UnitDescription.from_wire(unit.to_wire()) == unit
     pipeline = generate_esmacs(replicas=2, kind=TaskKind.LOCAL_EXEC).pipelines[1]
-    stage = pipeline.stages[6]
-    unit = translate_task(stage.tasks[0], pipeline.id, 6, UnitIdAllocator())
+    unit = translate_task(pipeline.stages[6].tasks[0], UnitIdAllocator())
     assert unit.to_wire() == ESMACS_TAR_OUT_WIRE
     assert UnitDescription.from_wire(ESMACS_TAR_OUT_WIRE) == unit
 
@@ -105,14 +101,10 @@ durations = st.one_of(
         inputs=directives,
         outputs=directives,
     ),
-    pipeline_id=st.text(),
-    stage_index=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=300)
-def test_wire_round_trip_is_lossless_for_generated_tasks(
-    task, pipeline_id, stage_index
-):
-    unit = translate_task(task, pipeline_id, stage_index, UnitIdAllocator())
+def test_wire_round_trip_is_lossless_for_generated_tasks(task):
+    unit = translate_task(task, UnitIdAllocator())
     back = UnitDescription.from_wire(unit.to_wire())
     assert back == unit
     # == cannot tell -0.0 from 0.0; the repr can.
@@ -147,7 +139,7 @@ def filled_store(n: int) -> TaskStore:
     store = zero_latency_store()
     allocator = UnitIdAllocator()
     for i in range(n):
-        store.enqueue(translate_task(make_task(f"t{i}"), "p", 0, allocator))
+        store.enqueue(translate_task(make_task(f"t{i}"), allocator))
     return store
 
 
@@ -172,7 +164,7 @@ def test_one_latency_sample_per_pull():
     store = TaskStore(Sampler(LatencyModel.constant(0.5), 0, "pull"))
     allocator = UnitIdAllocator()
     for i in range(8):
-        store.enqueue(translate_task(make_task(f"t{i}"), "p", 0, allocator))
+        store.enqueue(translate_task(make_task(f"t{i}"), allocator))
     _, latency = store.pull(max_bulk=8)
     assert latency == 0.5
 
