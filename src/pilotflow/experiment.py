@@ -17,9 +17,10 @@ Outputs per experiment directory:
 
 from __future__ import annotations
 
+import csv
 import math
 import tarfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -287,17 +288,23 @@ def write_plot_files(from_dir: str | Path) -> list[Path]:
     src = Path(from_dir) / "summary.csv"
     if not src.exists():
         raise ExperimentConfigError(f"no summary.csv under {from_dir}")
-    import csv as _csv
-
     with open(src, newline="") as handle:
-        rows = list(_csv.DictReader(handle))
+        reader = csv.DictReader(handle)
+        rows = list(reader)
     if not rows:
         raise ExperimentConfigError(f"{src} has no data rows")
-    plot_dir = Path(from_dir) / "plot"
-    plot_dir.mkdir(exist_ok=True)
+    for field in fields(AggregateRow):  # the columns aggregates_to_csv writes
+        if field.name not in reader.fieldnames:
+            raise ExperimentConfigError(f"{src} has no {field.name!r} column")
     series: dict[str, list[dict]] = {}
     for row in rows:
+        if not (row["pipelines"] or "").isdecimal():  # None: a short row
+            raise ExperimentConfigError(
+                f"{src}: pipelines must be a count, got {row['pipelines']!r}"
+            )
         series.setdefault(row["workload"] or "all", []).append(row)
+    plot_dir = Path(from_dir) / "plot"
+    plot_dir.mkdir(exist_ok=True)
     written: list[Path] = []
     for workload, members in sorted(series.items()):
         members.sort(key=lambda r: int(r["pipelines"]))

@@ -315,7 +315,7 @@ class _LocalEngine:
             while self._now() <= core.deadline:
                 self._pull_pending()
                 for unit, _offset in core.scheduler.place_ready():
-                    if core.scheduled(unit, self._now()):
+                    if core.scheduled(unit, self._now()) is not None:
                         self._placed.append(unit)
                 while self._placed and len(children.get_map()) < workers:
                     self._start(self._placed.popleft())

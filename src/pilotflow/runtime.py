@@ -267,20 +267,22 @@ class EngineCore:
         )
 
     def release(self, unit: UnitDescription) -> TaskRecord:
-        """Free a finished unit's cores; returns its task's record."""
+        """Free a placed unit's cores; returns its task's record. A unit
+        never placed, or released already, raises ``KeyError``."""
         self.scheduler.release(unit.uid)
-        self.store.complete(unit.uid)
         return self.tracker.record_for(unit.task_id)
 
-    def scheduled(self, unit: UnitDescription, time: float) -> bool:
-        """The agent placed ``unit`` at ``time``. False, with the cores freed,
-        when a failed sibling already canceled the unit's task."""
+    def scheduled(self, unit: UnitDescription, time: float) -> TaskRecord | None:
+        """The agent placed ``unit`` at ``time``: its task enters SCHEDULED
+        and its record is returned. None, with the cores freed, when a
+        failed sibling already canceled the task; a task in any other state
+        refuses the move, so a unit placed twice raises here."""
         record = self.tracker.record_for(unit.task_id)
-        if record.state.is_terminal:
+        if record.state is TaskState.CANCELED:
             self.release(unit)
-            return False
+            return None
         self.enter(record, TaskState.SCHEDULED, time)
-        return True
+        return record
 
     def end(
         self, record: TaskRecord, cause: Cause, time: float, diagnostic: str = ""

@@ -171,9 +171,10 @@ class _SimEngine:
 
     def _launch(self, time: float, unit: UnitDescription) -> None:
         """Lay out the unit's full timeline; truncate at the walltime limit."""
-        record = self.core.tracker.record_for(unit.task_id)
+        record = self.core.scheduled(unit, time)
+        if record is None:
+            return  # its task was canceled; the core freed its cores
         deadline = self.core.deadline
-        self.core.enter(record, TaskState.SCHEDULED, time)
 
         stage_in_end = time
         for _ in unit.inputs:

@@ -13,6 +13,9 @@ the local manager serializes and parses each unit inside its timed
 translate interval and enqueues the decoded form, which the agent takes in
 as it is. The simulator models translation with its ``translate_cost``
 sampler and uses the description as built.
+
+The store is only a queue: a unit's progress is kept once, in its task's
+record, whose state machine refuses a unit placed twice.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def translate_task(task: TaskSpec, allocator: UnitIdAllocator) -> UnitDescriptio
 
 
 class TaskStore:
-    """FIFO buffer between the workflow manager and the pilot agent.
+    """FIFO queue between the workflow manager and the pilot agent, and
+    nothing more: it keeps no record of which units it handed out.
 
     The manager enqueues unit descriptions; the agent pulls them in bulk.
     Each pull costs one latency sample regardless of how many units it
@@ -90,8 +94,6 @@ class TaskStore:
 
     def __init__(self, pull_latency: Sampler) -> None:
         self._pending: deque[UnitDescription] = deque()
-        self._pulled: set[str] = set()
-        self._completed: set[str] = set()
         self._pull_latency = pull_latency
 
     def enqueue(self, unit: UnitDescription) -> None:
@@ -104,19 +106,6 @@ class TaskStore:
         """Take up to ``max_bulk`` units in FIFO order; returns (units, latency)."""
         if max_bulk < 1:
             raise ValueError("max_bulk must be >= 1")
-        units: list[UnitDescription] = []
-        while self._pending and len(units) < max_bulk:
-            unit = self._pending.popleft()
-            if unit.uid in self._pulled or unit.uid in self._completed:
-                raise RuntimeError(f"unit {unit.uid} pulled twice")
-            self._pulled.add(unit.uid)
-            units.append(unit)
+        pending = self._pending
+        units = [pending.popleft() for _ in range(min(max_bulk, len(pending)))]
         return units, self._pull_latency.sample()
-
-    def complete(self, uid: str) -> None:
-        if uid in self._completed:
-            raise RuntimeError(f"duplicate completion for unit {uid}")
-        if uid not in self._pulled:
-            raise RuntimeError(f"completion for unit {uid} that was never pulled")
-        self._pulled.remove(uid)
-        self._completed.add(uid)

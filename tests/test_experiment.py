@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import tarfile
+from dataclasses import fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from pilotflow.experiment import (
 )
 from pilotflow.latency import LatencyModel
 from pilotflow.localbackend import LocalBackendConfig
+from pilotflow.metrics import AggregateRow
 from pilotflow.model import TaskKind
 from pilotflow.protocols import (
     UnknownProtocolError,
@@ -625,6 +627,49 @@ def test_cli_plot(tmp_path, capsys):
 
 def test_cli_plot_missing_summary_exits_2(tmp_path):
     assert main(["plot", "--from", str(tmp_path)]) == 2
+
+
+def write_summary(directory: Path, column: str, value: str | None) -> Path:
+    """A one-row summary.csv with the columns ``bench run`` writes, with
+    ``column`` set to ``value``, or left out for None."""
+    row = {field.name: "1.0" for field in fields(AggregateRow)}
+    row.update(pipelines="2", workload="SIM", trials="1")
+    if value is None:
+        del row[column]
+    else:
+        row[column] = value
+    path = directory / "summary.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(row))
+        writer.writeheader()
+        writer.writerow(row)
+    return path
+
+
+@pytest.mark.parametrize(
+    "column, value, named",
+    [
+        ("workload", None, " has no 'workload' column"),
+        ("ttx_max", None, " has no 'ttx_max' column"),
+        ("pipelines", "x", ": pipelines must be a count, got 'x'"),
+        ("pipelines", "", ": pipelines must be a count, got ''"),
+    ],
+)
+def test_cli_plot_of_a_malformed_summary_exits_2_naming_it(
+    tmp_path, capsys, column, value, named
+):
+    summary = write_summary(tmp_path, column, value)
+    assert main(["plot", "--from", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {summary}{named}"]
+    assert not (tmp_path / "plot").exists()
+
+
+def test_plot_of_a_well_formed_summary_writes_both_series(tmp_path):
+    write_summary(tmp_path, "pipelines", "2")
+    written = write_plot_files(tmp_path)
+    assert [p.name for p in written] == ["ttx_sim.dat", "overheads_sim.dat"]
 
 
 def test_cli_no_arguments_exits_2():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import signal
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
+    IllegalTransitionError,
     Pipeline,
     ResourceRequest,
     Stage,
@@ -32,6 +34,7 @@ from pilotflow.runtime import (
     WorkflowTracker,
 )
 from pilotflow.simbackend import SimBackendConfig, sim_run
+from pilotflow.units import translate_task
 
 from helpers import generate_esmacs
 
@@ -172,6 +175,62 @@ def test_end_turns_each_cause_into_one_terminal_state_and_diagnostic():
         },
         "kept": True,
     }
+
+
+def placed(core: EngineCore, task_id: str):
+    """The unit of ``task_id``, translated and placed on the core's cores."""
+    unit = translate_task(core.tracker.record_for(task_id).task, core.allocator)
+    core.scheduler.offer(unit)
+    assert [u for u, _ in core.scheduler.place_ready()] == [unit]
+    return unit
+
+
+@pytest.mark.parametrize("state", [TaskState.DONE, TaskState.FAILED])
+def test_placing_the_unit_of_an_ended_task_is_refused(state):
+    """A task that ended DONE or FAILED has run: a unit of it placed again is
+    an illegal move, which leaves the record and the log as they were."""
+    core = engine_core(ResourceRequest(cores=8, walltime=60.0))
+    record = advanced(core, "a1", TaskState.STAGING_OUT)
+    advance_task_state(record, state)
+    unit = placed(core, "a1")
+    rows = len(core.sink.events())
+    with pytest.raises(
+        IllegalTransitionError,
+        match=rf"^illegal transition from {state.value} to SCHEDULED \(task a1\)$",
+    ):
+        core.scheduled(unit, 1.0)
+    assert record.state is state
+    assert len(core.sink.events()) == rows
+
+
+def test_placing_the_unit_of_a_canceled_task_frees_its_cores():
+    """A failed sibling's cancel is the one reason a placed unit's task may
+    have ended: its cores are freed, it is not scheduled, and None says so.
+    Any other placement returns the task's record, now SCHEDULED."""
+    core = engine_core(ResourceRequest(cores=2, walltime=60.0))
+    running = advanced(core, "a1", TaskState.TRANSLATED)
+    assert core.scheduled(placed(core, "a1"), 1.0) is running
+    assert running.state is TaskState.SCHEDULED
+    record = advanced(core, "a2", TaskState.TRANSLATED)
+    advance_task_state(record, TaskState.CANCELED)
+    waiting = placed(core, "a2")
+    assert core.scheduler.cores.widest_free() == 0
+    assert core.scheduled(waiting, 1.0) is None
+    assert core.scheduler.cores.widest_free() == 1
+    assert record.state is TaskState.CANCELED
+    assert [e.entity for e in core.sink.events() if e.name == "schedule"] == ["a1"]
+
+
+def test_release_refuses_a_unit_not_placed_or_released_already():
+    core = engine_core(ResourceRequest(cores=8, walltime=60.0))
+    record = core.tracker.record_for("a1")
+    never = translate_task(record.task, core.allocator)
+    with pytest.raises(KeyError):
+        core.release(never)
+    unit = placed(core, "a1")
+    assert core.release(unit) is record
+    with pytest.raises(KeyError):
+        core.release(unit)
 
 
 # --- tracker ----------------------------------------------------------------
@@ -414,6 +473,111 @@ def test_a_walltime_cut_ends_the_same_tasks_the_same_way_on_both_backends():
     )
     diagnostics = [log.extras["diagnostics"] for log in logs]
     assert diagnostics[0] == diagnostics[1] == {"s1": "walltime exceeded after 1.0s"}
+
+
+def enqueue_a1_again(monkeypatch, with_task: str) -> None:
+    """Make the core enqueue the unit of task ``a1`` a second time, right
+    after the unit of ``with_task``: ``a1`` itself, or a later task."""
+    enqueue = EngineCore.enqueue
+    first = {}
+
+    def enqueue_twice(self, unit, time):
+        enqueue(self, unit, time)
+        first.setdefault(unit.task_id, unit)
+        if unit.task_id == with_task:
+            enqueue(self, first["a1"], time)
+
+    monkeypatch.setattr(EngineCore, "enqueue", enqueue_twice)
+
+
+@pytest.mark.parametrize("with_task", ["a1", "a3"], ids=["at_once", "after_it_ran"])
+def test_a_unit_enqueued_twice_is_refused_when_placed_again_in_the_simulator(
+    monkeypatch, with_task
+):
+    """The simulator writes a placed unit's done ahead of its time, so the
+    second copy finds the task DONE, whenever it comes."""
+    enqueue_a1_again(monkeypatch, with_task)
+    request = ResourceRequest(cores=8, walltime=1000.0)
+    with pytest.raises(
+        IllegalTransitionError,
+        match=r"^illegal transition from DONE to SCHEDULED \(task a1\)$",
+    ):
+        sim_run(two_stage_workflow(), request, SimBackendConfig())
+
+
+@pytest.mark.parametrize(
+    "with_task, state",
+    [("a1", "SCHEDULED"), ("a3", "DONE")],
+    ids=["at_once", "after_it_ran"],
+)
+def test_a_unit_enqueued_twice_is_refused_when_placed_again_locally(
+    monkeypatch, tmp_path, with_task, state
+):
+    """The second copy is refused whether the first is still placed or has
+    ended, and the refusal kills every child and removes the sandboxes:
+    after ``a1`` ran, ``b1`` is still sleeping."""
+    enqueue_a1_again(monkeypatch, with_task)
+    started = {}
+    popen = localbackend.subprocess.Popen
+
+    def recording_popen(argv, **kwargs):
+        proc = popen(argv, **kwargs)
+        started[argv[-1]] = proc
+        return proc
+
+    monkeypatch.setattr(localbackend.subprocess, "Popen", recording_popen)
+    sleep = "sleep 30"
+
+    def sh(tid: str, command: str = "true") -> TaskSpec:
+        return TaskSpec(id=tid, executable="/bin/sh", arguments=("-c", command))
+
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="pa", stages=[Stage([sh("a1"), sh("a2")]), Stage([sh("a3")])]),
+            Pipeline(id="pb", stages=[Stage([sh("b1", sleep)])]),
+        ],
+    )
+    sandboxes = tmp_path / "sandboxes"
+    config = LocalBackendConfig(sandbox_root=str(sandboxes))
+    try:
+        with pytest.raises(
+            IllegalTransitionError,
+            match=rf"^illegal transition from {state} to SCHEDULED \(task a1\)$",
+        ):
+            local_run(wf, ResourceRequest(cores=8, walltime=300.0), config)
+        codes = {command: proc.poll() for command, proc in started.items()}
+    finally:
+        for proc in started.values():  # whatever the run left running
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    if with_task == "a1":
+        assert codes == {}  # refused in the first placement pass
+    else:
+        assert codes == {"true": 0, sleep: -signal.SIGKILL}
+    assert list(sandboxes.iterdir()) == []
+
+
+def test_a_unit_enqueued_twice_after_a_walltime_cut_is_not_run_again(monkeypatch):
+    """A copy placed after its task was cut is skipped like any unit of a
+    canceled task: the simulator writes no second schedule and no second
+    terminal event."""
+    wf = Workflow(
+        name="wf",
+        pipelines=[Pipeline(id="p", stages=[Stage([null_task("a1", 30.0)])])],
+    )
+    enqueue_a1_again(monkeypatch, "a1")
+    log = sim_run(wf, ResourceRequest(cores=2, walltime=1.0), SimBackendConfig())
+    assert [e.name for e in log.events if e.entity == "a1"] == [
+        "translate_begin",
+        "translate_end",
+        "schedule",
+        "stage_in_begin",
+        "stage_in_end",
+        "canceled",
+    ]
+    assert log.extras["diagnostics"] == {"a1": "walltime exceeded after 1.0s"}
 
 
 # --- pipeline independence --------------------------------------------------

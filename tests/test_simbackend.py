@@ -29,6 +29,8 @@ from pilotflow.model import (
     Pipeline,
     ResourceRequest,
     Stage,
+    StagingDirective,
+    StagingMode,
     TaskKind,
     TaskSpec,
     Workflow,
@@ -36,11 +38,17 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import EventView, ProfileSink
+from pilotflow.protocols import (
+    ProtocolConfig,
+    StageTemplate,
+    esmacs_protocol,
+    protocol_to_workflow,
+)
 from pilotflow.runtime import PilotRequestError
 from pilotflow.scheduler import FirstFitScheduler, UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import by_name, generate_esmacs
+from helpers import by_name, expected_ttx, generate_esmacs
 
 PULL = 0.25
 FS = 0.125
@@ -107,6 +115,68 @@ def test_lockstep_makespan_matches_closed_form(replicas):
     assert report.ttx_s == EXPECTED_TTX
     assert report.done_tasks == 7 * replicas
     assert report.status == "DONE"
+
+
+# Durations and latencies on a 1/8 s grid, so that every sum is exact in
+# binary floats.
+EIGHTHS = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
+
+
+def stage_template(
+    cores: int, duration: float, inputs: int, outputs: int
+) -> StageTemplate:
+    def directives(count: int, mode: StagingMode) -> tuple[StagingDirective, ...]:
+        return tuple(StagingDirective(f"src{k}", f"dst{k}", mode) for k in range(count))
+
+    return StageTemplate(
+        label="stage",
+        executable="md",
+        cores=cores,
+        expected_duration=duration,
+        inputs=directives(inputs, StagingMode.COPY_IN),
+        outputs=directives(outputs, StagingMode.COPY_OUT),
+    )
+
+
+@given(
+    stages=st.lists(
+        st.builds(
+            stage_template,
+            st.integers(min_value=1, max_value=8),
+            EIGHTHS,
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    pipelines=st.integers(min_value=1, max_value=64),
+    spare_bulk=st.integers(min_value=0, max_value=4),
+    queue=EIGHTHS,
+    pull=EIGHTHS,
+    fs=EIGHTHS,
+)
+@settings(max_examples=200, deadline=None)
+def test_simulated_ttx_equals_the_arithmetic_oracle(
+    stages, pipelines, spare_bulk, queue, pull, fs
+):
+    """Constant latencies, peak cores and one pull per stage wave: the
+    simulated ttx is exactly ``expected_ttx``, whatever the pipeline count."""
+    protocol = ProtocolConfig(name="generated", stages=tuple(stages))
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(queue),
+        pull_latency=LatencyModel.constant(pull),
+        fs_latency=LatencyModel.constant(fs),
+        bulk=pipelines + spare_bulk,
+    )
+    workflow = protocol_to_workflow(protocol, replicas=pipelines)
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1e6)
+    report = compute_report(sim_run(workflow, request, config))
+    assert report.ttx_s == expected_ttx(protocol, config)
+
+
+def test_the_oracle_gives_esmacs_its_hand_computed_ttx():
+    assert expected_ttx(esmacs_protocol(), STANDARD) == EXPECTED_TTX == 10.5
 
 
 def test_overhead_accounting_against_counted_operations():

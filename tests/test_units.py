@@ -178,29 +178,3 @@ def test_empty_pull_returns_nothing():
 def test_bad_bulk_rejected():
     with pytest.raises(ValueError):
         zero_latency_store().pull(max_bulk=0)
-
-
-def test_completion_requires_prior_pull():
-    store = filled_store(1)
-    with pytest.raises(
-        RuntimeError, match=r"^completion for unit unit\.000000 that was never pulled$"
-    ):
-        store.complete("unit.000000")
-    units, _ = store.pull(max_bulk=1)
-    store.complete(units[0].uid)
-    with pytest.raises(
-        RuntimeError, match=r"^duplicate completion for unit unit\.000000$"
-    ):
-        store.complete(units[0].uid)
-
-
-def test_a_unit_enqueued_again_is_refused_as_pulled_twice():
-    """Pulled and completed uids are kept in separate sets; a second pull
-    is caught against both."""
-    store = filled_store(2)
-    first, second = store.pull(max_bulk=2)[0]
-    store.complete(first.uid)
-    for unit in (first, second):
-        store.enqueue(unit)
-        with pytest.raises(RuntimeError, match=rf"^unit {unit.uid} pulled twice$"):
-            store.pull(max_bulk=1)
