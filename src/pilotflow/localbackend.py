@@ -8,7 +8,7 @@ core scheduler (cores here are bookkeeping slots, not pinned CPUs), and
 executed as child processes, one per unit in a private sandbox directory.
 
 The engine's own thread holds every child: it stages a unit in, starts the
-command with ``Popen`` in a new session, stderr to an unnamed file, and
+command with ``Popen`` in a new session, stderr to a memfd of its own, and
 waits on the children's pidfds (Linux 5.3 or later) with one selector timed
 to the walltime. At most ``max_workers`` children run; placed units beyond
 that wait in order. A task's command owns its process group: one reap kills
@@ -43,7 +43,6 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
 from .latency import LatencyModel, Sampler
 from .model import (
@@ -170,13 +169,10 @@ class _LocalEngine:
             workflow, request, Sampler(LatencyModel.constant(0.0), 0, "pull")
         )
         self._epoch = 0.0
-        # Running children by pidfd: (unit, Popen, exec begin, stderr file).
+        # Running children by pidfd: (unit, Popen, exec begin, stderr memfd).
         self._children = selectors.DefaultSelector()
         # Placed units waiting for a free max_workers slot, in placement order.
         self._placed: deque[UnitDescription] = deque()
-        # Emptied stderr files; a child takes the last once it has started. A
-        # new file costs a filesystem update, emptying one a truncate.
-        self._spare: list[BinaryIO] = []
         self._run_dir = self._data_root = Path()
 
     def _now(self) -> float:
@@ -223,8 +219,6 @@ class _LocalEngine:
         if begin > self.core.deadline:
             return  # placed, so close() cancels it as cut by the walltime
         sandbox = self._run_dir / unit.uid
-        if not self._spare:
-            self._spare.append(tempfile.TemporaryFile(dir=self._run_dir))
         try:
             sandbox.mkdir(parents=True, exist_ok=True)
             for directive in unit.inputs:
@@ -239,34 +233,39 @@ class _LocalEngine:
         # final reap finds it.
         with _interrupt_deferred():
             begin = self._now()
+            stderr = open(os.memfd_create("stderr", os.MFD_CLOEXEC), "w+b")
             try:
                 proc = subprocess.Popen(
                     argv,
                     cwd=sandbox,
                     stdout=subprocess.DEVNULL,
-                    stderr=self._spare[-1],
+                    stderr=stderr,
                     start_new_session=True,
                 )
             except Exception as exc:  # the unit fails, the run goes on
+                stderr.close()
                 self._fail(unit, self._now(), _diagnostic(exc))
                 return
-            data = (unit, proc, begin, self._spare.pop())
+            data = (unit, proc, begin, stderr)
             pidfd = os.pidfd_open(proc.pid)
             self._children.register(pidfd, selectors.EVENT_READ, data)
 
     def _reap(self, key: selectors.SelectorKey) -> tuple[UnitDescription, float, str]:
         """Kill a child's process group while the unreaped child holds its PID,
         then reap it. Returns the unit, its exec begin and, for a nonzero exit,
-        the status and the last line of the last 4 KiB of stderr."""
+        the status and the last line of the last 4 KiB of stderr.
+
+        Each child's stderr is a memfd of its own, closed here: a process that
+        left the group (``setsid``) writes into no later task's diagnostic. A
+        flood of stderr stays in kernel memory until the reap, never the heap."""
         unit, proc, begin, stderr = key.data
         os.killpg(proc.pid, signal.SIGKILL)
         self._children.unregister(key.fd)
         os.close(key.fd)
         returncode = proc.wait()
-        stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 4096))
-        tail = stderr.read().decode(errors="replace").strip().splitlines()[-1:]
-        stderr.truncate(stderr.seek(0))
-        self._spare.append(stderr)
+        with stderr:
+            stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 4096))
+            tail = stderr.read().decode(errors="replace").strip().splitlines()[-1:]
         status = f"command exited with status {returncode}"
         return unit, begin, ": ".join([status, *tail]) if returncode else ""
 
@@ -336,8 +335,6 @@ class _LocalEngine:
             for key in list(children.get_map().values()):
                 self._reap(key)
             children.close()
-            for stderr in self._spare:
-                stderr.close()
             if not self.config.keep_sandboxes:
                 shutil.rmtree(run_dir, ignore_errors=True)
 

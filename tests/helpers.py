@@ -7,7 +7,14 @@ from itertools import compress
 
 from pilotflow.latency import Distribution, LatencyModel
 from pilotflow.model import TaskKind, Workflow
-from pilotflow.profiling import EVENT_NAMES, EventLog, EventView, ProfileEvent, Row
+from pilotflow.profiling import (
+    EVENT_NAMES,
+    INTERVAL_STEMS,
+    EventLog,
+    EventView,
+    ProfileEvent,
+    Row,
+)
 from pilotflow.protocols import (
     ESMACS_REPLICAS,
     ProtocolConfig,
@@ -17,6 +24,17 @@ from pilotflow.protocols import (
 from pilotflow.simbackend import SimBackendConfig
 
 _NAME_CODES = {name: code for code, name in enumerate(EVENT_NAMES)}
+
+TERMINAL = ("done", "failed", "canceled")
+# A task's own rows in the order it reaches them; its terminal event is last.
+_TASK_ROWS = (
+    "translate_begin", "translate_end", "schedule",
+    "stage_in_begin", "stage_in_end", "exec_begin", "exec_end",
+    "stage_out_begin", "stage_out_end",
+)
+_RANK = {name: rank for rank, name in enumerate(_TASK_ROWS)} | dict.fromkeys(
+    TERMINAL, len(_TASK_ROWS)
+)
 
 
 def generate_esmacs(
@@ -87,3 +105,98 @@ def expected_ttx(protocol: ProtocolConfig, config: SimBackendConfig) -> float:
         + stage.expected_duration
         for stage in protocol.stages
     )
+
+
+def check_log(log: EventLog, workflow: Workflow) -> list[str]:
+    """The invariants ``log`` of a run of ``workflow`` breaks, one line
+    each; an empty list for a sound log. Either backend's logs hold them:
+
+    - every task of the workflow has exactly one terminal event;
+    - for each entity, every ``*_begin`` has its ``*_end``;
+    - a task's own rows keep their order, ``translate_begin`` first and
+      the terminal event last (a row the task never reached is skipped);
+    - in each pipeline, stage k+1's first ``translate_begin`` is not before
+      stage k's last ``done``;
+    - the cores of the tasks between their ``schedule`` and their terminal
+      event (a half-open window) never exceed ``log.pilot_cores``;
+    - no event comes after ``pilot_done``.
+    """
+    violations: list[str] = []
+    rows: dict[str, list[ProfileEvent]] = {}
+    for event in log.events:
+        rows.setdefault(event.entity, []).append(event)
+    tasks = workflow.tasks()
+
+    # Each task's first terminal event, and the time of each task done.
+    ends: dict[str, ProfileEvent] = {}
+    done: dict[str, float] = {}
+    for task in tasks:
+        terminal = [e for e in rows.get(task.id, ()) if e.name in TERMINAL]
+        if len(terminal) != 1:
+            names = [e.name for e in terminal]
+            violations.append(
+                f"task {task.id}: {len(terminal)} terminal events {names}"
+            )
+        if terminal:
+            ends[task.id] = terminal[0]
+            if terminal[0].name == "done":
+                done[task.id] = terminal[0].time
+
+    for entity, events in rows.items():
+        names = [e.name for e in events]
+        for stem in INTERVAL_STEMS:
+            begins, closes = names.count(f"{stem}_begin"), names.count(f"{stem}_end")
+            if begins != closes:
+                violations.append(
+                    f"{entity}: {begins} {stem}_begin but {closes} {stem}_end"
+                )
+
+    for task in tasks:
+        own = sorted(
+            (_RANK[e.name], e.time, e.name)
+            for e in rows.get(task.id, ())
+            if e.name in _RANK
+        )
+        for (_, early, first), (_, late, then) in zip(own, own[1:]):
+            if late < early:
+                violations.append(
+                    f"task {task.id}: {then} at {late!r} before {first} at {early!r}"
+                )
+                break
+
+    for pipeline in workflow.pipelines:
+        for k, (stage, after) in enumerate(zip(pipeline.stages, pipeline.stages[1:])):
+            ended = [done[t.id] for t in stage.tasks if t.id in done]
+            starts = [
+                e.time
+                for t in after.tasks
+                for e in rows.get(t.id, ())
+                if e.name == "translate_begin"
+            ]
+            if ended and starts and min(starts) < max(ended):
+                violations.append(
+                    f"pipeline {pipeline.id}: stage {k + 1} starts at "
+                    f"{min(starts)!r}, before stage {k} ends at {max(ended)!r}"
+                )
+
+    steps: list[tuple[float, int]] = []
+    for task in tasks:
+        placed = [e.time for e in rows.get(task.id, ()) if e.name == "schedule"]
+        if placed and task.id in ends:
+            steps += [(placed[0], task.cores), (ends[task.id].time, -task.cores)]
+    in_use = 0
+    for time, cores in sorted(steps):  # at equal times, ends come first
+        in_use += cores
+        if in_use > log.pilot_cores:
+            violations.append(
+                f"{in_use} cores in use at {time!r}, pilot has {log.pilot_cores}"
+            )
+            break
+
+    for end in [e.time for e in log.events if e.name == "pilot_done"][:1]:
+        violations += [
+            f"{e.entity}: {e.name} at {e.time!r} after pilot_done at {end!r}"
+            for e in log.events
+            if e.time > end
+        ]
+    return violations

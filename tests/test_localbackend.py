@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import selectors
+import shutil
 import signal
 import subprocess
 import sys
@@ -35,10 +36,9 @@ from pilotflow.model import (
 from pilotflow.profiling import ProfileSink
 from pilotflow.units import TaskStore, UnitDescription
 
-from helpers import by_name, generate_esmacs
+from helpers import TERMINAL, by_name, check_log, generate_esmacs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-TERMINAL = ("done", "failed", "canceled")
 
 
 def shell_task(tid: str, command: str, cores: int = 1, **kwargs) -> TaskSpec:
@@ -740,8 +740,8 @@ def test_a_run_leaves_no_file_descriptor_open():
 
 
 def test_each_diagnostic_reads_only_its_own_commands_stderr():
-    """Commands that run one after another write to one reused stderr file,
-    emptied in between."""
+    """Commands that run one after another in one worker slot each write
+    stderr to a file of their own."""
     stages = [
         Stage([shell_task("loud", "yes | head -c 100000 >&2")]),
         Stage([shell_task("quiet", "echo short >&2; exit 4")]),
@@ -751,3 +751,60 @@ def test_each_diagnostic_reads_only_its_own_commands_stderr():
     assert log.extras["diagnostics"] == {
         "quiet": "command exited with status 4: short"
     }
+
+
+@pytest.mark.skipif(shutil.which("setsid") is None, reason="needs setsid")
+def test_stray_stderr_from_an_escaped_process_reaches_no_later_diagnostic(tmp_path):
+    """A process that left its command's session outlives the reap, and it
+    still holds that command's stderr; what it writes there later is not
+    read into the next task's diagnostic."""
+    pidfile = tmp_path / "pid"
+    escape = f"setsid sh -c 'echo $$ > {pidfile}; sleep 0.3; echo stray >&2' &"
+    wf = one_stage_workflow(
+        shell_task("escaper", f"{escape} sleep 0.1; exit 0"),
+        shell_task("failer", "sleep 0.6; exit 3"),
+    )
+    log = run_local(wf, max_workers=1)
+    assert check_log(log, wf) == []
+    assert log.extras["diagnostics"] == {"failer": "command exited with status 3"}
+    pid = int(pidfile.read_text())
+    give_up = time.monotonic() + 2.0
+    while process_state(pid) not in (None, "Z") and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert process_state(pid) in (None, "Z")
+
+
+def test_a_command_that_cannot_start_fails_alone_and_leaks_no_descriptor(
+    monkeypatch,
+):
+    """``Popen`` raising fails that one unit with a diagnostic; the run goes
+    on, and the stderr file opened for it is closed."""
+    real_popen = subprocess.Popen
+
+    def popen(argv, **kwargs):
+        if "exit 7" in argv:
+            raise OSError("no process for you")
+        return real_popen(argv, **kwargs)
+
+    monkeypatch.setattr(localbackend.subprocess, "Popen", popen)
+    wf = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="bad", stages=[Stage([shell_task("bad", "exit 7")])]),
+            Pipeline(
+                id="ok",
+                stages=[
+                    Stage([shell_task("ok1", "true")]),
+                    Stage([shell_task("ok2", "true")]),
+                ],
+            ),
+        ],
+    )
+    before = len(os.listdir("/proc/self/fd"))
+    log = run_local(wf)
+    after = len(os.listdir("/proc/self/fd"))
+    assert check_log(log, wf) == []
+    terminal = {e.entity: e.name for e in log.events if e.name in TERMINAL}
+    assert terminal == {"bad": "failed", "ok1": "done", "ok2": "done"}
+    assert log.extras["diagnostics"] == {"bad": "OSError: no process for you"}
+    assert after == before

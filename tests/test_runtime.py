@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
+import re
 import signal
 from collections import Counter
 
@@ -26,6 +28,7 @@ from pilotflow.model import (
     advance_task_state,
     peak_core_demand,
 )
+from pilotflow.profiling import EventLog, ProfileEvent
 from pilotflow.runtime import (
     PILOT_UID,
     Cause,
@@ -36,9 +39,7 @@ from pilotflow.runtime import (
 from pilotflow.simbackend import SimBackendConfig, sim_run
 from pilotflow.units import translate_task
 
-from helpers import generate_esmacs
-
-TERMINAL = ("done", "failed", "canceled")
+from helpers import TERMINAL, check_log, event_view, generate_esmacs
 
 
 def null_task(tid: str, duration: float = 0.0) -> TaskSpec:
@@ -379,6 +380,7 @@ def test_both_backends_write_the_same_events_per_entity():
     request = ResourceRequest(cores=peak_core_demand(wf), walltime=300.0)
     sim_log = sim_run(wf, request, SimBackendConfig())
     local_log = local_run(wf, request, LocalBackendConfig())
+    assert check_log(sim_log, wf) == check_log(local_log, wf) == []
 
     def names_by_entity(log) -> dict[str, list[str]]:
         names: dict[str, list[str]] = {}
@@ -464,6 +466,7 @@ def test_a_walltime_cut_ends_the_same_tasks_the_same_way_on_both_backends():
         sim_run(wf, request, SimBackendConfig()),
         local_run(wf, request, LocalBackendConfig()),
     ]
+    assert [check_log(log, wf) for log in logs] == [[], []]
     sim, local = (
         Counter((e.entity, e.name) for e in log.events if e.name in TERMINAL)
         for log in logs
@@ -473,6 +476,72 @@ def test_a_walltime_cut_ends_the_same_tasks_the_same_way_on_both_backends():
     )
     diagnostics = [log.extras["diagnostics"] for log in logs]
     assert diagnostics[0] == diagnostics[1] == {"s1": "walltime exceeded after 1.0s"}
+
+
+def test_check_log_reports_each_broken_invariant_once():
+    """A sound simulated log passes the checker, and each copy of it broken
+    one way yields exactly that one violation."""
+    wf = generate_esmacs(replicas=2)
+    request = ResourceRequest(cores=peak_core_demand(wf), walltime=1e6)
+    log = sim_run(wf, request, SimBackendConfig())
+    assert check_log(log, wf) == []
+    events = list(log.events)
+    time_of = {(e.entity, e.name): e.time for e in events}
+    stages = wf.pipelines[0].stages
+    first, second, last = (stages[k].tasks[0].id for k in (0, 1, -1))
+    ran = next(
+        t.id
+        for t in wf.tasks()
+        if time_of[t.id, "exec_begin"] < time_of[t.id, "exec_end"]
+    )
+    done = next(e for e in events if (e.entity, e.name) == (last, "done"))
+    finished = next(e for e in events if e.name == "pilot_done")
+    swap = {"exec_begin": "exec_end", "exec_end": "exec_begin"}
+
+    def swapped(event: ProfileEvent) -> ProfileEvent:
+        if event.entity == ran and event.name in swap:
+            return event._replace(name=swap[event.name])
+        return event
+
+    def moved(event: ProfileEvent) -> ProfileEvent:
+        if (event.entity, event.name) == (second, "translate_begin"):
+            return event._replace(time=time_of[first, "done"] - 0.5)
+        return event
+
+    def broken(rows: list[ProfileEvent], **fields) -> EventLog:
+        return dataclasses.replace(log, events=event_view(rows), **fields)
+
+    cases = [
+        (
+            broken([e for e in events if e is not done]),
+            rf"task {last}: 0 terminal events \[\]",
+        ),
+        (
+            broken([*events, done._replace(name="canceled")]),
+            rf"task {last}: 2 terminal events \['done', 'canceled'\]",
+        ),
+        (
+            broken(list(map(swapped, events))),
+            rf"task {ran}: exec_end at \S+ before exec_begin at \S+",
+        ),
+        (
+            broken(list(map(moved, events))),
+            rf"pipeline {wf.pipelines[0].id}: stage 1 starts at \S+, "
+            rf"before stage 0 ends at \S+",
+        ),
+        (
+            broken(events, pilot_cores=log.pilot_cores - 1),
+            rf"{log.pilot_cores} cores in use at \S+, pilot has {log.pilot_cores - 1}",
+        ),
+        (
+            broken([*events, finished._replace(time=finished.time + 1, name="submit")]),
+            rf"{PILOT_UID}: submit at \S+ after pilot_done at {finished.time!r}",
+        ),
+    ]
+    for broken_log, pattern in cases:
+        violations = check_log(broken_log, wf)
+        assert len(violations) == 1, (pattern, violations)
+        assert re.fullmatch(pattern, violations[0]), (pattern, violations)
 
 
 def enqueue_a1_again(monkeypatch, with_task: str) -> None:

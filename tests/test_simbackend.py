@@ -48,7 +48,7 @@ from pilotflow.runtime import PilotRequestError
 from pilotflow.scheduler import FirstFitScheduler, UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
-from helpers import by_name, expected_ttx, generate_esmacs
+from helpers import by_name, check_log, expected_ttx, generate_esmacs
 
 PULL = 0.25
 FS = 0.125
@@ -171,8 +171,52 @@ def test_simulated_ttx_equals_the_arithmetic_oracle(
     )
     workflow = protocol_to_workflow(protocol, replicas=pipelines)
     request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1e6)
-    report = compute_report(sim_run(workflow, request, config))
-    assert report.ttx_s == expected_ttx(protocol, config)
+    log = sim_run(workflow, request, config)
+    assert check_log(log, workflow) == []
+    assert compute_report(log).ttx_s == expected_ttx(protocol, config)
+
+
+@given(
+    stages=st.lists(
+        st.builds(
+            stage_template,
+            st.integers(min_value=1, max_value=8),
+            EIGHTHS,
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    pipelines=st.integers(min_value=1, max_value=16),
+    spare_bulk=st.integers(min_value=0, max_value=4),
+    pull=EIGHTHS,
+    fs=EIGHTHS,
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_an_under_provisioned_pilot_is_bounded_below_by_the_oracle_and_its_cores(
+    stages, pipelines, spare_bulk, pull, fs, data
+):
+    """With fewer cores than peak demand, units wait, so the simulated ttx
+    is at least the critical path (``expected_ttx``) and at least the
+    tasks' core-seconds spread over the pilot's cores."""
+    protocol = ProtocolConfig(name="generated", stages=tuple(stages))
+    config = SimBackendConfig(
+        queue_wait=LatencyModel.constant(QUEUE),
+        pull_latency=LatencyModel.constant(pull),
+        fs_latency=LatencyModel.constant(fs),
+        bulk=pipelines + spare_bulk,
+    )
+    workflow = protocol_to_workflow(protocol, replicas=pipelines)
+    tasks = workflow.tasks()
+    widest = max(task.cores for task in tasks)
+    cores = data.draw(st.integers(widest, peak_core_demand(workflow)), label="cores")
+    log = sim_run(workflow, ResourceRequest(cores=cores, walltime=1e6), config)
+    assert check_log(log, workflow) == []
+    ttx = compute_report(log).ttx_s
+    assert ttx >= expected_ttx(protocol, config)
+    assert ttx * cores >= sum(task.cores * task.expected_duration for task in tasks)
 
 
 def test_the_oracle_gives_esmacs_its_hand_computed_ttx():
@@ -595,6 +639,7 @@ def test_queued_run_is_byte_identical_to_recorded_digest():
     log = _queued_run()
     digest = hashlib.sha256()
     _update_digest(digest, log)
+    assert check_log(log, generate_esmacs(replicas=24)) == []
     assert compute_report(log).done_tasks == 7 * 24
     assert digest.hexdigest() == QUEUED_DIGEST
 
@@ -626,6 +671,7 @@ def test_truncated_queued_runs_are_byte_identical_to_recorded_digest():
     for walltime in TRUNCATING_WALLTIMES:
         log = _queued_run(walltime=walltime)
         _update_digest(digest, log)
+        assert check_log(log, generate_esmacs(replicas=24)) == []
         by_entity: dict[str, list[str]] = {}
         for event in log.events:
             by_entity.setdefault(event.entity, []).append(event.name)
