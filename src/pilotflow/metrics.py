@@ -32,25 +32,28 @@ Interval sums pair each ``*_begin`` with its ``*_end`` per entity; a log
 with mismatched pairs is rejected loudly rather than silently mis-summed.
 The report reads the log's columns, not rows, and knows each event by its
 code in the fixed vocabulary (:data:`pilotflow.profiling.EVENT_NAMES`),
-where the interval codes come first and ``done`` right after them. One pass
-over the name codes files each row up to ``done`` in its code's own
-``array('I')``: four bytes a row, and no object. Each interval kind is then
-reduced on its own: its two dicts from entity to the running sum of its
-times are built from its rows' entities and times, checked and summed, and
-dropped before the next kind's are built, so the working set holds one
-kind's sums, not every kind's. An entity's first time is stored as it is
-and later ones add to it left to right, in log order; only an entity seen
-more than once under a name gets a count, in a small side dict (in the
-engines' logs, only the pilot's ``pull``). The per-entity differences are
-then added in sorted entity order, starting from 0.0, which erases the sign
-of a zero, the one thing a first time stored as it is rather than as
-``0 + time`` can change; kinds keyed on the same entities, as every
-task-keyed kind is, share one sort. The order is written out rather than left to
-``sum()``, which is compensated from Python 3.12 on, so trials.csv is
-byte-identical on Python 3.10 through 3.13. Terminal events are picked out
-of the columns at C speed, through a selector the name codes translate
-into, and stage windows from the filed rows; both are kept as the few
-fields the report uses, not as rows.
+where the interval codes come first and the terminal ones right after them.
+One pass over the name codes files each row up to ``canceled`` in its
+code's own ``array('I')``: four bytes a row, and no object. Each interval
+kind is then reduced on its own: its two dicts from entity id to the
+running sum of its times are built from its rows' entity codes and times,
+checked and summed, and dropped before the next kind's are built, so the
+working set holds one kind's sums, not every kind's. The keys are the
+strings of the log's entity table, not new objects, and two entities that
+share an id (a task named like a unit) share a sum. An entity's first time
+is stored as it is and later ones add to it left to right, in log order;
+only an entity seen more than once under a name gets a count, in a small
+side dict (in the engines' logs, only the pilot's ``pull``). The
+per-entity differences are then added in sorted entity order, starting
+from 0.0, which erases the sign of a zero, the one thing a first time
+stored as it is rather than as ``0 + time`` can change; kinds keyed on the
+same entities, as every task-keyed kind is, share one sort. The order is
+written out rather than left to ``sum()``, which is compensated from Python
+3.12 on, so trials.csv is byte-identical on Python 3.10 through 3.13. The
+terminal events' entities, pipelines and times are gathered from their
+filed rows at C speed, and the stage windows are read from the filed rows,
+each row's pipeline and stage from its entity's entry in the table; both
+are kept as the few fields the report uses, not as rows.
 """
 
 from __future__ import annotations
@@ -58,11 +61,11 @@ from __future__ import annotations
 import csv
 import statistics
 from array import array
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import astuple, dataclass, fields
 from functools import reduce
-from itertools import compress
-from operator import add, gt, lt, sub
+from itertools import chain
+from operator import add, gt, itemgetter, lt, sub
 from pathlib import Path
 
 from .profiling import (
@@ -111,30 +114,56 @@ class RunReport:
 # for the entities seen more than once (any other entity's count is 1).
 _Side = tuple[dict[str, float], dict[str, int]]
 
+# Log rows the report gathers per C call as it reads an interval kind's
+# entity ids and times: enough to amortize the call, few enough that the
+# gathered tuples stay in cache and add next to nothing to the report's
+# peak (whole kinds at once run slower and hold 0.7 MB more on sim_deep).
+_GATHER_ROWS = 256
 
-def _side(entities: list[str], times: list[float], rows: array) -> _Side:
-    """Running sums of one interval event name's times, per entity, over
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function that gathers a sequence's items at ``indices``, in order,
+    into a tuple in one C call."""
+    if len(indices) < 2:  # itemgetter of one index returns the bare item
+        return lambda sequence: tuple(map(sequence.__getitem__, indices))
+    return itemgetter(*indices)
+
+
+def _ids_and_times(
+    events: EventView, rows: array
+) -> Iterator[tuple[tuple[str, ...], tuple[float, ...]]]:
+    """The entity ids and the times of the log rows ``rows``, in order, as
+    pairs of tuples of at most ``_GATHER_ROWS`` rows."""
+    ids, codes, times = events.entities.ids, events.codes, events.times
+    for start in range(0, len(rows), _GATHER_ROWS):
+        at_rows = _gather(rows[start : start + _GATHER_ROWS])
+        yield _gather(at_rows(codes))(ids), at_rows(times)
+
+
+def _side(events: EventView, rows: array) -> _Side:
+    """Running sums of one interval event name's times, per entity id, over
     the log rows ``rows``.
 
-    An entity's first time is stored as the row's own float, so most
-    entities cost a dict slot and no new object; later times add left to
-    right, in log order.
+    The keys are the entity table's own id strings and an entity's first
+    time is stored as the row's own float, so most entities cost a dict
+    slot and no new object; later times add left to right, in log order.
     """
-    keys = map(entities.__getitem__, rows)
-    totals = dict(zip(keys, map(times.__getitem__, rows)))
+    totals: dict[str, float] = {}
+    for ids, times in _ids_and_times(events, rows):
+        totals.update(zip(ids, times))
     if len(totals) == len(rows):
         return totals, {}
     # Some entity has several times: add them up in log order.
     totals = {}
     repeats: dict[str, int] = {}
-    for index in rows:
-        entity, time = entities[index], times[index]
-        total = totals.get(entity)
-        if total is None:
-            totals[entity] = time
-        else:
-            totals[entity] = total + time
-            repeats[entity] = repeats.get(entity, 1) + 1
+    for ids, times in _ids_and_times(events, rows):
+        for entity, time in zip(ids, times):
+            total = totals.get(entity)
+            if total is None:
+                totals[entity] = time
+            else:
+                totals[entity] = total + time
+                repeats[entity] = repeats.get(entity, 1) + 1
     return totals, repeats
 
 
@@ -171,13 +200,14 @@ def _interval_sum(
 
 
 def _file_rows(names: bytearray) -> dict[int, array]:
-    """The row indices of each code up to ``DONE``, in log order, from one
-    pass over the name codes: the interval kinds' rows, and the ``done``
-    rows that end the stage windows ``stage_in_begin`` rows open."""
-    rows_of = {code: array("I") for code in range(DONE + 1)}
+    """The row indices of each code up to ``CANCELED``, in log order, from
+    one pass over the name codes: the interval kinds' rows and the terminal
+    rows, whose ``done`` rows also end the stage windows ``stage_in_begin``
+    rows open."""
+    rows_of = {code: array("I") for code in range(CANCELED + 1)}
     file = [rows.append for rows in rows_of.values()]
     for index, code in enumerate(names):
-        if code <= DONE:
+        if code <= CANCELED:
             file[code](index)
     return rows_of
 
@@ -190,12 +220,11 @@ def _interval_sums(events: EventView, rows_of: dict[int, array]) -> dict[str, fl
     next kind's are, so one kind's dicts are alive at a time, and each
     kind's rows are dropped from ``rows_of`` once read.
     """
-    entities, times = events.entities, events.times
     sums: dict[str, float] = {}
     order: list[str] = []
     for kind, stem in enumerate(INTERVAL_STEMS):
-        opened = _side(entities, times, rows_of.pop(2 * kind))
-        closed = _side(entities, times, rows_of.pop(2 * kind + 1))
+        opened = _side(events, rows_of.pop(2 * kind))
+        closed = _side(events, rows_of.pop(2 * kind + 1))
         sums[stem], order = _interval_sum(stem, opened, closed, order)
     return sums
 
@@ -212,12 +241,14 @@ def _stage_times(
     events: EventView, rows: array, later: Callable[[float, float], bool]
 ) -> dict[int, dict[int, float]]:
     """Per stage, per pipeline code: the time that ``later`` prefers among
-    the log rows ``rows`` that carry a stage and a pipeline (code 0 is
-    none)."""
+    the log rows ``rows`` whose entity has a stage and a pipeline (code 0
+    is none)."""
     found: dict[int, dict[int, float]] = {}
-    times, pipelines, stages = events.times, events.pipelines, events.stages
+    times, codes = events.times, events.codes
+    pipelines, stages = events.entities.pipelines, events.entities.stages
     for index in rows:
-        stage, pipeline = stages[index], pipelines[index]
+        code = codes[index]
+        stage, pipeline = stages[code], pipelines[code]
         if stage >= 0 and pipeline:
             time = times[index]
             by_pipeline = found.get(stage)
@@ -244,32 +275,38 @@ def compute_report(
     if active < submit:
         raise MalformedProfileError("pilot_active precedes submit")
 
-    terminal = events.where(DONE, FAILED, CANCELED)
-    tasks = terminal.count(1)
+    rows_of = _file_rows(events.names)
+    done_rows, failed_rows, canceled_rows = map(rows_of.pop, (DONE, FAILED, CANCELED))
+    done, failed, canceled = map(len, (done_rows, failed_rows, canceled_rows))
+    tasks = done + failed + canceled
     if not tasks:
         raise MalformedProfileError("log has no terminal task events")
-    if len(set(compress(events.entities, terminal))) < tasks:
+    ended = done_rows
+    if failed or canceled:  # the terminal rows, in log order
+        ended = array("I", sorted(chain(done_rows, failed_rows, canceled_rows)))
+    table = events.entities
+    # The terminal events' entity codes, four bytes each.
+    codes = array("I", map(events.codes.__getitem__, ended))
+    if len(set(map(table.ids.__getitem__, codes))) < tasks:
         seen: set[str] = set()
-        for entity in compress(events.entities, terminal):
+        for entity in map(table.ids.__getitem__, codes):
             if entity in seen:
                 raise MalformedProfileError(
                     f"task {entity!r} has more than one terminal event"
                 )
             seen.add(entity)
-    pipelines = set(compress(events.pipelines, terminal))
+    pipelines = set(map(table.pipelines.__getitem__, codes))
     pipelines.discard(0)  # the pilot's code
     # In log order: max() keeps the first of equal times.
-    last = max(compress(events.times, terminal))
-    done, failed, canceled = map(events.names.count, (DONE, FAILED, CANCELED))
-    del terminal
+    last = max(map(events.times.__getitem__, ended))
+    del failed_rows, canceled_rows, ended, codes
 
     tq = active - submit
     ttc = last - submit
     ttx = ttc - tq
 
-    rows_of = _file_rows(events.names)
-    # Rows that open and close the stage windows, read after the sums.
-    staged_in, done_rows = rows_of[STAGE_IN_BEGIN], rows_of.pop(DONE)
+    # Rows that open the stage windows, read after the sums.
+    staged_in = rows_of[STAGE_IN_BEGIN]
     # Every interval kind must pair up, including the ones no metric sums.
     sums = _interval_sums(events, rows_of)
     translate = sums["translate"]

@@ -117,14 +117,15 @@ class IllegalTransitionError(Exception):
 class TaskRecord:
     """Mutable runtime record for one task, owned by the execution engine.
 
-    ``pipeline_code`` is its pipeline's code in the run's log (see
-    :mod:`pilotflow.profiling`), ``stage_index`` its stage's position in
-    that pipeline."""
+    ``code`` is the task's entity code in the run's log (see
+    :mod:`pilotflow.profiling`), whose entity table keeps the task's
+    pipeline and stage, and ``unit_code`` its unit's, given when the unit
+    is enqueued."""
 
     task: TaskSpec
-    pipeline_code: int
-    stage_index: int
+    code: int
     state: TaskState = TaskState.NEW
+    unit_code: int = -1
 
 
 def advance_task_state(record: TaskRecord, state: TaskState) -> TaskRecord:

@@ -21,19 +21,23 @@ Event names, by the entity they are keyed on:
 
 All timestamps are seconds relative to pilot submission (time 0.0).
 
-Engines append each event as a plain row, the tuple ``(time, entity,
-name code, pipeline code, stage)``. A pipeline's code is its index in the
-table of pipeline ids the run's tracker seeds from the workflow, where
-code 0 is ``""``, the pilot's rows. A finished log keeps no rows:
-:class:`ProfileSink` moves them into five parallel columns, as they are,
-with no lookup. ``times`` and ``entities`` are lists of the engine's own
-float and str objects; name codes sit in a ``bytearray``, pipeline codes in
-an ``array('I')`` and stages in an ``array('i')``. A log therefore costs
-two list slots and nine bytes per event, plus the floats the engine made,
-and none of what it holds is tracked by CPython's cyclic collector, so no
-collection walks it. :class:`EventView` is how callers read a log: it
-builds a ``ProfileEvent`` for each event it hands out, decoding the name
-through ``EVENT_NAMES`` and the pipeline through the log's table.
+Each entity has a code, given when it first appears, and the run keeps
+one :class:`EntityTable` of each code's id, pipeline code and stage: the
+run's tracker seeds it with the pilot as code 0, then every task in
+workflow order, and each unit is added as it is enqueued. A pipeline's code
+is its index in the table's ``pipeline_ids``, where code 0 is ``""``, the
+pilot's. Every row of one entity shares its pipeline and stage, so a row
+keeps neither: engines append each event as the plain tuple ``(time,
+entity code, name code)``. A finished log keeps no rows:
+:class:`ProfileSink` moves them into three parallel columns, as they are,
+with no lookup. ``times`` is a list of the engine's own float objects,
+entity codes sit in an ``array('I')`` and name codes in a ``bytearray``. A
+log therefore costs one list slot and five bytes per event, plus the floats
+the engine made and one table entry per entity, and none of what it holds
+is tracked by CPython's cyclic collector, so no collection walks it.
+:class:`EventView` is how callers read a log: it builds a ``ProfileEvent``
+for each event it hands out, decoding the name through ``EVENT_NAMES`` and
+the entity through the table.
 
 The simulator writes rows ahead of its clock (a placed unit's whole
 timeline is written at once), so rows arrive out of time order. After each
@@ -61,8 +65,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 # The event vocabulary: a name's code is its index. The interval kinds
-# come first, each as its begin then its end, and ``done`` right after them:
-# compute_report files the rows of every code up to DONE.
+# come first, each as its begin then its end, and the terminal names right
+# after them: compute_report files the rows of every code up to CANCELED.
 EVENT_NAMES = (
     "translate_begin", "translate_end", "pull_begin", "pull_end",
     "unit_io_begin", "unit_io_end", "stage_in_begin", "stage_in_end",
@@ -95,16 +99,17 @@ _CSV_ENDS = [f",{name}\r\n" for name in EVENT_NAMES]
 # sliver of the log.
 _SETTLE_ROWS = 4096
 
-_TIME, _ENTITY, _NAME, _PIPELINE, _STAGE = map(itemgetter, range(5))
+_TIME, _CODE, _NAME = map(itemgetter, range(3))
 
 
 class ProfileEvent(NamedTuple):
     """One timestamped occurrence attributed to an entity.
 
     ``pipeline`` and ``stage`` carry attribution for per-stage metrics; they
-    are empty for pilot-level events. Logs store the same five fields as
-    columns, the name and pipeline as codes, and build this record only
-    when a caller reads one.
+    are empty for pilot-level events. Logs store the time, the entity's code
+    and the name's code per event, the entity's id, pipeline and stage once
+    in the run's :class:`EntityTable`, and build this record only when a
+    caller reads one.
     """
 
     time: float
@@ -114,8 +119,8 @@ class ProfileEvent(NamedTuple):
     stage: int = -1
 
 
-# One appended event: (time, entity, name code, pipeline code, stage).
-Row = tuple[float, str, int, int, int]
+# One appended event: (time, entity code, name code).
+Row = tuple[float, int, int]
 
 
 def _extend_ints(column: array, ints: Iterable[int]) -> None:
@@ -125,64 +130,85 @@ def _extend_ints(column: array, ints: Iterable[int]) -> None:
     column.frombytes(struct.pack(f"{len(ints)}{column.typecode}", *ints))
 
 
-class EventView(Sequence[ProfileEvent]):
-    """Read-only sequence of ``ProfileEvent`` over five columns.
+class EntityTable:
+    """Each entity's id, pipeline code and stage, indexed by its code.
 
-    Event ``i`` is ``(times[i], entities[i], EVENT_NAMES[names[i]],
-    pipeline_ids[pipelines[i]], stages[i])``, built when it is read and not
-    kept, so iterating over a log or taking its length never holds a second
-    copy of it. ``names`` is a ``bytearray`` of name codes, ``pipelines`` an
+    ``ids`` is a list of the entities' id strings, ``pipelines`` an
     ``array('I')`` of codes into ``pipeline_ids`` (whose code 0 is ``""``)
-    and ``stages`` an ``array('i')``. A view starts empty and grows by
-    :meth:`extend`. Two views, or a view and a list of events, are equal
-    when their events are. The metrics and the CSV writer read the columns
-    and their codes directly.
+    and ``stages`` an ``array('i')``. Codes are given in the order entities
+    are added. Two entities may share an id, as a task and a unit named
+    alike do; each keeps its own code, pipeline and stage.
     """
 
-    __slots__ = ("times", "entities", "names", "pipelines", "stages", "pipeline_ids")
+    __slots__ = ("ids", "pipelines", "stages", "pipeline_ids")
 
-    def __init__(self, pipeline_ids: Sequence[str]) -> None:
-        self.times: list[float] = []
-        self.entities: list[str] = []
-        self.names = bytearray()
+    def __init__(self, pipeline_ids: list[str]) -> None:
+        self.ids: list[str] = []
         self.pipelines = array("I")
         self.stages = array("i")
         self.pipeline_ids = pipeline_ids
 
+    def add(self, entity: str, pipeline: int, stage: int) -> int:
+        """Give ``entity`` the next code, with its pipeline code and stage;
+        returns the code."""
+        self.ids.append(entity)
+        self.pipelines.append(pipeline)
+        self.stages.append(stage)
+        return len(self.ids) - 1
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+class EventView(Sequence[ProfileEvent]):
+    """Read-only sequence of ``ProfileEvent`` over three columns and the
+    entity table they code into.
+
+    With ``c = codes[i]`` and ``table = entities``, event ``i`` is
+    ``(times[i], table.ids[c], EVENT_NAMES[names[i]],
+    table.pipeline_ids[table.pipelines[c]], table.stages[c])``, built when it
+    is read and not kept, so iterating over a log or taking its length never
+    holds a second copy of it. ``codes`` is an ``array('I')`` of entity
+    codes and ``names`` a ``bytearray`` of name codes. A view starts empty
+    and grows by :meth:`extend`. Two views, or a view and a list of events,
+    are equal when their events are. The metrics and the CSV writer read the
+    columns and the table directly.
+    """
+
+    __slots__ = ("times", "codes", "names", "entities")
+
+    def __init__(self, entities: EntityTable) -> None:
+        self.times: list[float] = []
+        self.codes = array("I")
+        self.names = bytearray()
+        self.entities = entities
+
     def extend(self, rows: Sequence[Row]) -> None:
         """Append coded rows, in the order given, to the columns."""
         self.names.extend(map(_NAME, rows))
-        _extend_ints(self.pipelines, map(_PIPELINE, rows))
-        _extend_ints(self.stages, map(_STAGE, rows))
+        _extend_ints(self.codes, map(_CODE, rows))
         self.times.extend(map(_TIME, rows))
-        self.entities.extend(map(_ENTITY, rows))
 
-    def where(self, *codes: int) -> bytearray:
-        """A selector over the events, for ``itertools.compress``: 1 where
-        the event's name code is one of ``codes``, 0 elsewhere."""
-        table = bytearray(256)
-        for code in codes:
-            table[code] = 1
-        return self.names.translate(table)
-
-    def _decode(self, times, entities, names, pipelines, stages):
+    def _decode(self, times, codes, names):
+        table = self.entities
+        entities = map(table.ids.__getitem__, codes)
         names = map(EVENT_NAMES.__getitem__, names)
-        pipelines = map(self.pipeline_ids.__getitem__, pipelines)
+        pipelines = map(table.pipelines.__getitem__, codes)
+        pipelines = map(table.pipeline_ids.__getitem__, pipelines)
+        stages = map(table.stages.__getitem__, codes)
         return map(ProfileEvent, times, entities, names, pipelines, stages)
 
     def _columns(self) -> tuple[Sequence, ...]:
-        return (self.times, self.entities, self.names, self.pipelines, self.stages)
+        return (self.times, self.codes, self.names)
 
     def __len__(self) -> int:
         return len(self.times)
 
     def __getitem__(self, index):
-        columns = [column[index] for column in self._columns()]
         if isinstance(index, slice):
-            return list(self._decode(*columns))
-        time, entity, name, pipeline, stage = columns
-        name, pipeline = EVENT_NAMES[name], self.pipeline_ids[pipeline]
-        return ProfileEvent(time, entity, name, pipeline, stage)
+            return list(self._decode(*[column[index] for column in self._columns()]))
+        [event] = self._decode(*[[column[index]] for column in self._columns()])
+        return event
 
     def __iter__(self):
         return self._decode(*self._columns())
@@ -213,17 +239,17 @@ class ProfileSink:
     promise; the next sort, in ``settle`` or ``events``, raises
     ``ValueError`` rather than write a mis-sorted log.
 
-    ``pipeline_ids`` decodes the rows' pipeline codes; the engine's tracker
-    seeds it from the workflow. ``events`` is the closing step: it settles
-    every row and hands the columns over in an :class:`EventView`, so a
-    finished run holds each event once.
+    ``entities`` is the run's entity table, which the rows' entity codes
+    index. ``events`` is the closing step: it settles every row and hands
+    the columns over in an :class:`EventView`, so a finished run holds each
+    event once.
 
     It takes no lock: only the engine's own thread appends (the local
     backend runs no other thread).
     """
 
-    def __init__(self, pipeline_ids: Sequence[str]) -> None:
-        self._columns = EventView(pipeline_ids)
+    def __init__(self, entities: EntityTable) -> None:
+        self._columns = EventView(entities)
         self._tail: list[Row] = []
         # The latest time a settle sorted the tail at: every row in the
         # columns is earlier, and no row may be appended earlier.
@@ -309,9 +335,10 @@ class EventLog:
         quoting, so the file is byte for byte what that writer makes of
         the same rows.
         """
-        fields = _CsvFields()
         events = self.events
-        rows = zip(events.times, map(fields.__getitem__, events.entities), events.names)
+        # Each entity's field, made once per entity rather than per row.
+        fields = list(map(_CsvFields().__getitem__, events.entities.ids))
+        rows = zip(events.times, map(fields.__getitem__, events.codes), events.names)
         last_time = stamp = None
         with open(path, "w", newline="") as handle:
             handle.write("time_s,entity,event\r\n")

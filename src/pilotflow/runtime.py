@@ -22,7 +22,10 @@ events of the log (:func:`pilotflow.metrics.compute_report`).
 the store, the scheduler and the tracker, moves each task through its
 states (:meth:`EngineCore.enter`) and is the one writer of the log: every
 event of the pilot's and of a unit's life, at the time the backend gives
-it, attributed to the pipeline and stage of the task's record. The
+it, as a row of the entity's code. The tracker seeds the log's entity table
+with the pilot and the tasks, the core adds each unit as it is enqueued,
+and each task's record carries its own code and its unit's, so no row
+looks anything up. The
 simulator takes those times from its event heap, the local backend from a
 monotonic clock. It owns the pilot's deadline and is the one rule book for
 how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
@@ -65,6 +68,7 @@ from .profiling import (
     TRANSLATE_END,
     UNIT_IO_BEGIN,
     UNIT_IO_END,
+    EntityTable,
     EventLog,
     ProfileSink,
 )
@@ -77,6 +81,8 @@ class PilotRequestError(Exception):
 
 
 PILOT_UID = "pilot.0000"
+# The pilot's entity code: the first entity of every run's table.
+_PILOT = 0
 
 
 @dataclass(slots=True)
@@ -97,24 +103,27 @@ class WorkflowTracker:
     """Drives stage succession; backends own timing and execution. It holds
     one record per task by task id and one run per pipeline.
 
-    ``pipeline_ids`` is the log's pipeline table: a pipeline's code is its
-    index, in workflow order from 1, and code 0 is ``""``, the pilot's rows.
-    Each task record carries its pipeline's code, and the run of the
-    pipeline with code c is ``pipelines[c - 1]``."""
+    ``entities`` is the log's entity table. The tracker gives the pilot code
+    0, then each task its code in workflow order, which its record carries,
+    with the task's pipeline and stage. A pipeline's code is its index in
+    ``entities.pipeline_ids``, in workflow order from 1, where code 0 is
+    ``""``, the pilot's; the run of the pipeline with code c is
+    ``pipelines[c - 1]``."""
 
     def __init__(self, workflow: Workflow) -> None:
         violations = validate_workflow(workflow)
         if violations:
             raise WorkflowValidationError(violations)
         self._records: dict[str, TaskRecord] = {}
-        self.pipeline_ids = [""]
+        self.entities = EntityTable([""])
+        self.entities.add(PILOT_UID, 0, -1)
         self.pipelines: list[PipelineRun] = []
         for code, pipeline in enumerate(workflow.pipelines, 1):
-            self.pipeline_ids.append(pipeline.id)
+            self.entities.pipeline_ids.append(pipeline.id)
             run = PipelineRun([], [0])
             for index, stage in enumerate(pipeline.stages):
                 for task in stage.tasks:
-                    record = TaskRecord(task, code, index)
+                    record = TaskRecord(task, self.entities.add(task.id, code, index))
                     run.records.append(record)
                     self._records[task.id] = record
                 run.starts.append(len(run.records))
@@ -123,9 +132,15 @@ class WorkflowTracker:
     def record_for(self, task_id: str) -> TaskRecord:
         return self._records[task_id]
 
+    def _place(self, record: TaskRecord) -> tuple[PipelineRun, int]:
+        """The run of ``record``'s pipeline and the index of its stage."""
+        pipeline, stage = self.entities.pipelines, self.entities.stages
+        return self.pipelines[pipeline[record.code] - 1], stage[record.code]
+
     def stage_of(self, record: TaskRecord) -> list[TaskRecord]:
         """The records of ``record``'s stage, itself included."""
-        return self.pipelines[record.pipeline_code - 1].stage(record.stage_index)
+        run, stage = self._place(record)
+        return run.stage(stage)
 
     def all_records(self) -> list[TaskRecord]:
         return list(self._records.values())
@@ -147,11 +162,11 @@ class WorkflowTracker:
             raise ValueError(f"task {record.task.id} is not terminal")
         if record.state is not TaskState.DONE:
             return []
-        run = self.pipelines[record.pipeline_code - 1]
+        run, stage = self._place(record)
         run.done += 1
         # Stages finish in order: stage k is finished once the done tasks
         # are all the tasks up to its end.
-        after = record.stage_index + 1
+        after = stage + 1
         if run.done == run.starts[after] and after < len(run.starts) - 1:
             return run.stage(after)
         return []
@@ -195,7 +210,7 @@ class EngineCore:
     matching method with that time; the core applies the step to the store,
     scheduler and tracker and writes its events. A unit finds its task's
     record through ``tracker.record_for(unit.task_id)``, and its events take
-    their pipeline and stage from that record.
+    their entity code from that record.
 
     Building the core validates the workflow, then the pilot's request, and
     enters the pilot into the queue: the ``submit`` event at time 0.0. The
@@ -213,8 +228,8 @@ class EngineCore:
         if not math.isfinite(request.walltime) or request.walltime <= 0:
             raise PilotRequestError("pilot walltime must be positive and finite")
         self.request = request
-        self.sink = ProfileSink(self.tracker.pipeline_ids)
-        self.sink.append((0.0, PILOT_UID, SUBMIT, 0, -1))
+        self.sink = ProfileSink(self.tracker.entities)
+        self.sink.append((0.0, _PILOT, SUBMIT))
         self.store = TaskStore(pull_latency)
         self.scheduler = FirstFitScheduler(request.cores)
         self.allocator = UnitIdAllocator()
@@ -224,47 +239,46 @@ class EngineCore:
     def activate(self, time: float) -> None:
         """The pilot's allocation came up: its walltime runs from ``time``."""
         self.deadline = time + self.request.walltime
-        self.sink.append((time, PILOT_UID, PILOT_ACTIVE, 0, -1))
+        self.sink.append((time, _PILOT, PILOT_ACTIVE))
 
     def enter(self, record: TaskRecord, state: TaskState, time: float) -> None:
         """Move ``record`` to ``state`` and write the entry event at ``time``."""
         advance_task_state(record, state)
-        task, pipeline, stage = record.task.id, record.pipeline_code, record.stage_index
-        self.sink.append((time, task, _ENTRY_EVENT[state], pipeline, stage))
+        self.sink.append((time, record.code, _ENTRY_EVENT[state]))
 
     def translated(self, record: TaskRecord, begin: float, end: float) -> None:
         """The manager translated ``record``'s task into a unit."""
-        task, pipeline, stage = record.task.id, record.pipeline_code, record.stage_index
-        self.sink.append((begin, task, TRANSLATE_BEGIN, pipeline, stage))
+        self.sink.append((begin, record.code, TRANSLATE_BEGIN))
         self.enter(record, TaskState.TRANSLATED, end)
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:
-        """The manager handed ``unit`` to the store."""
+        """The manager handed ``unit`` to the store: the unit gets its entity
+        code, in its task's pipeline and stage."""
         self.store.enqueue(unit)
         record = self.tracker.record_for(unit.task_id)
-        pipeline, stage = record.pipeline_code, record.stage_index
-        self.sink.append((time, unit.uid, ENQUEUE, pipeline, stage))
+        entities, task = self.tracker.entities, record.code
+        record.unit_code = entities.add(
+            unit.uid, entities.pipelines[task], entities.stages[task]
+        )
+        self.sink.append((time, record.unit_code, ENQUEUE))
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
-        self.sink.append((begin, PILOT_UID, PULL_BEGIN, 0, -1))
-        self.sink.append((end, PILOT_UID, PULL_END, 0, -1))
+        self.sink.append((begin, _PILOT, PULL_BEGIN))
+        self.sink.append((end, _PILOT, PULL_END))
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent took in one pulled unit."""
-        record = self.tracker.record_for(unit.task_id)
-        pipeline, stage = record.pipeline_code, record.stage_index
-        self.sink.append((begin, unit.uid, UNIT_IO_BEGIN, pipeline, stage))
-        self.sink.append((end, unit.uid, UNIT_IO_END, pipeline, stage))
+        code = self.tracker.record_for(unit.task_id).unit_code
+        self.sink.append((begin, code, UNIT_IO_BEGIN))
+        self.sink.append((end, code, UNIT_IO_END))
 
     def phase(self, record: TaskRecord, stem: str, begin: float, end: float) -> None:
         """A placed unit completed its ``stem`` phase (stage_in, exec or
         stage_out)."""
         entry, end_code = _PHASES[stem]
         self.enter(record, entry, begin)
-        self.sink.append(
-            (end, record.task.id, end_code, record.pipeline_code, record.stage_index)
-        )
+        self.sink.append((end, record.code, end_code))
 
     def release(self, unit: UnitDescription) -> TaskRecord:
         """Free a placed unit's cores; returns its task's record. A unit
@@ -318,7 +332,7 @@ class EngineCore:
                 self.end(record, Cause.CLOSE, finish)
             elif not record.state.is_terminal:
                 self.end(record, Cause.WALLTIME, finish)
-        self.sink.append((finish, PILOT_UID, PILOT_DONE, 0, -1))
+        self.sink.append((finish, _PILOT, PILOT_DONE))
         return EventLog(
             events=self.sink.events(),
             pilot_cores=self.request.cores,

@@ -10,6 +10,7 @@ from pilotflow.model import TaskKind, Workflow
 from pilotflow.profiling import (
     EVENT_NAMES,
     INTERVAL_STEMS,
+    EntityTable,
     EventLog,
     EventView,
     ProfileEvent,
@@ -60,29 +61,46 @@ def name_code(name: str) -> int:
         raise ValueError(f"{name!r} is not an event name") from None
 
 
-def coded_rows(events: Iterable[ProfileEvent]) -> tuple[list[Row], list[str]]:
+def coded_rows(events: Iterable[ProfileEvent]) -> tuple[list[Row], EntityTable]:
     """The events as the rows an engine writes, in the order given, and the
-    pipeline table their codes index: ``""`` first, then each other
-    pipeline id as it first appears."""
-    table = {"": 0}
-    rows = [
-        (time, entity, name_code(name), table.setdefault(pipeline, len(table)), stage)
-        for time, entity, name, pipeline, stage in events
-    ]
-    return rows, list(table)
+    entity table their codes index: each entity gets a code as it first
+    appears, and each pipeline id a code as it first appears after the
+    pilot's ``""``. All rows of one entity share its pipeline and stage: an
+    entity given two pipelines or two stages raises ``ValueError`` naming
+    it."""
+    table = EntityTable([""])
+    pipelines = {"": 0}
+    codes: dict[str, int] = {}
+    rows = []
+    for time, entity, name, pipeline, stage in events:
+        if pipeline not in pipelines:
+            pipelines[pipeline] = len(table.pipeline_ids)
+            table.pipeline_ids.append(pipeline)
+        if entity not in codes:
+            codes[entity] = table.add(entity, pipelines[pipeline], stage)
+        code = codes[entity]
+        first = (table.pipeline_ids[table.pipelines[code]], table.stages[code])
+        if first != (pipeline, stage):
+            raise ValueError(
+                f"entity {entity!r} has pipeline and stage {first!r} "
+                f"and {(pipeline, stage)!r}"
+            )
+        rows.append((time, code, name_code(name)))
+    return rows, table
 
 
 def event_view(events: Iterable[ProfileEvent]) -> EventView:
     """The events, in the order given, as the columns of a view."""
-    rows, pipelines = coded_rows(events)
-    view = EventView(pipelines)
+    rows, table = coded_rows(events)
+    view = EventView(table)
     view.extend(rows)
     return view
 
 
 def by_name(log: EventLog, name: str) -> list[ProfileEvent]:
     """The log's events named ``name``, in log order."""
-    return list(compress(log.events, log.events.where(name_code(name))))
+    code = name_code(name)
+    return list(compress(log.events, [named == code for named in log.events.names]))
 
 
 def expected_ttx(protocol: ProtocolConfig, config: SimBackendConfig) -> float:

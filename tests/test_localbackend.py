@@ -515,6 +515,11 @@ def test_siblings_still_waiting_for_cores_are_canceled_with_a_diagnostic():
 
 
 INTERRUPTED_RUN = """
+import signal
+# Python leaves SIGINT ignored when it starts so (as a background job of a
+# non-interactive shell, say): install the handler that raises the interrupt.
+signal.signal(signal.SIGINT, signal.default_int_handler)
+
 import sys
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.model import Pipeline, ResourceRequest, Stage, TaskSpec, Workflow
@@ -585,6 +590,9 @@ def test_an_interrupt_while_a_child_starts_still_reaps_it(tmp_path, monkeypatch)
 
     monkeypatch.setattr(localbackend.subprocess, "Popen", popen_then_interrupt)
     sandboxes = tmp_path / "sandboxes"
+    # The interrupt needs Python's handler, which pytest lacks when it
+    # starts with SIGINT ignored.
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         with pytest.raises(KeyboardInterrupt):
             run_local(
@@ -593,6 +601,7 @@ def test_an_interrupt_while_a_child_starts_still_reaps_it(tmp_path, monkeypatch)
             )
         states = [process_state(proc.pid) for proc in started]
     finally:
+        signal.signal(signal.SIGINT, handler)
         for proc in started:  # whatever the run left running
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)

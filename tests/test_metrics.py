@@ -7,12 +7,13 @@ import functools
 import gc
 import operator
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow import profiling
+from pilotflow import metrics, profiling
 from pilotflow.latency import LatencyModel
 from pilotflow.metrics import (
     MalformedProfileError,
@@ -21,7 +22,14 @@ from pilotflow.metrics import (
     compute_report,
     reports_to_csv,
 )
-from pilotflow.model import ResourceRequest, peak_core_demand
+from pilotflow.model import (
+    Pipeline,
+    ResourceRequest,
+    Stage,
+    TaskSpec,
+    Workflow,
+    peak_core_demand,
+)
 from pilotflow.profiling import (
     INTERVAL_STEMS,
     EventLog,
@@ -81,8 +89,8 @@ def synthetic_events() -> list[ProfileEvent]:
 
 
 def make_log(events) -> EventLog:
-    rows, pipelines = coded_rows(events)
-    sink = ProfileSink(pipelines)
+    rows, entities = coded_rows(events)
+    sink = ProfileSink(entities)
     for row in rows:
         sink.append(row)
     return EventLog(
@@ -232,19 +240,23 @@ def interval_logs(draw):
             unique=True,
         )
     )
+    # Every row of one entity has its pipeline and stage: "t"'s are its done's.
+    place = {"t": ("p", 0)}
     for entity in entities:
+        at = place.get(entity, ())
         stems = draw(st.lists(st.sampled_from(INTERVAL_STEMS), min_size=1, unique=True))
         for stem in stems:
             for _ in range(draw(st.integers(1, 3))):
-                events.append(ev(draw(TIMES), entity, f"{stem}_begin"))
-                events.append(ev(draw(TIMES), entity, f"{stem}_end"))
+                events.append(ev(draw(TIMES), entity, f"{stem}_begin", *at))
+                events.append(ev(draw(TIMES), entity, f"{stem}_end", *at))
     if draw(st.booleans()):
         ends = [i for i, e in enumerate(events) if e.name.endswith("_end")]
         del events[draw(st.sampled_from(ends))]
     if draw(st.booleans()):
         entity = draw(st.sampled_from(entities))
         stem = draw(st.sampled_from(INTERVAL_STEMS))
-        events.append(ev(draw(TIMES), entity, f"{stem}_begin"))
+        at = place.get(entity, ())
+        events.append(ev(draw(TIMES), entity, f"{stem}_begin", *at))
     # The sink orders by time; the append order decides how ties interleave.
     return make_log(draw(st.permutations(events)))
 
@@ -276,6 +288,24 @@ def test_interval_sums_match_list_based_oracle(log):
     assert [repr(value) for value in got] == [repr(value) for value in want]
 
 
+@given(interval_logs(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_the_report_does_not_depend_on_how_many_rows_it_gathers_at_once(log, rows):
+    """The report reads each interval kind's ids and times a few rows at a
+    time: cut into chunks of 1 to 4 rows, the same log gives the same report
+    or the same error as at the default."""
+
+    def outcome() -> str:
+        try:
+            return repr(compute_report(log))
+        except MalformedProfileError as error:
+            return f"MalformedProfileError: {error}"
+
+    expected = outcome()
+    with mock.patch.object(metrics, "_GATHER_ROWS", rows):
+        assert outcome() == expected
+
+
 def test_zero_length_interval_ending_at_negative_zero_sums_to_zero():
     """The end's running sum is the row's own -0.0, so the entity's
     difference is -0.0; the total starts at 0.0 and reads 0.0, as the
@@ -291,6 +321,32 @@ def test_zero_length_interval_ending_at_negative_zero_sums_to_zero():
     report = compute_report(log)
     assert repr(report.engine_overhead_s) == "0.0"
     assert repr(list_based_interval_sums(log)["translate"]) == "0.0"
+
+
+def test_a_task_named_like_a_unit_sums_as_the_oracle_does():
+    """Sums are keyed on entity ids, not entity codes: a task whose id is
+    another task's unit uid keeps a code of its own in the log's table, yet
+    the report's sums are the list-based oracle's, which reads ids."""
+    tasks = [
+        TaskSpec(id=task_id, executable="md", expected_duration=1.5)
+        for task_id in ("unit.000001", "b", "unit.000000")
+    ]
+    workflow = Workflow("wf", [Pipeline("p", [Stage(tasks[:2]), Stage(tasks[2:])])])
+    config = SimBackendConfig(
+        pull_latency=LatencyModel.constant(0.25),
+        fs_latency=LatencyModel.constant(0.1),
+        translate_cost=LatencyModel.uniform(0.1, 0.3),
+        seed=5,
+    )
+    log = sim_run(workflow, ResourceRequest(cores=2, walltime=1e6), config)
+    table = log.events.entities
+    assert table.ids.count("unit.000001") == table.ids.count("unit.000000") == 2
+    expected = list_based_interval_sums(log)
+    report = compute_report(log)
+    got = (report.engine_overhead_s, report.pull_overhead_s, report.unit_io_overhead_s)
+    want = (expected["translate"], expected["pull"], expected["unit_io"])
+    assert [repr(value) for value in got] == [repr(value) for value in want]
+    assert report.done_tasks == report.tasks == 3
 
 
 def test_report_working_memory_stays_well_below_the_log():
@@ -389,10 +445,10 @@ def test_double_terminal_is_rejected():
 
 
 def test_sink_orders_by_time_then_insertion():
-    rows, pipelines = coded_rows(
+    rows, entities = coded_rows(
         [ev(2.0, "x", "done"), ev(1.0, "y", "exec_begin"), ev(1.0, "z", "exec_begin")]
     )
-    sink = ProfileSink(pipelines)
+    sink = ProfileSink(entities)
     for row in rows:
         sink.append(row)
     names = [(e.time, e.entity) for e in sink.events()]

@@ -257,7 +257,8 @@ LEGAL_PATH = [
 
 
 def fresh_record() -> TaskRecord:
-    return TaskRecord(task=make_task("t0"), pipeline_code=1, stage_index=0)
+    """The record fresh_core gives t0: entity code 1, after the pilot's 0."""
+    return TaskRecord(task=make_task("t0"), code=1)
 
 
 def fresh_core() -> EngineCore:

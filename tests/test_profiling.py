@@ -6,6 +6,7 @@ import array
 import csv
 import gc
 import io
+import re
 import tracemalloc
 from unittest import mock
 
@@ -27,6 +28,7 @@ from pilotflow.model import (
 from pilotflow.profiling import (
     _CSV_CHUNK_ROWS,
     EVENT_NAMES,
+    EntityTable,
     EventLog,
     EventView,
     ProfileEvent,
@@ -50,8 +52,8 @@ def test_events_sort_by_time_then_append_order(draws):
         ProfileEvent(time=time, entity=f"e{index}", name=name)
         for index, (time, name) in enumerate(draws)
     ]
-    rows, pipelines = coded_rows(appended)
-    sink = ProfileSink(pipelines)
+    rows, entities = coded_rows(appended)
+    sink = ProfileSink(entities)
     for row in rows:
         sink.append(row)
     reference = [
@@ -75,20 +77,23 @@ CLOCK_STEPS = st.lists(
 )
 
 
-# The pipeline table of the sinks run_clock drives: code 1 is "p".
-PIPELINES = ["", "p"]
+def clock_table() -> EntityTable:
+    """An entity table for the sinks run_clock drives: pipeline code 1 is "p"."""
+    return EntityTable(["", "p"])
 
 
-def run_clock(sink, steps):
-    """Drive ``sink`` through ``steps`` with valid settles; returns the rows
-    appended, in order, and the final clock."""
+def run_clock(sink, table, steps):
+    """Drive ``sink`` through ``steps`` with valid settles, each row a new
+    entity of ``table`` in pipeline "p"; returns the rows appended, in
+    order, and the final clock."""
     appended = []
     clock = 0.0
     for advance, offsets in steps:
         clock += advance
         sink.settle(clock)
         for offset in offsets:
-            row = (clock + offset, f"e{len(appended)}", profiling.EXEC_BEGIN, 1, 0)
+            entity = table.add(f"e{len(appended)}", 1, 0)
+            row = (clock + offset, entity, profiling.EXEC_BEGIN)
             appended.append(row)
             sink.append(row)
     return appended, clock
@@ -98,10 +103,11 @@ def run_clock(sink, steps):
 @settings(max_examples=300)
 def test_settled_events_equal_the_stable_sort_of_every_row(settle_rows, steps):
     with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
-        sink = ProfileSink(PIPELINES)
-        appended, _ = run_clock(sink, steps)
+        table = clock_table()
+        sink = ProfileSink(table)
+        appended, _ = run_clock(sink, table, steps)
         assert len(sink) == len(appended)
-        settled = EventView(PIPELINES)
+        settled = EventView(table)
         settled.extend(sorted(appended, key=lambda row: row[0]))
         assert sink.events() == settled
 
@@ -115,15 +121,17 @@ def test_settled_events_equal_the_stable_sort_of_every_row(settle_rows, steps):
 @settings(max_examples=200)
 def test_a_row_before_a_settled_time_raises(settle_rows, steps, advance, early):
     with mock.patch.object(profiling, "_SETTLE_ROWS", settle_rows):
-        sink = ProfileSink(PIPELINES)
-        _, clock = run_clock(sink, steps)
+        table = clock_table()
+        sink = ProfileSink(table)
+        _, clock = run_clock(sink, table, steps)
         # Enough rows that this settle sorts the tail at its time, then a
         # row that breaks the promise it made.
+        filler, late = table.add("filler", 1, 0), table.add("late", 1, 0)
         for _ in range(settle_rows):
-            sink.append((clock, "filler", profiling.EXEC_BEGIN, 1, 0))
+            sink.append((clock, filler, profiling.EXEC_BEGIN))
         clock += advance
         sink.settle(clock)
-        sink.append((clock - early, "late", profiling.EXEC_BEGIN, 1, 0))
+        sink.append((clock - early, late, profiling.EXEC_BEGIN))
         with pytest.raises(ValueError, match="earlier than"):
             sink.events()
 
@@ -148,41 +156,41 @@ def small_sim_log() -> EventLog:
 
 
 def test_a_finished_log_holds_no_tracked_object_per_event():
-    """A log's times and entities are lists of the engine's floats and
-    strings, which CPython's cyclic collector does not track; its names,
-    pipelines and stages are byte buffers of codes and ints, which hold no
-    object per event at all. So a collection never walks a log however
-    long it is."""
+    """A log's times are a list of the engine's floats, and its entity
+    table's ids a list of the engine's strings, which CPython's cyclic
+    collector does not track; its entity codes, name codes and the table's
+    pipelines and stages are byte buffers of ints, which hold no object at
+    all. So a collection never walks a log however long it is."""
     log = small_sim_log()
     events = log.events
+    table = events.entities
     gc.collect()
     assert len(events) > 0
-    for column, kind in ((events.times, float), (events.entities, str)):
-        assert type(column) is list and len(column) == len(events)
+    for column, kind in ((events.times, float), (table.ids, str)):
+        assert type(column) is list
         assert {type(value) for value in column} == {kind}
         assert not any(gc.is_tracked(value) for value in column)
     assert type(events.names) is bytearray
-    assert type(events.pipelines) is array.array
-    assert type(events.stages) is array.array
-    for codes, itemsize in (
-        (events.names, 1),
-        (events.pipelines, 4),
-        (events.stages, 4),
+    for codes, itemsize, size in (
+        (events.names, 1, len(events)),
+        (events.codes, 4, len(events)),
+        (table.pipelines, 4, len(table)),
+        (table.stages, 4, len(table)),
     ):
-        assert len(codes) == len(events)
+        assert len(codes) == size
         assert memoryview(codes).itemsize == itemsize
         # No referent but, for an array, its (heap) type.
         assert set(gc.get_referents(codes)) <= {type(codes)}
     # Name codes index the vocabulary of 20 names; the pipeline table
     # holds the pilot's empty id, then the three pipelines.
     assert max(events.names) < len(EVENT_NAMES) == 20
-    assert events.pipeline_ids == ["", "esmacs-p1", "esmacs-p2", "esmacs-p3"]
+    assert max(events.codes) < len(table)
+    assert table.pipeline_ids == ["", "esmacs-p1", "esmacs-p2", "esmacs-p3"]
 
 
-def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
-    """Two list slots, nine bytes of codes and the floats the engine made
-    per event: 37.7 traced bytes per event here, down from 51.4 when the
-    names, pipelines and stages were list slots too."""
+def traced_esmacs_log() -> tuple[EventLog, int]:
+    """A 64-pipeline esmacs log, with noise, and the bytes tracemalloc saw
+    the run leave held once it returned."""
     workflow = generate_esmacs(replicas=64)
     config = SimBackendConfig(
         queue_wait=LatencyModel.constant(2.0),
@@ -203,7 +211,39 @@ def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
     finally:
         if started:
             tracemalloc.stop()
-    assert (held - before) / len(log.events) <= 40.0
+    return log, held - before
+
+
+def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
+    """One list slot, five bytes of codes and the floats the engine made
+    per event, plus one table entry per entity: 27.0 traced bytes per event
+    here, down from 37.1 when each event kept its entity, pipeline and
+    stage, and 51.4 when names, pipelines and stages were list slots too."""
+    log, held = traced_esmacs_log()
+    assert held / len(log.events) <= 40.0
+
+
+def test_an_esmacs_log_is_three_columns_and_one_table_entry_per_entity():
+    """A finished log keeps three per-event columns, times, entity codes and
+    name codes, and one table entry for the pilot, each task and each unit;
+    pipeline and stage are kept once per entity. It costs at most 30 traced
+    bytes per event (27.0 measured, 37.1 when every event kept its own
+    pipeline and stage and an 8-byte entity slot)."""
+    log, held = traced_esmacs_log()
+    events, table = log.events, log.events.entities
+    per_event = [
+        name
+        for name in EventView.__slots__
+        if len(getattr(events, name)) == len(events)
+    ]
+    assert per_event == ["times", "codes", "names"]
+    tasks = [task.id for task in generate_esmacs(replicas=64).tasks()]
+    units = events.names.count(profiling.ENQUEUE)
+    assert units == len(tasks) == 64 * 7
+    assert len(table) == 1 + len(tasks) + units
+    # The pilot is code 0, then the tasks in workflow order, then the units.
+    assert table.ids[: 1 + len(tasks)] == ["pilot.0000", *tasks]
+    assert held / len(events) <= 30.0
 
 
 def test_the_engines_write_exactly_the_vocabulary():
@@ -260,29 +300,85 @@ def test_a_name_outside_the_vocabulary_is_refused_by_name():
 )
 @settings(max_examples=200)
 def test_coded_columns_read_back_what_was_stored(rows):
-    """Names, pipelines and stages read back as the values stored: names
-    coded by the vocabulary, pipelines by a table in the order the ids
-    first appear after the pilot's empty one."""
+    """Names, entities, pipelines and stages read back as the values
+    stored: names coded by the vocabulary, entities by the table in the
+    order they first appear, and pipelines by the table's ids in the order
+    they first appear after the pilot's empty one."""
     names = [name for name, _, _ in rows]
     pipelines = [pipeline for _, pipeline, _ in rows]
     stages = [stage for _, _, stage in rows]
-    times, entities = [0.5] * len(rows), ["t"] * len(rows)
+    times, entities = [0.5] * len(rows), [f"e{i}" for i in range(len(rows))]
     view = event_view(map(ProfileEvent, times, entities, names, pipelines, stages))
+    table = view.entities
     assert [EVENT_NAMES[code] for code in view.names] == names
-    assert [view.pipeline_ids[code] for code in view.pipelines] == pipelines
-    assert list(view.stages) == stages
-    assert view.pipeline_ids == list(dict.fromkeys(["", *pipelines]))
+    assert list(view.codes) == list(range(len(rows)))
+    assert table.ids == entities
+    assert [table.pipeline_ids[code] for code in table.pipelines] == pipelines
+    assert list(table.stages) == stages
+    assert table.pipeline_ids == list(dict.fromkeys(["", *pipelines]))
     for name in set(names):
         assert view.names.index(name_code(name)) == names.index(name)
     assert list(view) == list(zip(times, entities, names, pipelines, stages))
 
 
+# A few entities, each given its pipeline and stage once, so that many
+# events share an entity.
+ENTITY_PLACES = st.lists(
+    st.tuples(st.text(alphabet=',"\r\n _pq', max_size=3), st.integers(-1, 3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(ENTITY_PLACES, st.data())
+@settings(max_examples=200)
+def test_a_view_gives_back_the_events_it_was_built_from(places, data):
+    entity_ids = [f"e{i}" for i in range(len(places))]
+    events = data.draw(
+        st.lists(
+            st.builds(
+                lambda time, entity, name: ProfileEvent(
+                    time, entity_ids[entity], name, *places[entity]
+                ),
+                st.sampled_from([0.0, -0.0, 0.5, 1 / 3]),
+                st.integers(0, len(places) - 1),
+                st.sampled_from(EVENT_NAMES),
+            ),
+            max_size=40,
+        )
+    )
+    view = event_view(events)
+    assert list(view) == events
+    assert all(type(event) is ProfileEvent for event in view)
+    assert [repr(event.time) for event in view] == [repr(e.time) for e in events]
+    assert len(view.entities) == len({event.entity for event in events})
+
+
+@pytest.mark.parametrize(
+    "pipeline, stage", [("q", 0), ("p", 1)], ids=["two_pipelines", "two_stages"]
+)
+def test_an_entity_with_two_pipelines_or_two_stages_is_refused_by_name(pipeline, stage):
+    """A view keeps one pipeline and one stage per entity, so events that
+    give one entity two of either are refused, naming the entity."""
+    events = [
+        ProfileEvent(0.0, "t", "exec_begin", "p", 0),
+        ProfileEvent(0.5, "u", "submit"),
+        ProfileEvent(1.0, "t", "exec_end", pipeline, stage),
+    ]
+    message = f"entity 't' has pipeline and stage ('p', 0) and {(pipeline, stage)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        event_view(events)
+
+
 def test_event_view_reads_columns_as_profile_events():
     log = small_sim_log()
     events = log.events
+    table = events.entities
     names = [EVENT_NAMES[code] for code in events.names]
-    pipelines = [events.pipeline_ids[code] for code in events.pipelines]
-    columns = (events.times, events.entities, names, pipelines, events.stages)
+    entities = [table.ids[code] for code in events.codes]
+    pipelines = [table.pipeline_ids[table.pipelines[code]] for code in events.codes]
+    stages = [table.stages[code] for code in events.codes]
+    columns = (events.times, entities, names, pipelines, stages)
     assert len(events) == len(events.times)
     first_pass, second_pass = list(events), list(events)
     assert first_pass == second_pass

@@ -410,7 +410,7 @@ def test_walltime_cut_log_is_the_stable_sort_of_its_rows(monkeypatch, settle_row
     request = ResourceRequest(cores=peak_core_demand(wf) // 4, walltime=walltime)
     log = sim_run(wf, request, config)
     assert len(log.events) > 2 * profiling._SETTLE_ROWS and moves > 2
-    settled = EventView(log.events.pipeline_ids)
+    settled = EventView(log.events.entities)
     settled.extend(sorted(appended, key=lambda row: row[0]))
     assert log.events == settled
     report = compute_report(log)
