@@ -119,13 +119,11 @@ class TaskRecord:
 
     ``code`` is the task's entity code in the run's log (see
     :mod:`pilotflow.profiling`), whose entity table keeps the task's
-    pipeline and stage, and ``unit_code`` its unit's, given when the unit
-    is enqueued."""
+    pipeline and stage; its unit's code is ``code + 1``."""
 
     task: TaskSpec
     code: int
     state: TaskState = TaskState.NEW
-    unit_code: int = -1
 
 
 def advance_task_state(record: TaskRecord, state: TaskState) -> TaskRecord:

@@ -21,20 +21,21 @@ Event names, by the entity they are keyed on:
 
 All timestamps are seconds relative to pilot submission (time 0.0).
 
-Each entity has a code, given when it first appears, and the run keeps
-one :class:`EntityTable` of each code's id, pipeline code and stage: the
-run's tracker seeds it with the pilot as code 0, then every task in
-workflow order, and each unit is added as it is enqueued. A pipeline's code
-is its index in the table's ``pipeline_ids``, where code 0 is ``""``, the
-pilot's. Every row of one entity shares its pipeline and stage, so a row
-keeps neither: engines append each event as the plain tuple ``(time,
-entity code, name code)``. A finished log keeps no rows:
-:class:`ProfileSink` moves them into three parallel columns, as they are,
-with no lookup. ``times`` is a list of the engine's own float objects,
-entity codes sit in an ``array('I')`` and name codes in a ``bytearray``. A
-log therefore costs one list slot and five bytes per event, plus the floats
-the engine made and one table entry per entity, and none of what it holds
-is tracked by CPython's cyclic collector, so no collection walks it.
+Each entity has a code, and the run keeps one :class:`EntityTable` of
+each code's id, pipeline code and stage, laid out once by the run's
+tracker: the pilot as code 0, then every task in workflow order, each
+followed by its unit (id ``""`` until it is enqueued), so a unit's code is
+its task's + 1. A pipeline's code is its index in the table's
+``pipeline_ids``, where code 0 is ``""``, the pilot's. Every row of one
+entity shares its pipeline and stage, so a row keeps neither: engines
+append each event as the plain tuple ``(time, entity code, name code)``.
+A finished log keeps no rows: :class:`ProfileSink` moves them into three
+parallel columns, as they are, with no lookup. ``times`` is a list of the
+engine's own float objects, entity codes sit in an ``array('I')`` and name
+codes in a ``bytearray``. A log therefore costs one list slot and five
+bytes per event, plus the floats the engine made and one table entry per
+entity, and none of what it holds is tracked by CPython's cyclic
+collector, so no collection walks it.
 :class:`EventView` is how callers read a log: it builds a ``ProfileEvent``
 for each event it hands out, decoding the name through ``EVENT_NAMES`` and
 the entity through the table.

@@ -22,13 +22,13 @@ events of the log (:func:`pilotflow.metrics.compute_report`).
 the store, the scheduler and the tracker, moves each task through its
 states (:meth:`EngineCore.enter`) and is the one writer of the log: every
 event of the pilot's and of a unit's life, at the time the backend gives
-it, as a row of the entity's code. The tracker seeds the log's entity table
-with the pilot and the tasks, the core adds each unit as it is enqueued,
-and each task's record carries its own code and its unit's, so no row
-looks anything up. The
-simulator takes those times from its event heap, the local backend from a
-monotonic clock. It owns the pilot's deadline and is the one rule book for
-how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
+it, as a row of the entity's code. The tracker lays out the log's entity
+table once, when the run starts: the pilot, then each task followed by an
+entry for its unit. A task's record carries its code, and its unit's is
+the next, so no row looks anything up and enqueueing a unit only names its
+entry. The simulator takes those times from its event heap, the local
+backend from a monotonic clock. It owns the pilot's deadline and is the
+one rule book for how a task ends (:class:`Cause`, :meth:`EngineCore.end`).
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ class WorkflowTracker:
     """Drives stage succession; backends own timing and execution. It holds
     one record per task by task id and one run per pipeline.
 
-    ``entities`` is the log's entity table. The tracker gives the pilot code
-    0, then each task its code in workflow order, which its record carries,
-    with the task's pipeline and stage. A pipeline's code is its index in
-    ``entities.pipeline_ids``, in workflow order from 1, where code 0 is
-    ``""``, the pilot's; the run of the pipeline with code c is
-    ``pipelines[c - 1]``."""
+    ``entities`` is the log's entity table, laid out here once: the pilot
+    is code 0, then each task in workflow order, with the code its record
+    carries, followed by its unit's entry (id ``""`` until the unit is
+    enqueued), both in the task's pipeline and stage. A pipeline's code is
+    its index in ``entities.pipeline_ids``, where code 0 is the pilot's
+    ``""``: the run of the pipeline with code c is ``pipelines[c - 1]``."""
 
     def __init__(self, workflow: Workflow) -> None:
         violations = validate_workflow(workflow)
@@ -124,6 +124,7 @@ class WorkflowTracker:
             for index, stage in enumerate(pipeline.stages):
                 for task in stage.tasks:
                     record = TaskRecord(task, self.entities.add(task.id, code, index))
+                    self.entities.add("", code, index)  # its unit's entry
                     run.records.append(record)
                     self._records[task.id] = record
                 run.starts.append(len(run.records))
@@ -209,8 +210,9 @@ class EngineCore:
     A backend decides when each step of a unit's life happens and calls the
     matching method with that time; the core applies the step to the store,
     scheduler and tracker and writes its events. A unit finds its task's
-    record through ``tracker.record_for(unit.task_id)``, and its events take
-    their entity code from that record.
+    record through ``tracker.record_for(unit.task_id)``. A task's events
+    take the record's entity code, and its unit's events the next code, in
+    the entry the tracker reserved for the unit when the core was built.
 
     Building the core validates the workflow, then the pilot's request, and
     enters the pilot into the queue: the ``submit`` event at time 0.0. The
@@ -252,15 +254,12 @@ class EngineCore:
         self.enter(record, TaskState.TRANSLATED, end)
 
     def enqueue(self, unit: UnitDescription, time: float) -> None:
-        """The manager handed ``unit`` to the store: the unit gets its entity
-        code, in its task's pipeline and stage."""
+        """The manager handed ``unit`` to the store: the entry reserved for
+        it, right after its task's, takes its uid."""
         self.store.enqueue(unit)
-        record = self.tracker.record_for(unit.task_id)
-        entities, task = self.tracker.entities, record.code
-        record.unit_code = entities.add(
-            unit.uid, entities.pipelines[task], entities.stages[task]
-        )
-        self.sink.append((time, record.unit_code, ENQUEUE))
+        code = self.tracker.record_for(unit.task_id).code + 1
+        self.tracker.entities.ids[code] = unit.uid
+        self.sink.append((time, code, ENQUEUE))
 
     def pulled(self, begin: float, end: float) -> None:
         """The agent pulled one batch of units from the store."""
@@ -269,7 +268,7 @@ class EngineCore:
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent took in one pulled unit."""
-        code = self.tracker.record_for(unit.task_id).unit_code
+        code = self.tracker.record_for(unit.task_id).code + 1
         self.sink.append((begin, code, UNIT_IO_BEGIN))
         self.sink.append((end, code, UNIT_IO_END))
 

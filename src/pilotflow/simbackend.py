@@ -98,7 +98,8 @@ class _SimEngine:
         self._heap: list[tuple[float, int, Callable, Any]] = []
         self._seq = itertools.count()
         self._pending_pulls: set[float] = set()
-        self._pending_scheds: set[float] = set()
+        # A placement pass waits on the heap at the only time one is asked for: now.
+        self._sched_pending = False
         self._manager_free_at = 0.0
 
     # -- helpers ---------------------------------------------------------
@@ -115,9 +116,9 @@ class _SimEngine:
         self._push(time, self._handle_pull)
 
     def _schedule_sched(self, time: float) -> None:
-        if time in self._pending_scheds:
+        if self._sched_pending:
             return
-        self._pending_scheds.add(time)
+        self._sched_pending = True
         self._push(time, self._handle_sched)
 
     # -- manager side ------------------------------------------------------
@@ -165,7 +166,7 @@ class _SimEngine:
         self._schedule_sched(time)
 
     def _handle_sched(self, time: float, _: None) -> None:
-        self._pending_scheds.discard(time)
+        self._sched_pending = False
         for unit, _offset in self.core.scheduler.place_ready():
             self._launch(time, unit)
 

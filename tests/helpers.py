@@ -36,6 +36,12 @@ _TASK_ROWS = (
 _RANK = {name: rank for rank, name in enumerate(_TASK_ROWS)} | dict.fromkeys(
     TERMINAL, len(_TASK_ROWS)
 )
+# A unit's rows in the order it reaches them, between two rows of its task.
+_UNIT_ROWS = ("enqueue", "unit_io_begin", "unit_io_end")
+_BOUNDS = ("translate_end", "schedule")
+_UNIT_RANK = {
+    name: rank for rank, name in enumerate((_BOUNDS[0], *_UNIT_ROWS, _BOUNDS[1]))
+}
 
 
 def generate_esmacs(
@@ -125,6 +131,17 @@ def expected_ttx(protocol: ProtocolConfig, config: SimBackendConfig) -> float:
     )
 
 
+def _out_of_order(events: Iterable[ProfileEvent], rank: dict[str, int]) -> str:
+    """The first of ``events`` whose name ``rank`` puts after another's but
+    whose time is earlier, as a violation's text; ``""`` when they keep
+    their order. Names outside ``rank`` are skipped."""
+    own = sorted((rank[e.name], e.time, e.name) for e in events if e.name in rank)
+    for (_, early, first), (_, late, then) in zip(own, own[1:]):
+        if late < early:
+            return f"{then} at {late!r} before {first} at {early!r}"
+    return ""
+
+
 def check_log(log: EventLog, workflow: Workflow) -> list[str]:
     """The invariants ``log`` of a run of ``workflow`` breaks, one line
     each; an empty list for a sound log. Either backend's logs hold them:
@@ -133,6 +150,12 @@ def check_log(log: EventLog, workflow: Workflow) -> list[str]:
     - for each entity, every ``*_begin`` has its ``*_end``;
     - a task's own rows keep their order, ``translate_begin`` first and
       the terminal event last (a row the task never reached is skipped);
+    - every unit has exactly one ``enqueue``, and its rows keep their order
+      between two of its task's: ``translate_end`` ≤ ``enqueue`` ≤
+      ``unit_io_begin`` ≤ ``unit_io_end`` ≤ ``schedule`` (a row the run
+      never wrote is skipped). A unit's task is found by pipeline, stage and
+      order: the k-th unit enqueued in a stage of a pipeline is that
+      stage's k-th task, so the check needs no entity codes;
     - in each pipeline, stage k+1's first ``translate_begin`` is not before
       stage k's last ``done``;
     - the cores of the tasks between their ``schedule`` and their terminal
@@ -141,8 +164,18 @@ def check_log(log: EventLog, workflow: Workflow) -> list[str]:
     """
     violations: list[str] = []
     rows: dict[str, list[ProfileEvent]] = {}
+    # Each unit's rows, and each stage's units in the order they are first
+    # enqueued, by (pipeline, stage).
+    units: dict[str, list[ProfileEvent]] = {}
+    queued: dict[tuple[str, int], list[str]] = {}
     for event in log.events:
         rows.setdefault(event.entity, []).append(event)
+        if event.name in _UNIT_ROWS:
+            own = units.setdefault(event.entity, [])
+            if event.name == "enqueue" and "enqueue" not in [e.name for e in own]:
+                place = (event.pipeline, event.stage)
+                queued.setdefault(place, []).append(event.entity)
+            own.append(event)
     tasks = workflow.tasks()
 
     # Each task's first terminal event, and the time of each task done.
@@ -170,17 +203,21 @@ def check_log(log: EventLog, workflow: Workflow) -> list[str]:
                 )
 
     for task in tasks:
-        own = sorted(
-            (_RANK[e.name], e.time, e.name)
-            for e in rows.get(task.id, ())
-            if e.name in _RANK
-        )
-        for (_, early, first), (_, late, then) in zip(own, own[1:]):
-            if late < early:
-                violations.append(
-                    f"task {task.id}: {then} at {late!r} before {first} at {early!r}"
-                )
-                break
+        wrong = _out_of_order(rows.get(task.id, ()), _RANK)
+        if wrong:
+            violations.append(f"task {task.id}: {wrong}")
+
+    for unit, events in units.items():
+        enqueues = [e.name for e in events].count("enqueue")
+        if enqueues != 1:
+            violations.append(f"unit {unit}: {enqueues} enqueue events")
+    for pipeline in workflow.pipelines:
+        for k, stage in enumerate(pipeline.stages):
+            for task, unit in zip(stage.tasks, queued.get((pipeline.id, k), ())):
+                bounds = [e for e in rows.get(task.id, ()) if e.name in _BOUNDS]
+                wrong = _out_of_order([*bounds, *units[unit]], _UNIT_RANK)
+                if wrong:
+                    violations.append(f"unit {unit} of task {task.id}: {wrong}")
 
     for pipeline in workflow.pipelines:
         for k, (stage, after) in enumerate(zip(pipeline.stages, pipeline.stages[1:])):

@@ -350,9 +350,11 @@ def test_a_task_named_like_a_unit_sums_as_the_oracle_does():
 
 
 def test_report_working_memory_stays_well_below_the_log():
-    """compute_report's traced peak above a finished log is at most 0.6 of
-    the log's own traced size: its per-entity running sums reuse the rows'
-    floats rather than building a reduction nearly as large as the log."""
+    """compute_report's traced peak above a finished log is at most 16
+    bytes per event (11.9 measured, against 27.1 for the log itself): its
+    per-entity running sums reuse the rows' floats rather than building a
+    reduction nearly as large as the log. The bound is per event, not a
+    share of the log, so a smaller log does not tighten it."""
     workflow = generate_esmacs(replicas=64)
     config = SimBackendConfig(
         queue_wait=LatencyModel.constant(2.0),
@@ -366,7 +368,6 @@ def test_report_working_memory_stays_well_below_the_log():
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         log = sim_run(workflow, request, config)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
@@ -376,7 +377,7 @@ def test_report_working_memory_stays_well_below_the_log():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak - held <= 0.6 * (held - before)
+    assert (peak - held) / len(log.events) <= 16.0
 
 
 def test_report_peak_is_at_or_below_the_run_peak_on_a_deep_workflow(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow import profiling
+from pilotflow import localbackend, profiling, simbackend
 from pilotflow.latency import LatencyModel
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.model import (
@@ -23,6 +23,7 @@ from pilotflow.model import (
     Stage,
     TaskKind,
     TaskSpec,
+    Workflow,
     peak_core_demand,
 )
 from pilotflow.profiling import (
@@ -226,9 +227,10 @@ def test_an_esmacs_log_costs_at_most_40_traced_bytes_per_event():
 def test_an_esmacs_log_is_three_columns_and_one_table_entry_per_entity():
     """A finished log keeps three per-event columns, times, entity codes and
     name codes, and one table entry for the pilot, each task and each unit;
-    pipeline and stage are kept once per entity. It costs at most 30 traced
-    bytes per event (27.0 measured, 37.1 when every event kept its own
-    pipeline and stage and an 8-byte entity slot)."""
+    pipeline and stage are kept once per entity, and each unit's entry comes
+    right after its task's. It costs at most 30 traced bytes per event (27.1
+    measured, 37.1 when every event kept its own pipeline and stage and an
+    8-byte entity slot)."""
     log, held = traced_esmacs_log()
     events, table = log.events, log.events.entities
     per_event = [
@@ -238,12 +240,87 @@ def test_an_esmacs_log_is_three_columns_and_one_table_entry_per_entity():
     ]
     assert per_event == ["times", "codes", "names"]
     tasks = [task.id for task in generate_esmacs(replicas=64).tasks()]
-    units = events.names.count(profiling.ENQUEUE)
-    assert units == len(tasks) == 64 * 7
-    assert len(table) == 1 + len(tasks) + units
-    # The pilot is code 0, then the tasks in workflow order, then the units.
-    assert table.ids[: 1 + len(tasks)] == ["pilot.0000", *tasks]
+    units = {
+        table.ids[code]
+        for code, name in zip(events.codes, events.names)
+        if name == profiling.ENQUEUE
+    }
+    assert len(units) == len(tasks) == 64 * 7
+    assert len(table) == 1 + 2 * len(tasks)
+    # The pilot is code 0, then each task in workflow order, each followed
+    # by its unit, in the task's pipeline and stage.
+    assert table.ids[0] == "pilot.0000"
+    assert table.ids[1::2] == tasks
+    assert set(table.ids[2::2]) == units
+    assert table.pipelines[2::2] == table.pipelines[1::2]
+    assert table.stages[2::2] == table.stages[1::2]
     assert held / len(events) <= 30.0
+
+
+def cut_sim_log() -> tuple[Workflow, EventLog]:
+    """Three pipelines translated 2 s apart under a 5 s walltime: the third
+    pipeline's first task is translated, but its unit is due at 6 s and is
+    never enqueued, and no later stage starts."""
+    workflow = generate_esmacs(replicas=3)
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=5.0)
+    config = SimBackendConfig(translate_cost=LatencyModel.constant(2.0))
+    return workflow, sim_run(workflow, request, config)
+
+
+def failed_local_log() -> tuple[Workflow, EventLog]:
+    """A local run whose failing task stops its pipeline before its second
+    stage is translated; the other pipeline runs both of its stages."""
+
+    def sh(task_id: str, command: str = "true") -> TaskSpec:
+        return TaskSpec(id=task_id, executable="/bin/sh", arguments=("-c", command))
+
+    workflow = Workflow(
+        name="wf",
+        pipelines=[
+            Pipeline(id="ok", stages=[Stage([sh("a1"), sh("a2")]), Stage([sh("a3")])]),
+            Pipeline(id="bad", stages=[Stage([sh("b1", "exit 1")]), Stage([sh("b2")])]),
+        ],
+    )
+    request = ResourceRequest(cores=4, walltime=300.0)
+    return workflow, local_run(workflow, request, LocalBackendConfig())
+
+
+@pytest.mark.parametrize(
+    "module, run", [(simbackend, cut_sim_log), (localbackend, failed_local_log)]
+)
+def test_a_unit_row_carries_its_tasks_code_plus_one(monkeypatch, module, run):
+    """Every row keyed on a unit carries its task's code + 1, an entry with
+    the task's pipeline and stage. A task whose unit was never enqueued
+    leaves that entry ``""``, and no row uses it."""
+    translate = module.translate_task
+    task_of: dict[str, str] = {}
+
+    def recording(task, allocator):
+        unit = translate(task, allocator)
+        task_of[unit.uid] = task.id
+        return unit
+
+    monkeypatch.setattr(module, "translate_task", recording)
+    workflow, log = run()
+    events, table = log.events, log.events.entities
+    code_of = {task.id: 1 + 2 * k for k, task in enumerate(workflow.tasks())}
+    assert table.ids[1::2] == list(code_of)
+    unit_names = {profiling.ENQUEUE, profiling.UNIT_IO_BEGIN, profiling.UNIT_IO_END}
+    unit_codes = {
+        code for code, name in zip(events.codes, events.names) if name in unit_names
+    }
+    for code in unit_codes:
+        assert code == code_of[task_of[table.ids[code]]] + 1
+        assert table.pipelines[code] == table.pipelines[code - 1]
+        assert table.stages[code] == table.stages[code - 1]
+    never = {code + 1 for code in code_of.values()} - unit_codes
+    assert len(never) == len(code_of) - len(unit_codes) > 0
+    assert {table.ids[code] for code in never} == {""}
+    assert never.isdisjoint(events.codes)
+    # A unit translated but never enqueued leaves no uid in the table.
+    enqueued = {table.ids[code] for code in unit_codes}
+    assert enqueued <= task_of.keys()
+    assert (task_of.keys() - enqueued).isdisjoint(table.ids)
 
 
 def test_the_engines_write_exactly_the_vocabulary():

@@ -495,6 +495,10 @@ def test_check_log_reports_each_broken_invariant_once():
         if time_of[t.id, "exec_begin"] < time_of[t.id, "exec_end"]
     )
     done = next(e for e in events if (e.entity, e.name) == (last, "done"))
+    place = (wf.pipelines[0].id, 0)  # the stage of the one task `first`
+    enqueue = next(
+        e for e in events if (e.name, e.pipeline, e.stage) == ("enqueue", *place)
+    )
     finished = next(e for e in events if e.name == "pilot_done")
     swap = {"exec_begin": "exec_end", "exec_end": "exec_begin"}
 
@@ -506,6 +510,11 @@ def test_check_log_reports_each_broken_invariant_once():
     def moved(event: ProfileEvent) -> ProfileEvent:
         if (event.entity, event.name) == (second, "translate_begin"):
             return event._replace(time=time_of[first, "done"] - 0.5)
+        return event
+
+    def early(event: ProfileEvent) -> ProfileEvent:
+        if event is enqueue:
+            return event._replace(time=time_of[first, "translate_end"] - 0.5)
         return event
 
     def broken(rows: list[ProfileEvent], **fields) -> EventLog:
@@ -523,6 +532,15 @@ def test_check_log_reports_each_broken_invariant_once():
         (
             broken(list(map(swapped, events))),
             rf"task {ran}: exec_end at \S+ before exec_begin at \S+",
+        ),
+        (
+            broken([*events, enqueue]),
+            rf"unit {enqueue.entity}: 2 enqueue events",
+        ),
+        (
+            broken(list(map(early, events))),
+            rf"unit {enqueue.entity} of task {first}: enqueue at \S+ "
+            rf"before translate_end at \S+",
         ),
         (
             broken(list(map(moved, events))),
@@ -628,10 +646,12 @@ def test_a_unit_enqueued_twice_is_refused_when_placed_again_locally(
     assert list(sandboxes.iterdir()) == []
 
 
-def test_a_unit_enqueued_twice_after_a_walltime_cut_is_not_run_again(monkeypatch):
+def test_a_unit_enqueued_twice_after_a_walltime_cut_is_not_run_again(
+    monkeypatch, log_violations
+):
     """A copy placed after its task was cut is skipped like any unit of a
     canceled task: the simulator writes no second schedule and no second
-    terminal event."""
+    terminal event. The second ``enqueue`` is the log's one violation."""
     wf = Workflow(
         name="wf",
         pipelines=[Pipeline(id="p", stages=[Stage([null_task("a1", 30.0)])])],
@@ -647,6 +667,8 @@ def test_a_unit_enqueued_twice_after_a_walltime_cut_is_not_run_again(monkeypatch
         "canceled",
     ]
     assert log.extras["diagnostics"] == {"a1": "walltime exceeded after 1.0s"}
+    assert log_violations == ["unit unit.000000: 2 enqueue events"]
+    log_violations.clear()
 
 
 # --- pipeline independence --------------------------------------------------
