@@ -45,8 +45,8 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 def to_json(value: object) -> object:
-    """``value`` as JSON values: dataclass -> dict, tuple or list -> list,
-    Enum -> its value, dict keys -> ``str``."""
+    """``value`` as JSON values: dataclass (slotted or not) -> dict of its
+    fields, tuple or list -> list, Enum -> its value, dict keys -> ``str``."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, Enum):
@@ -56,9 +56,10 @@ def to_json(value: object) -> object:
     if isinstance(value, dict):
         return {str(key): to_json(item) for key, item in value.items()}
     data = {}
-    # A dataclass; its instance dict holds its fields, in field order.
-    for name, item in vars(value).items():
-        data[name] = item if type(item) in _PLAIN else to_json(item)
+    # A dataclass, slotted or not: its fields, in field order.
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        data[field.name] = item if type(item) in _PLAIN else to_json(item)
     return data
 
 

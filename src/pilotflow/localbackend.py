@@ -207,9 +207,9 @@ class _LocalEngine:
         canceled = self.core.end(self.core.release(unit), Cause.ERROR, time, diagnostic)
         held = {record.task.id for record in canceled}
         for key in list(self._children.get_map().values()):
-            if key.data[0].task_id in held:
+            if key.data[0].task.id in held:
                 self.core.release(self._reap(key)[0])
-        for sibling in [u for u in self._placed if u.task_id in held]:
+        for sibling in [u for u in self._placed if u.task.id in held]:
             self._placed.remove(sibling)
             self.core.release(sibling)
 
@@ -221,11 +221,11 @@ class _LocalEngine:
         sandbox = self._run_dir / unit.uid
         try:
             sandbox.mkdir(parents=True, exist_ok=True)
-            for directive in unit.inputs:
+            for directive in unit.task.inputs:
                 _stage_one(directive, sandbox, self._data_root)
-            record = self.core.tracker.record_for(unit.task_id)
+            record = self.core.tracker.record_for(unit.task.id)
             self.core.phase(record, "stage_in", begin, self._now())
-            argv = [_resolve_executable(unit.executable), *unit.arguments]
+            argv = [_resolve_executable(unit.task.executable), *unit.task.arguments]
         except Exception as exc:  # the unit fails, the run goes on
             self._fail(unit, self._now(), _diagnostic(exc))
             return
@@ -273,14 +273,14 @@ class _LocalEngine:
         """A child's pidfd fired: reap it, end its exec phase, then stage out."""
         unit, begin, diagnostic = self._reap(key)
         end = self._now()
-        record = self.core.tracker.record_for(unit.task_id)
+        record = self.core.tracker.record_for(unit.task.id)
         self.core.phase(record, "exec", begin, end)
         if diagnostic:
             self._fail(unit, end, diagnostic)
             return
         begin = self._now()
         try:
-            for directive in unit.outputs:
+            for directive in unit.task.outputs:
                 _stage_one(directive, self._run_dir / unit.uid, self._data_root)
         except Exception as exc:  # the unit fails, the run goes on
             self._fail(unit, self._now(), _diagnostic(exc))

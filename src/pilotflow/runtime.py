@@ -130,8 +130,8 @@ class WorkflowTracker:
                 run.starts.append(len(run.records))
             self.pipelines.append(run)
 
-    def record_for(self, task_id: str) -> TaskRecord:
-        return self._records[task_id]
+    def record_for(self, id: str) -> TaskRecord:
+        return self._records[id]
 
     def _place(self, record: TaskRecord) -> tuple[PipelineRun, int]:
         """The run of ``record``'s pipeline and the index of its stage."""
@@ -210,7 +210,7 @@ class EngineCore:
     A backend decides when each step of a unit's life happens and calls the
     matching method with that time; the core applies the step to the store,
     scheduler and tracker and writes its events. A unit finds its task's
-    record through ``tracker.record_for(unit.task_id)``. A task's events
+    record through ``tracker.record_for(unit.task.id)``. A task's events
     take the record's entity code, and its unit's events the next code, in
     the entry the tracker reserved for the unit when the core was built.
 
@@ -257,7 +257,7 @@ class EngineCore:
         """The manager handed ``unit`` to the store: the entry reserved for
         it, right after its task's, takes its uid."""
         self.store.enqueue(unit)
-        code = self.tracker.record_for(unit.task_id).code + 1
+        code = self.tracker.record_for(unit.task.id).code + 1
         self.tracker.entities.ids[code] = unit.uid
         self.sink.append((time, code, ENQUEUE))
 
@@ -268,7 +268,7 @@ class EngineCore:
 
     def unit_read(self, unit: UnitDescription, begin: float, end: float) -> None:
         """The agent took in one pulled unit."""
-        code = self.tracker.record_for(unit.task_id).code + 1
+        code = self.tracker.record_for(unit.task.id).code + 1
         self.sink.append((begin, code, UNIT_IO_BEGIN))
         self.sink.append((end, code, UNIT_IO_END))
 
@@ -283,14 +283,14 @@ class EngineCore:
         """Free a placed unit's cores; returns its task's record. A unit
         never placed, or released already, raises ``KeyError``."""
         self.scheduler.release(unit.uid)
-        return self.tracker.record_for(unit.task_id)
+        return self.tracker.record_for(unit.task.id)
 
     def scheduled(self, unit: UnitDescription, time: float) -> TaskRecord | None:
         """The agent placed ``unit`` at ``time``: its task enters SCHEDULED
         and its record is returned. None, with the cores freed, when a
         failed sibling already canceled the task; a task in any other state
         refuses the move, so a unit placed twice raises here."""
-        record = self.tracker.record_for(unit.task_id)
+        record = self.tracker.record_for(unit.task.id)
         if record.state is TaskState.CANCELED:
             self.release(unit)
             return None

@@ -92,9 +92,9 @@ class FirstFitScheduler:
         self._waiting: deque[UnitDescription] = deque()
 
     def offer(self, unit: UnitDescription) -> None:
-        if unit.cores > self.cores.total_cores:
+        if unit.task.cores > self.cores.total_cores:
             raise UnschedulableError(
-                f"unit {unit.uid} wants {unit.cores} cores but the pilot "
+                f"unit {unit.uid} wants {unit.task.cores} cores but the pilot "
                 f"has only {self.cores.total_cores}"
             )
         self._waiting.append(unit)
@@ -108,10 +108,10 @@ class FirstFitScheduler:
         widest = self.cores.widest_free()
         while self._waiting and widest:
             unit = self._waiting.popleft()
-            if unit.cores > widest:
+            if unit.task.cores > widest:
                 skipped.append(unit)
                 continue
-            placed.append((unit, self.cores.allocate(unit.uid, unit.cores)))
+            placed.append((unit, self.cores.allocate(unit.uid, unit.task.cores)))
             widest = self.cores.widest_free()
         self._waiting.extendleft(reversed(skipped))
         return placed

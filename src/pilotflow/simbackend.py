@@ -130,9 +130,10 @@ class _SimEngine:
             start = max(now, self._manager_free_at)
             end = start + self.translate_cost.sample()
             self._manager_free_at = end
+            if end > deadline:
+                break  # the manager is busy past the walltime from here on
             unit = translate_task(record.task, self.core.allocator)
-            if end <= deadline:  # as in _launch: no row past the walltime
-                self.core.translated(record, start, end)
+            self.core.translated(record, start, end)
             self._push(end, self._handle_enqueue, unit)
 
     # -- agent side --------------------------------------------------------
@@ -177,12 +178,13 @@ class _SimEngine:
             return  # its task was canceled; the core freed its cores
         deadline = self.core.deadline
 
+        task = unit.task
         stage_in_end = time
-        for _ in unit.inputs:
+        for _ in task.inputs:
             stage_in_end += self.fs_latency.sample()
-        exec_end = stage_in_end + unit.expected_duration * self.duration_noise.sample()
+        exec_end = stage_in_end + task.expected_duration * self.duration_noise.sample()
         stage_out_end = exec_end
-        for _ in unit.outputs:
+        for _ in task.outputs:
             stage_out_end += self.fs_latency.sample()
 
         # A phase appears in the log only when it completes inside the
@@ -226,8 +228,8 @@ class _SimEngine:
         # popped time; a time already promised is not promised again. The
         # cut comes first: close() writes its cancels at the deadline, which
         # is earlier than a time past it. A step cut by the walltime writes
-        # no row but keeps its place on the heap, so a cut run always ends
-        # here, at the deadline.
+        # no row but keeps its place on the heap, or the manager busy past
+        # the deadline, so a cut run always ends at the deadline.
         settle = self.core.sink.settle
         deadline = self.core.deadline
         while self._heap:
@@ -239,6 +241,8 @@ class _SimEngine:
                 settle(time)
                 now = time
             handler(time, payload)
+        if self._manager_free_at > deadline:
+            now = deadline
         return self.core.close(now, "sim", self.config.seed, {})
 
 

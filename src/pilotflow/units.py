@@ -1,18 +1,18 @@
 """Compute-unit descriptions and the store the pilot agent pulls from.
 
-Translation turns an application-level task into a self-contained unit
-description: everything a pilot agent needs to run the work, and nothing
-of the pipeline/stage structure. The engine core attributes a unit's
-events to its pipeline and stage from its task's record, which it finds by
-the unit's ``task_id``. Descriptions cross the manager/agent boundary as
-JSON: one object with the unit's eight fields, keys sorted. It says what
-to run, on how many cores and with which staging, never the experiment's
-workload kind, which has already shaped the command when the protocol was
-built. The wire round trip is paid once per unit, where it is measured:
-the local manager serializes and parses each unit inside its timed
-translate interval and enqueues the decoded form, which the agent takes in
-as it is. The simulator models translation with its ``translate_cost``
-sampler and uses the description as built.
+Translation names a task's work as a unit: a uid and the task's own spec,
+which says what to run, on how many cores and with which staging, and
+holds nothing of the pipeline/stage structure. The engine core attributes
+a unit's events to its pipeline and stage from its task's record, which it
+finds by ``unit.task.id``. Descriptions cross the manager/agent boundary as
+JSON: ``{"task": {...the spec's seven fields...}, "uid": ...}``, keys
+sorted. It never names the experiment's workload kind, which has already
+shaped the command when the protocol was built. The wire round trip is
+paid once per unit, where it is measured: the local manager serializes and
+parses each unit inside its timed translate interval and enqueues the
+decoded form, which the agent takes in as it is. The simulator models
+translation with its ``translate_cost`` sampler and uses the description
+as built, whose spec is its task record's own.
 
 The store is only a queue: a unit's progress is kept once, in its task's
 record, whose state machine refuses a unit placed twice.
@@ -26,21 +26,15 @@ from dataclasses import dataclass
 
 from . import codec
 from .latency import Sampler
-from .model import StagingDirective, TaskSpec
+from .model import TaskSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitDescription:
-    """Flat, backend-facing form of one task."""
+    """One task's work as the pilot agent sees it: its spec under a uid."""
 
     uid: str
-    task_id: str
-    executable: str
-    arguments: tuple[str, ...]
-    cores: int
-    expected_duration: float
-    inputs: tuple[StagingDirective, ...]
-    outputs: tuple[StagingDirective, ...]
+    task: TaskSpec
 
     def to_wire(self) -> str:
         """Serialize to the JSON wire format used between manager and agent."""
@@ -64,23 +58,14 @@ class UnitIdAllocator:
 
 
 def translate_task(task: TaskSpec, allocator: UnitIdAllocator) -> UnitDescription:
-    """Build the unit description for one task.
+    """Name one task's unit: a fresh uid over the task's own spec, no copy.
 
     No wire round trip happens here: it is paid where it is measured, by the
     local backend, whose translate interval serializes and parses the unit.
     ``UnitDescription.from_wire(u.to_wire()) == u`` holds for the units of
     every valid workflow, so skipping the round trip changes no field.
     """
-    return UnitDescription(
-        uid=allocator.allocate(),
-        task_id=task.id,
-        executable=task.executable,
-        arguments=task.arguments,
-        cores=task.cores,
-        expected_duration=task.expected_duration,
-        inputs=task.inputs,
-        outputs=task.outputs,
-    )
+    return UnitDescription(allocator.allocate(), task)
 
 
 class TaskStore:

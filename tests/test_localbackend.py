@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from pilotflow import localbackend
-from pilotflow.experiment import ExperimentConfig
+from pilotflow.experiment import ExperimentConfig, materialize_inputs
 from pilotflow.localbackend import LocalBackendConfig, local_run
 from pilotflow.metrics import compute_report
 from pilotflow.model import (
@@ -34,6 +34,7 @@ from pilotflow.model import (
     peak_core_demand,
 )
 from pilotflow.profiling import ProfileSink
+from pilotflow.runtime import EngineCore
 from pilotflow.units import TaskStore, UnitDescription
 
 from helpers import TERMINAL, by_name, check_log, generate_esmacs
@@ -656,6 +657,30 @@ def test_each_unit_crosses_the_wire_once(monkeypatch):
     log = run_local(wf, cores=peak_core_demand(wf))
     assert compute_report(log).done_tasks == 14
     assert sorted(serialized) == sorted(e.entity for e in by_name(log, "enqueue"))
+
+
+def test_a_unit_holds_the_decoded_spec_of_its_task(monkeypatch, tmp_path):
+    """The agent takes in each unit as the wire carried it: a spec of its
+    own, equal to its task record's, staging directives included."""
+    held = []
+    unit_read = EngineCore.unit_read
+
+    def recording(self, unit, begin, end):
+        unit_read(self, unit, begin, end)
+        held.append((unit.task, self.tracker.record_for(unit.task.id).task))
+
+    monkeypatch.setattr(EngineCore, "unit_read", recording)
+    wf = generate_esmacs(replicas=2, kind=TaskKind.LOCAL_EXEC, time_scale=0.0)
+    data = tmp_path / "data"
+    materialize_inputs(wf, data)
+    log = run_local(wf, cores=peak_core_demand(wf), data_root=str(data))
+    assert compute_report(log).done_tasks == 14
+    assert len(held) == 14
+    for decoded, spec in held:
+        assert decoded == spec
+        assert decoded is not spec
+    assert any(spec.inputs for spec, _ in held)
+    assert any(spec.outputs for spec, _ in held)
 
 
 def test_config_dict_round_trip():

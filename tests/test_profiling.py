@@ -259,8 +259,8 @@ def test_an_esmacs_log_is_three_columns_and_one_table_entry_per_entity():
 
 def cut_sim_log() -> tuple[Workflow, EventLog]:
     """Three pipelines translated 2 s apart under a 5 s walltime: the third
-    pipeline's first task is translated, but its unit is due at 6 s and is
-    never enqueued, and no later stage starts."""
+    pipeline's first translation would end at 6 s, so its task is never
+    translated and no unit of it is enqueued, and no later stage starts."""
     workflow = generate_esmacs(replicas=3)
     request = ResourceRequest(cores=peak_core_demand(workflow), walltime=5.0)
     config = SimBackendConfig(translate_cost=LatencyModel.constant(2.0))

@@ -570,8 +570,8 @@ def enqueue_a1_again(monkeypatch, with_task: str) -> None:
 
     def enqueue_twice(self, unit, time):
         enqueue(self, unit, time)
-        first.setdefault(unit.task_id, unit)
-        if unit.task_id == with_task:
+        first.setdefault(unit.task.id, unit)
+        if unit.task.id == with_task:
             enqueue(self, first["a1"], time)
 
     monkeypatch.setattr(EngineCore, "enqueue", enqueue_twice)

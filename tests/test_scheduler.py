@@ -6,20 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow.model import TaskSpec
 from pilotflow.scheduler import CoreMap, FirstFitScheduler, UnschedulableError
 from pilotflow.units import UnitDescription
 
 
 def make_unit(uid: str, cores: int) -> UnitDescription:
     return UnitDescription(
-        uid=uid,
-        task_id=uid,
-        executable="sleep",
-        arguments=("0",),
-        cores=cores,
-        expected_duration=0.0,
-        inputs=(),
-        outputs=(),
+        uid, TaskSpec(id=uid, executable="sleep", arguments=("0",), cores=cores)
     )
 
 
@@ -158,7 +152,7 @@ def test_placements_never_overlap(widths):
         scheduler.offer(make_unit(f"u{i}", width))
     occupied: set[int] = set()
     for unit, offset in scheduler.place_ready():
-        block = set(range(offset, offset + unit.cores))
+        block = set(range(offset, offset + unit.task.cores))
         assert not (block & occupied)
         assert max(block) < 24
         occupied |= block
@@ -224,7 +218,7 @@ def test_place_ready_matches_fifo_reference(script):
                 slow.release(uid)
         else:
             placed = [
-                (unit.uid, offset, unit.cores)
+                (unit.uid, offset, unit.task.cores)
                 for unit, offset in fast.place_ready()
             ]
             assert placed == slow.place_ready()

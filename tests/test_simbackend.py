@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pilotflow import profiling
+from pilotflow import profiling, simbackend
 from pilotflow.experiment import ExperimentConfig
 from pilotflow.latency import LatencyModel
 from pilotflow.metrics import compute_report, reports_to_csv
@@ -37,14 +37,14 @@ from pilotflow.model import (
     WorkflowValidationError,
     peak_core_demand,
 )
-from pilotflow.profiling import EventView, ProfileSink
+from pilotflow.profiling import EventLog, EventView, ProfileSink
 from pilotflow.protocols import (
     ProtocolConfig,
     StageTemplate,
     esmacs_protocol,
     protocol_to_workflow,
 )
-from pilotflow.runtime import PilotRequestError
+from pilotflow.runtime import EngineCore, PilotRequestError
 from pilotflow.scheduler import FirstFitScheduler, UnschedulableError
 from pilotflow.simbackend import SimBackendConfig, sim_run
 
@@ -460,6 +460,88 @@ def test_a_translation_past_the_walltime_writes_no_row():
     ]
 
 
+def counted_sim_run(workflow, request, config) -> tuple[EventLog, int]:
+    """``sim_run``'s log and how many times it called ``translate_task``."""
+    calls = 0
+    translate = simbackend.translate_task
+
+    def counting(task, allocator):
+        nonlocal calls
+        calls += 1
+        return translate(task, allocator)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simbackend, "translate_task", counting)
+        log = sim_run(workflow, request, config)
+    return log, calls
+
+
+def test_a_cut_run_translates_only_the_units_it_enqueues():
+    """Three pipelines translated 2 s apart under a 5 s walltime: the third
+    translation would end at 6 s, so the manager translates two units and
+    enqueues both, and the run still ends at the deadline."""
+    workflow = generate_esmacs(replicas=3)
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=5.0)
+    config = SimBackendConfig(translate_cost=LatencyModel.constant(2.0))
+    log, calls = counted_sim_run(workflow, request, config)
+    assert calls == len(by_name(log, "enqueue")) == 2
+    assert (log.events[-1].name, log.events[-1].time) == ("pilot_done", 5.0)
+    assert check_log(log, workflow) == []
+
+
+def test_a_simulated_unit_holds_its_task_records_own_spec(monkeypatch):
+    """The simulator translates by naming: a unit's spec is the very object
+    its task's record holds."""
+    held = []
+    unit_read = EngineCore.unit_read
+
+    def recording(self, unit, begin, end):
+        unit_read(self, unit, begin, end)
+        held.append(unit.task is self.tracker.record_for(unit.task.id).task)
+
+    monkeypatch.setattr(EngineCore, "unit_read", recording)
+    workflow = generate_esmacs(replicas=2)
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=1e6)
+    sim_run(workflow, request, STANDARD)
+    assert held == [True] * len(workflow.tasks())
+
+
+@given(
+    replicas=st.integers(1, 4),
+    translate_cost=st.sampled_from([0.0, 0.0005, 0.01, 0.5, 2.0]),
+    walltime=st.floats(0.5, 16.0),
+    bulk=st.integers(1, 8),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=50, deadline=None)
+def test_a_run_ends_at_its_walltime_or_its_last_done(
+    replicas, translate_cost, walltime, bulk, seed
+):
+    """Over small esmacs runs, cut or not: no row follows ``pilot_done``,
+    each ``translate_task`` call is one ``enqueue`` row, and the pilot ends
+    at its walltime when some task is not done, at the last done otherwise."""
+    workflow = generate_esmacs(replicas=replicas)
+    config = dataclasses.replace(
+        STANDARD,
+        translate_cost=LatencyModel.constant(translate_cost),
+        duration_noise=LatencyModel.uniform(0.9, 1.1),
+        seed=seed,
+        bulk=bulk,
+    )
+    request = ResourceRequest(cores=peak_core_demand(workflow), walltime=walltime)
+    log, calls = counted_sim_run(workflow, request, config)
+    assert check_log(log, workflow) == []
+    assert calls == len(by_name(log, "enqueue"))
+    (active,) = by_name(log, "pilot_active")
+    (finished,) = by_name(log, "pilot_done")
+    assert log.events[-1] == finished
+    done = by_name(log, "done")
+    if len(done) < len(workflow.tasks()):
+        assert finished.time == active.time + walltime
+    else:
+        assert finished.time == max(event.time for event in done)
+
+
 def test_walltime_cancels_queued_later_stages():
     tasks = [
         TaskSpec(id="short", executable="md", expected_duration=3.0),
@@ -759,11 +841,11 @@ def test_staggered_first_stage_pulls_fragment_the_pilot(monkeypatch, bulk):
         placed = place_ready(self)
         # Placement is FIFO, so a placed head is the first unit placed.
         head_waits = head is not None and (not placed or placed[0][0] is not head)
-        if head_waits and head.cores <= free:
+        if head_waits and head.task.cores <= free:
             fragmented += 1
         for unit, _ in placed:
-            live[unit.uid] = unit.cores
-            busy += unit.cores
+            live[unit.uid] = unit.task.cores
+            busy += unit.task.cores
         return placed
 
     def tracking_release(self, uid):

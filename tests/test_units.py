@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotflow import codec
 from pilotflow.latency import LatencyModel, Sampler
 from pilotflow.model import (
     ResourceRequest,
@@ -39,15 +42,19 @@ def make_task(tid: str = "t1") -> TaskSpec:
 
 
 def test_translate_carries_every_field():
-    unit = translate_task(make_task(), UnitIdAllocator())
+    task = make_task()
+    unit = translate_task(task, UnitIdAllocator())
     assert unit.uid == "unit.000000"
-    assert unit.task_id == "t1"
-    assert unit.executable == "md"
-    assert unit.arguments == ("equilibrate",)
-    assert unit.cores == 8
-    assert unit.expected_duration == 5.5
-    assert unit.inputs[0].mode is StagingMode.COPY_IN
-    assert unit.outputs[0].mode is StagingMode.TAR_OUT
+    # A unit is the task's own spec under a uid, and nothing more.
+    assert unit.task is task
+    assert [field.name for field in dataclasses.fields(unit)] == ["uid", "task"]
+    assert unit.task.id == "t1"
+    assert unit.task.executable == "md"
+    assert unit.task.arguments == ("equilibrate",)
+    assert unit.task.cores == 8
+    assert unit.task.expected_duration == 5.5
+    assert unit.task.inputs[0].mode is StagingMode.COPY_IN
+    assert unit.task.outputs[0].mode is StagingMode.TAR_OUT
 
 
 def test_allocator_ids_are_sequential():
@@ -60,11 +67,11 @@ def test_allocator_ids_are_sequential():
 
 # The wire form of esmacs LOCAL replica 2's last unit, which stages out.
 ESMACS_TAR_OUT_WIRE = (
-    '{"arguments": ["-c", "sleep 0.25 && mkdir -p output && echo tar-output r2 '
-    '>> output/tar-output.log"], "cores": 1, "executable": "/bin/sh", '
-    '"expected_duration": 0.25, "inputs": [], "outputs": '
-    '[{"mode": "TAR_OUT", "source": "output", "target": "output/results-r2.tar"}], '
-    '"task_id": "esmacs-p2-s7", "uid": "unit.000000"}'
+    '{"task": {"arguments": ["-c", "sleep 0.25 && mkdir -p output && echo '
+    'tar-output r2 >> output/tar-output.log"], "cores": 1, "executable": '
+    '"/bin/sh", "expected_duration": 0.25, "id": "esmacs-p2-s7", "inputs": [], '
+    '"outputs": [{"mode": "TAR_OUT", "source": "output", "target": '
+    '"output/results-r2.tar"}]}, "uid": "unit.000000"}'
 )
 
 
@@ -75,6 +82,18 @@ def test_wire_round_trip_is_lossless():
     unit = translate_task(pipeline.stages[6].tasks[0], UnitIdAllocator())
     assert unit.to_wire() == ESMACS_TAR_OUT_WIRE
     assert UnitDescription.from_wire(ESMACS_TAR_OUT_WIRE) == unit
+
+
+def test_codec_round_trips_a_slotted_dataclass():
+    """A slotted dataclass has no instance dict; ``to_json`` reads its fields."""
+    task = make_task()
+    assert not hasattr(task, "__dict__")
+    data = codec.to_json(task)
+    assert list(data) == [field.name for field in dataclasses.fields(TaskSpec)]
+    assert data["inputs"] == [
+        {"source": "input/params.dat", "target": "params.dat", "mode": "COPY_IN"}
+    ]
+    assert codec.read(TaskSpec, data, "task") == task
 
 
 # The simulator uses translate_task's unit as built, the local backend its
@@ -108,7 +127,7 @@ def test_wire_round_trip_is_lossless_for_generated_tasks(task):
     back = UnitDescription.from_wire(unit.to_wire())
     assert back == unit
     # == cannot tell -0.0 from 0.0; the repr can.
-    assert repr(back.expected_duration) == repr(unit.expected_duration)
+    assert repr(back.task.expected_duration) == repr(unit.task.expected_duration)
 
 
 def test_sim_run_never_uses_the_wire_format(monkeypatch):
@@ -146,7 +165,7 @@ def filled_store(n: int) -> TaskStore:
 def test_pull_is_fifo():
     store = filled_store(4)
     units, _ = store.pull(max_bulk=10)
-    assert [u.task_id for u in units] == ["t0", "t1", "t2", "t3"]
+    assert [u.task.id for u in units] == ["t0", "t1", "t2", "t3"]
 
 
 def test_bulk_limit_respected():
@@ -154,9 +173,9 @@ def test_bulk_limit_respected():
     first, _ = store.pull(max_bulk=2)
     second, _ = store.pull(max_bulk=2)
     rest, _ = store.pull(max_bulk=10)
-    assert [u.task_id for u in first] == ["t0", "t1"]
-    assert [u.task_id for u in second] == ["t2", "t3"]
-    assert [u.task_id for u in rest] == ["t4"]
+    assert [u.task.id for u in first] == ["t0", "t1"]
+    assert [u.task.id for u in second] == ["t2", "t3"]
+    assert [u.task.id for u in rest] == ["t4"]
     assert store.pending_count() == 0
 
 
