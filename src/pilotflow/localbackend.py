@@ -255,9 +255,11 @@ class _LocalEngine:
         then reap it. Returns the unit, its exec begin and, for a nonzero exit,
         the status and the last line of the last 4 KiB of stderr.
 
-        Each child's stderr is a memfd of its own, closed here: a process that
-        left the group (``setsid``) writes into no later task's diagnostic. A
-        flood of stderr stays in kernel memory until the reap, never the heap."""
+        Only the process group is killed: a process that left it (``setsid``)
+        escapes the reap and can outlive the run. Each child's stderr is a
+        memfd of its own, closed here, so such a process writes into no later
+        task's diagnostic. A flood of stderr stays in kernel memory until the
+        reap, never the heap."""
         unit, proc, begin, stderr = key.data
         os.killpg(proc.pid, signal.SIGKILL)
         self._children.unregister(key.fd)

@@ -6,17 +6,19 @@ do not fit wait in FIFO order, and a unit that can never fit (wider than
 the pilot itself) is rejected outright.
 
 The core map holds one byte per core, 1 where the core is busy, so first
-fit is one ``bytearray.find`` for a run of free bytes. It also keeps the
-widths of the free runs sorted, updating them with ``bisect`` as blocks
-come and go, so the widest free run is always known. A waiting unit wider
-than that run is skipped with one integer comparison and no search; any
-other unit is certain to fit, so each placement costs exactly one search.
-When no core is free, the rest of the queue is left as it is.
+fit is one ``bytearray.find`` for a run of free bytes. Beside the bytes
+and each unit's block it keeps one count, the free cores. A pass over the
+waiting units keeps an upper bound on the widest free run: the free count
+to start with, one less than a width whose search failed (no run is that
+wide, and placing only takes cores), and never more than the free count.
+A waiting unit wider than the bound is skipped with one integer comparison
+and no search, so a pass costs one search per placement plus at most one
+failed search per distinct waiting width. When no core is free, the rest
+of the queue is left as it is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import deque
 
 from .units import UnitDescription
@@ -27,7 +29,8 @@ class UnschedulableError(Exception):
 
 
 class CoreMap:
-    """Tracks which contiguous core blocks are allocated."""
+    """Tracks which contiguous core blocks are allocated, and how many
+    cores are free."""
 
     def __init__(self, total_cores: int) -> None:
         if total_cores < 1:
@@ -36,46 +39,27 @@ class CoreMap:
         # One byte per core: 1 busy, 0 free.
         self._busy = bytearray(total_cores)
         self._by_uid: dict[str, tuple[int, int]] = {}
-        # Widths of the non-empty free runs, sorted, so the widest is last.
-        self._runs: list[int] = [total_cores]
-
-    def widest_free(self) -> int:
-        """Width of the widest run of contiguous free cores."""
-        return self._runs[-1] if self._runs else 0
+        self.free = total_cores
 
     def find_offset(self, cores: int) -> int | None:
         """Lowest offset where ``cores`` contiguous cores are free."""
         offset = self._busy.find(bytes(cores))
         return None if offset < 0 else offset
 
-    def allocate(self, uid: str, cores: int) -> int:
+    def allocate(self, uid: str, cores: int) -> int | None:
+        """Take the first block of ``cores`` free cores for ``uid`` and
+        return its offset; None, taking nothing, when no block fits."""
         offset = self.find_offset(cores)
-        if offset is None:
-            raise RuntimeError(f"no contiguous block of {cores} cores free")
-        # First fit puts the block at the start of a free run.
-        run_end = self._busy.find(1, offset)
-        run = (self.total_cores if run_end < 0 else run_end) - offset
-        self._busy[offset : offset + cores] = b"\1" * cores
-        self._by_uid[uid] = (offset, cores)
-        self._replace_runs((run,), run - cores)
+        if offset is not None:
+            self._busy[offset : offset + cores] = b"\1" * cores
+            self._by_uid[uid] = (offset, cores)
+            self.free -= cores
         return offset
 
     def release(self, uid: str) -> None:
         offset, cores = self._by_uid.pop(uid)
-        end = offset + cores
-        self._busy[offset:end] = bytes(cores)
-        before = self._busy.rfind(1, 0, offset) + 1
-        after = self._busy.find(1, end)
-        if after < 0:
-            after = self.total_cores
-        self._replace_runs((offset - before, after - end), after - before)
-
-    def _replace_runs(self, old: tuple[int, ...], new: int) -> None:
-        for run in old:
-            if run:
-                del self._runs[bisect_left(self._runs, run)]
-        if new:
-            insort(self._runs, new)
+        self._busy[offset : offset + cores] = bytes(cores)
+        self.free += cores
 
 
 class FirstFitScheduler:
@@ -84,7 +68,8 @@ class FirstFitScheduler:
     ``offer`` queues units, ``place_ready`` places every unit that fits
     right now and returns each as a ``(unit, core offset)`` pair, in queue
     order. A skipped unit keeps its queue position, so freeing cores can
-    only ever help units behind it, never reorder them.
+    only ever help units behind it, never reorder them. Within a pass, a
+    failed search for w cores rules out every unit of w cores or more.
     """
 
     def __init__(self, total_cores: int) -> None:
@@ -105,14 +90,23 @@ class FirstFitScheduler:
     def place_ready(self) -> list[tuple[UnitDescription, int]]:
         placed: list[tuple[UnitDescription, int]] = []
         skipped: list[UnitDescription] = []
-        widest = self.cores.widest_free()
+        cores = self.cores
+        # At least as wide as the widest free run (see the module docstring).
+        widest = cores.free
         while self._waiting and widest:
             unit = self._waiting.popleft()
-            if unit.task.cores > widest:
+            width = unit.task.cores
+            if width > widest:
                 skipped.append(unit)
                 continue
-            placed.append((unit, self.cores.allocate(unit.uid, unit.task.cores)))
-            widest = self.cores.widest_free()
+            offset = cores.allocate(unit.uid, width)
+            if offset is None:
+                # No free run is this wide, and placing only takes cores.
+                skipped.append(unit)
+                widest = width - 1
+                continue
+            placed.append((unit, offset))
+            widest = min(widest, cores.free)
         self._waiting.extendleft(reversed(skipped))
         return placed
 

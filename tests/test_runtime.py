@@ -215,9 +215,9 @@ def test_placing_the_unit_of_a_canceled_task_frees_its_cores():
     record = advanced(core, "a2", TaskState.TRANSLATED)
     advance_task_state(record, TaskState.CANCELED)
     waiting = placed(core, "a2")
-    assert core.scheduler.cores.widest_free() == 0
+    assert core.scheduler.cores.free == 0
     assert core.scheduled(waiting, 1.0) is None
-    assert core.scheduler.cores.widest_free() == 1
+    assert core.scheduler.cores.free == 1
     assert record.state is TaskState.CANCELED
     assert [e.entity for e in core.sink.events() if e.name == "schedule"] == ["a1"]
 

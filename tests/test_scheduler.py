@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pilotflow.model import TaskSpec
@@ -199,6 +199,15 @@ def scheduler_scripts(draw):
 
 
 @given(scheduler_scripts())
+# Two runs of two free cores and two waiting 3-core units: one failed search.
+@example(
+    (
+        8,
+        [("offer", 2)] * 4
+        + [("place", 0), ("release", 0), ("release", 1)]
+        + [("offer", 3)] * 2,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_place_ready_matches_fifo_reference(script):
     """Interleaved offers, releases and placements: the same units are placed
@@ -206,6 +215,15 @@ def test_place_ready_matches_fifo_reference(script):
     total, steps = script
     fast = FirstFitScheduler(total)
     slow = ReferenceFifoScheduler(total)
+    searches: list[tuple[int, int | None]] = []
+    search = fast.cores.find_offset
+
+    def counted(cores: int) -> int | None:
+        offset = search(cores)
+        searches.append((cores, offset))
+        return offset
+
+    fast.cores.find_offset = counted
     live: list[str] = []
     for i, (action, number) in enumerate(steps + [("place", 0)]):
         if action == "offer":
@@ -217,18 +235,38 @@ def test_place_ready_matches_fifo_reference(script):
                 fast.release(uid)
                 slow.release(uid)
         else:
+            widths = {cores for _, cores in slow.waiting}
+            searches.clear()
             placed = [
                 (unit.uid, offset, unit.task.cores)
                 for unit, offset in fast.place_ready()
             ]
             assert placed == slow.place_ready()
+            # One search per placement, plus at most one failed search per
+            # distinct width that was waiting.
+            failed = [cores for cores, offset in searches if offset is None]
+            assert len(searches) == len(placed) + len(failed)
+            assert len(failed) <= len(widths)
             assert fast.waiting_count() == len(slow.waiting)
             live.extend(uid for uid, _, _ in placed)
         assert fast.cores._busy == slow.busy
-        assert fast.cores.widest_free() == max(
-            (len(run) for run in bytes(slow.busy).split(b"\1")), default=0
-        )
+        assert fast.cores.free == slow.busy.count(0)
     assert [u.uid for u in fast._waiting] == [uid for uid, _ in slow.waiting]
+
+
+def test_allocate_with_no_block_that_fits_takes_nothing():
+    cores = CoreMap(8)
+    for uid in "abcd":
+        cores.allocate(uid, 2)
+    cores.release("a")
+    cores.release("c")
+    busy, owners = bytes(cores._busy), dict(cores._by_uid)
+    # Four cores are free, in two runs of two: no block of three fits.
+    assert cores.free == 4
+    assert cores.allocate("wide", 3) is None
+    assert bytes(cores._busy) == busy
+    assert cores._by_uid == owners
+    assert cores.free == 4
 
 
 @pytest.fixture
